@@ -1,9 +1,10 @@
 //! Table V — component efficiency of RetraSyn_p: average per-timestamp
-//! seconds for user-side computation, mobility model construction, DMU and
-//! real-time synthesis.
+//! microseconds for user-side computation, mobility model construction,
+//! DMU and real-time synthesis, each to at least three significant digits.
 //!
 //! Usage: `cargo run -p retrasyn-bench --release --bin table5 -- --scale 0.05`
 
+use retrasyn_bench::output::micros;
 use retrasyn_bench::{Args, DatasetKind, MethodSpec, Params};
 use retrasyn_core::Division;
 use retrasyn_geo::Grid;
@@ -12,7 +13,7 @@ fn main() {
     let args = Args::from_env();
     let params = Params::from_args(&args);
     println!(
-        "# Table V — component efficiency of RetraSynp (seconds per timestamp, scale={}, K={})",
+        "# Table V — component efficiency of RetraSynp (µs per timestamp, scale={}, K={})",
         params.scale, params.k
     );
     println!();
@@ -39,8 +40,11 @@ fn main() {
         "Total",
     ];
     for (name, row) in names.iter().zip(&rows) {
-        println!("| {} | {:.4} | {:.4} | {:.4} |", name, row[0], row[1], row[2]);
+        println!("| {} | {} | {} | {} |", name, micros(row[0]), micros(row[1]), micros(row[2]));
     }
     println!();
-    println!("Paper (full scale): totals 0.1851 / 1.6523 / 2.9558 s with synthesis dominating.");
+    println!(
+        "Paper (full scale): totals 185100 / 1652300 / 2955800 µs (0.1851 / 1.6523 / 2.9558 s) \
+         with synthesis dominating."
+    );
 }

@@ -5,6 +5,18 @@ use retrasyn_metrics::MetricReport;
 use std::io::Write;
 use std::path::Path;
 
+/// Format a duration given in seconds as microseconds with at least three
+/// significant digits (`0.0000123` s → `"12.3"`, `0.0123` s → `"12300"`),
+/// so sub-millisecond phases never print as zero.
+pub fn micros(seconds: f64) -> String {
+    let us = seconds * 1e6;
+    if us == 0.0 || !us.is_finite() {
+        return format!("{us}");
+    }
+    let decimals = (2 - us.abs().log10().floor() as i32).max(0) as usize;
+    format!("{us:.decimals$}")
+}
+
 /// Render a markdown table: one row per result, one column per metric.
 pub fn metric_table(title: &str, results: &[CellResult]) -> String {
     let mut s = String::new();
@@ -112,6 +124,16 @@ mod tests {
             timings: None,
             run_seconds: 1.5,
         }
+    }
+
+    #[test]
+    fn micros_keeps_three_significant_digits() {
+        assert_eq!(micros(0.0), "0");
+        assert_eq!(micros(1.234e-8), "0.0123");
+        assert_eq!(micros(1.234e-6), "1.23");
+        assert_eq!(micros(5.678e-5), "56.8");
+        assert_eq!(micros(1.8512e-4), "185");
+        assert_eq!(micros(0.16523), "165230");
     }
 
     #[test]

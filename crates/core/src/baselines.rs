@@ -416,8 +416,13 @@ impl LdpIds {
     /// LPD / LPA: two-phase population division.
     fn step_population(&mut self, t: u64, states: &[(u64, usize)]) {
         let domain = self.table.num_moves().max(2);
-        for &(u, _) in states {
-            self.registry.register(u);
+        // Intern each reporter once; the slot carries the registry
+        // bookkeeping from here on, the id the ledger and the sort.
+        let mut eligible: Vec<(u64, u32, usize)> = Vec::with_capacity(states.len());
+        for &(u, s) in states {
+            let slot = self.registry.intern(u);
+            self.registry.register(slot);
+            eligible.push((u, slot, s));
         }
         self.registry.recycle(t);
         // The fixed-set assumption: group sizing uses the population seen
@@ -430,31 +435,27 @@ impl LdpIds {
         };
         let unit = (n0 / (2 * self.config.w)).max(1);
 
-        let mut eligible: Vec<(u64, usize)> = states
-            .iter()
-            .filter(|&&(u, _)| self.registry.status(u) == Some(UserStatus::Active))
-            .copied()
-            .collect();
-        eligible.sort_unstable_by_key(|&(u, _)| u);
+        eligible.retain(|&(_, slot, _)| self.registry.status(slot) == Some(UserStatus::Active));
+        eligible.sort_unstable_by_key(|&(u, ..)| u);
         eligible.shuffle(&mut self.rng);
 
         // Phase 1: dissimilarity group.
         let m1 = unit.min(eligible.len());
-        let group1: Vec<(u64, usize)> = eligible.drain(..m1).collect();
+        let group1: Vec<(u64, u32, usize)> = eligible.drain(..m1).collect();
         let dis = if group1.is_empty() {
             0.0
         } else if !self.has_release {
             f64::INFINITY
         } else {
-            let values: Vec<usize> = group1.iter().map(|&(_, s)| s).collect();
+            let values: Vec<usize> = group1.iter().map(|&(.., s)| s).collect();
             let oracle = Oue::new(self.config.eps, domain).expect("positive eps");
             let est = oracle
                 .collect(&values, self.config.report_mode, &mut self.rng)
                 .expect("valid states");
             self.dissimilarity(&est.freqs, est.variance)
         };
-        for &(u, _) in &group1 {
-            self.registry.mark_reported(u, t);
+        for &(u, slot, _) in &group1 {
+            self.registry.mark_reported(slot, t);
             self.ledger.record_user_report(u, t);
         }
 
@@ -480,14 +481,14 @@ impl LdpIds {
         if dis > err {
             let m2_actual = m2.min(eligible.len());
             if m2_actual > 0 {
-                let group2: Vec<(u64, usize)> = eligible.drain(..m2_actual).collect();
-                let values: Vec<usize> = group2.iter().map(|&(_, s)| s).collect();
+                let group2: Vec<(u64, u32, usize)> = eligible.drain(..m2_actual).collect();
+                let values: Vec<usize> = group2.iter().map(|&(.., s)| s).collect();
                 let oracle = Oue::new(self.config.eps, domain).expect("positive eps");
                 let est = oracle
                     .collect(&values, self.config.report_mode, &mut self.rng)
                     .expect("valid states");
-                for &(u, _) in &group2 {
-                    self.registry.mark_reported(u, t);
+                for &(u, slot, _) in &group2 {
+                    self.registry.mark_reported(slot, t);
                     self.ledger.record_user_report(u, t);
                 }
                 self.publish(est.freqs);

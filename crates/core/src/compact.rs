@@ -190,7 +190,7 @@ impl FrozenStore {
         if n == 0 && total != 0 {
             return Err(format!("frozen region has {total} cells but no streams"));
         }
-        self.cells.reserve(total);
+        self.cells.reserve(total.min(dec.remaining() / 4));
         for _ in 0..total {
             self.cells.push(CellId(dec.u32()?));
         }
@@ -391,5 +391,21 @@ mod tests {
         assert_eq!(store.frozen.num_streams(), 0);
         assert_eq!(store.resident_cells(), 0);
         assert!(store.snapshot(0).is_empty());
+    }
+
+    /// A crafted cell count used to size the cell reservation directly
+    /// and abort with `capacity overflow`; it must be a decode error.
+    #[test]
+    fn huge_cell_count_is_an_error_not_an_abort() {
+        let huge = 1usize << 62;
+        let mut enc = Enc::default();
+        enc.usize(1); // one frozen stream
+        enc.u64(7); // id
+        enc.u64(0); // start
+        enc.usize(huge); // its length
+        enc.usize(huge); // total cells, consistent with the length
+        let mut frozen = FrozenStore::default();
+        let err = frozen.decode_from(&mut Dec::new(&enc.buf)).unwrap_err();
+        assert!(err.contains("unexpected end of data"), "{err}");
     }
 }

@@ -98,6 +98,10 @@ impl std::fmt::Display for TimingReport {
     }
 }
 
+/// Placeholder registry slot of a budget-division state: that path keys no
+/// per-user bookkeeping by slot (only quitters are interned, to retire them).
+const NO_SLOT: u32 = u32::MAX;
+
 /// The RetraSyn engine.
 #[derive(Debug)]
 pub struct RetraSyn {
@@ -142,12 +146,14 @@ pub struct RetraSyn {
     overflow_warned: bool,
     /// Reused reporter-value scratch for the collection path.
     scratch_values: Vec<usize>,
-    /// Reused per-step event scratch: (user, domain index) states.
-    scratch_states: Vec<(u64, usize)>,
-    /// Reused per-step event scratch: users delivering their Quit state.
-    scratch_quitters: Vec<u64>,
+    /// Reused per-step event scratch: (registry slot, domain index)
+    /// states; the slot is [`NO_SLOT`] under budget division.
+    scratch_states: Vec<(u32, usize)>,
+    /// Reused per-step event scratch: registry slots of the users
+    /// delivering their Quit state.
+    scratch_quitters: Vec<u32>,
     /// Reused per-step scratch: the eligible (then sampled) report group.
-    scratch_eligible: Vec<(u64, usize)>,
+    scratch_eligible: Vec<(u32, usize)>,
     /// Reused domain-sized scratch: raw ones counts of the current round.
     scratch_ones: Vec<u64>,
     /// Reused estimate of the current round (`freqs` buffer recycled
@@ -337,21 +343,33 @@ impl RetraSyn {
         self.next_t += 1;
         self.steps += 1;
 
-        // States in domain space; NoEQ drops enter/quit events. The event
-        // scratch buffers are engine fields so the per-step bookkeeping
-        // allocates nothing after warm-up.
+        // States in domain space; NoEQ drops enter/quit events. Each
+        // event's user is interned into its registry slot at most once
+        // here: population division carries the slot through eligibility,
+        // sampling and reporting; budget division needs one only to retire
+        // quitters. The event scratch buffers are engine fields, reused
+        // across steps.
         let domain = self.domain_len();
+        let population = self.division == Division::Population;
         let mut states = std::mem::take(&mut self.scratch_states);
         states.clear();
         self.scratch_quitters.clear();
         let mut target_active = 0usize;
         for e in events {
-            if let TransitionState::Quit(_) = e.state {
-                self.scratch_quitters.push(e.user);
+            let quit = matches!(e.state, TransitionState::Quit(_));
+            let collected =
+                self.config.enter_quit || matches!(e.state, TransitionState::Move { .. });
+            let slot = if quit || (population && collected) {
+                self.registry.intern(e.user)
+            } else {
+                NO_SLOT
+            };
+            if quit {
+                self.scratch_quitters.push(slot);
             } else {
                 target_active += 1;
             }
-            if !self.config.enter_quit && !matches!(e.state, TransitionState::Move { .. }) {
+            if !collected {
                 continue;
             }
             // Safe after the check_events pre-pass: every cell is in
@@ -359,7 +377,7 @@ impl RetraSyn {
             let idx =
                 self.table.index_of(e.state).expect("timeline events are reachability-constrained");
             debug_assert!(idx < domain);
-            states.push((e.user, idx));
+            states.push((slot, idx));
         }
 
         let collected = match self.division {
@@ -368,11 +386,11 @@ impl RetraSyn {
         };
         self.scratch_states = states;
         collected?;
-        for &u in &self.scratch_quitters {
-            self.registry.mark_quitted(u);
+        for &slot in &self.scratch_quitters {
+            self.registry.mark_quitted(slot);
             // A quitted user never reports again: drop its RandomReport
             // slot so the map stays bounded on churning streams.
-            self.report_slots.remove(&u);
+            self.report_slots.remove(&self.registry.user(slot));
         }
 
         let estimate = std::mem::take(&mut self.scratch_est);
@@ -683,15 +701,15 @@ impl RetraSyn {
 
     /// Population-division collection (Algorithm 1 lines 7–14). Fills
     /// [`Self::scratch_est`] with the round's estimate.
-    fn collect_population(&mut self, t: u64, states: &[(u64, usize)]) -> Result<(), SessionError> {
+    fn collect_population(&mut self, t: u64, states: &[(u32, usize)]) -> Result<(), SessionError> {
         // Line 7: register arrivals (quitters still deliver their farewell
         // state if sampled, so they are registered too).
-        for &(u, _) in states {
-            if self.registry.status(u).is_none() {
-                self.registry.register(u);
+        for &(slot, _) in states {
+            if self.registry.status(slot).is_none() {
+                self.registry.register(slot);
                 if self.allocator.kind() == AllocationKind::RandomReport {
-                    let slot = t + self.rng.random_range(0..self.config.w as u64);
-                    self.report_slots.insert(u, slot);
+                    let report_t = t + self.rng.random_range(0..self.config.w as u64);
+                    self.report_slots.insert(self.registry.user(slot), report_t);
                 }
             }
         }
@@ -706,13 +724,13 @@ impl RetraSyn {
         let mut eligible = std::mem::take(&mut self.scratch_eligible);
         eligible.clear();
         eligible.extend(
-            states.iter().filter(|&&(u, _)| self.registry.status(u) == Some(UserStatus::Active)),
+            states.iter().filter(|&&(s, _)| self.registry.status(s) == Some(UserStatus::Active)),
         );
         if self.allocator.kind() == AllocationKind::RandomReport {
             let w = self.config.w as u64;
-            eligible.retain(|&(u, _)| {
-                let slot = self.report_slots[&u];
-                t >= slot && (t - slot).is_multiple_of(w)
+            eligible.retain(|&(s, _)| {
+                let report_t = self.report_slots[&self.registry.user(s)];
+                t >= report_t && (t - report_t).is_multiple_of(w)
             });
         } else {
             let p = self.allocator.portion(t);
@@ -733,9 +751,9 @@ impl RetraSyn {
         self.scratch_values.extend(eligible.iter().map(|&(_, s)| s));
         let collected = self.run_collection(self.config.eps);
         self.timings.user_side += timer.elapsed().as_secs_f64();
-        for &(u, _) in &eligible {
-            self.registry.mark_reported(u, t);
-            self.ledger.record_user_report(u, t);
+        for &(slot, _) in &eligible {
+            self.registry.mark_reported(slot, t);
+            self.ledger.record_user_report(self.registry.user(slot), t);
         }
         self.scratch_eligible = eligible;
         collected
@@ -743,7 +761,7 @@ impl RetraSyn {
 
     /// Budget-division collection: everyone reports with ε_t. Fills
     /// [`Self::scratch_est`] with the round's estimate.
-    fn collect_budget(&mut self, t: u64, states: &[(u64, usize)]) -> Result<(), SessionError> {
+    fn collect_budget(&mut self, t: u64, states: &[(u32, usize)]) -> Result<(), SessionError> {
         let eps_t = match self.allocator.kind() {
             AllocationKind::Uniform => self.config.eps / self.config.w as f64,
             AllocationKind::Sample => {
@@ -1023,8 +1041,9 @@ mod tests {
         let _ = engine.run(&ds);
         // No quitted user retains a slot…
         for &u in engine.report_slots.keys() {
+            let slot = engine.registry.slot_of(u).expect("slotted users are interned");
             assert_ne!(
-                engine.registry.status(u),
+                engine.registry.status(slot),
                 Some(UserStatus::Quitted),
                 "user {u} quit but kept a RandomReport slot"
             );

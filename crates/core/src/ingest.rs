@@ -38,12 +38,18 @@
 //! mutates nothing but the adapter's own counters — so a well-formed
 //! stream passes through bit-identical, and a tainted stream yields
 //! exactly the batches a pre-cleaned copy of it would have.
+//!
+//! Screening state is keyed by a dense per-user slot: each event's id is
+//! looked up once, and the uniqueness and lifecycle checks read a per-slot
+//! batch stamp and entered flag. Only events that pass screening intern a
+//! new id, so faulted input cannot grow the index.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use retrasyn_geo::{Topology, TransitionState, UserEvent};
 
+use crate::ids::IdIndex;
 use crate::session::{EventFault, EventSource, SessionError};
 
 /// What [`ValidatedSource`] does with a batch containing invalid events.
@@ -131,13 +137,18 @@ pub struct ValidatedSource<S> {
     inner: S,
     topo: Arc<Topology>,
     policy: IngestPolicy,
-    /// Users currently active (entered, not yet quit) in the *delivered*
-    /// stream.
-    entered: BTreeSet<u64>,
-    /// Reporters seen so far in the current batch.
-    seen: BTreeSet<u64>,
+    /// Slots of the users that passed screening at least once.
+    ids: IdIndex,
+    /// Per slot: the batch number (`stats.batches`) the user last passed
+    /// screening in — equal to the current one means already seen in this
+    /// batch.
+    stamp: Vec<u64>,
+    /// Per slot: active (entered, not yet quit) in the *delivered* stream.
+    entered: Vec<bool>,
     /// The screened batch handed downstream.
     out: Vec<UserEvent>,
+    /// The slot of each event in `out`.
+    out_slots: Vec<u32>,
     quarantine: VecDeque<QuarantinedEvent>,
     quarantine_cap: usize,
     stats: IngestStats,
@@ -155,9 +166,11 @@ impl<S: EventSource> ValidatedSource<S> {
             inner,
             topo,
             policy,
-            entered: BTreeSet::new(),
-            seen: BTreeSet::new(),
+            ids: IdIndex::default(),
+            stamp: Vec::new(),
+            entered: Vec::new(),
             out: Vec::new(),
+            out_slots: Vec::new(),
             quarantine: VecDeque::new(),
             quarantine_cap: DEFAULT_QUARANTINE_CAP,
             stats: IngestStats::default(),
@@ -244,18 +257,35 @@ impl<S: EventSource> EventSource for ValidatedSource<S> {
         // lifecycle transitions the valid events would apply. Nothing is
         // committed until the policy decides the batch's fate.
         self.out.clear();
-        self.seen.clear();
+        self.out_slots.clear();
         let mut faults: Vec<(UserEvent, EventFault)> = Vec::new();
         {
             let batch = self.inner.next_batch()?;
             self.stats.batches += 1;
             self.stats.events += batch.len() as u64;
+            // Batch numbers start at 1, so a fresh slot's stamp 0 never
+            // reads as seen.
+            let batch_no = self.stats.batches;
             for &event in batch {
-                match classify(&self.topo, &self.seen, &self.entered, &event) {
+                let slot = self.ids.get(event.user);
+                let (seen, entered) = match slot {
+                    Some(s) => (self.stamp[s as usize] == batch_no, self.entered[s as usize]),
+                    None => (false, false),
+                };
+                match classify(&self.topo, seen, entered, &event) {
                     Some(fault) => faults.push((event, fault)),
                     None => {
-                        self.seen.insert(event.user);
+                        let s = match slot {
+                            Some(s) => s,
+                            None => {
+                                self.stamp.push(0);
+                                self.entered.push(false);
+                                self.ids.intern(event.user)
+                            }
+                        };
+                        self.stamp[s as usize] = batch_no;
                         self.out.push(event);
+                        self.out_slots.push(s);
                     }
                 }
             }
@@ -274,20 +304,17 @@ impl<S: EventSource> EventSource for ValidatedSource<S> {
             self.stats.rejected_batches += 1;
             self.stats.rejected_events += self.out.len() as u64;
             self.out.clear();
+            self.out_slots.clear();
         }
         for (event, fault) in faults {
             self.push_quarantine(t, event, fault);
         }
         // Commit the lifecycle transitions of the events actually
         // delivered (an emptied batch commits none).
-        for event in &self.out {
+        for (event, &s) in self.out.iter().zip(&self.out_slots) {
             match event.state {
-                TransitionState::Enter(_) => {
-                    self.entered.insert(event.user);
-                }
-                TransitionState::Quit(_) => {
-                    self.entered.remove(&event.user);
-                }
+                TransitionState::Enter(_) => self.entered[s as usize] = true,
+                TransitionState::Quit(_) => self.entered[s as usize] = false,
                 TransitionState::Move { .. } => {}
             }
         }
@@ -298,14 +325,9 @@ impl<S: EventSource> EventSource for ValidatedSource<S> {
 }
 
 /// Classify `event` against domain, adjacency, per-batch uniqueness and
-/// lifecycle, in that order. A free function over the screening state so
-/// it can run while the inner source's batch borrow is alive.
-fn classify(
-    topo: &Topology,
-    seen: &BTreeSet<u64>,
-    entered: &BTreeSet<u64>,
-    event: &UserEvent,
-) -> Option<EventFault> {
+/// lifecycle, in that order, given whether its user was already `seen` in
+/// this batch and is currently `entered`.
+fn classify(topo: &Topology, seen: bool, entered: bool, event: &UserEvent) -> Option<EventFault> {
     let cells = topo.num_cells();
     match event.state {
         TransitionState::Move { from, to } => {
@@ -322,14 +344,12 @@ fn classify(
             }
         }
     }
-    if seen.contains(&event.user) {
+    if seen {
         return Some(EventFault::DuplicateReporter);
     }
     match event.state {
-        TransitionState::Enter(_) if entered.contains(&event.user) => Some(EventFault::ReEnter),
-        TransitionState::Move { .. } | TransitionState::Quit(_)
-            if !entered.contains(&event.user) =>
-        {
+        TransitionState::Enter(_) if entered => Some(EventFault::ReEnter),
+        TransitionState::Move { .. } | TransitionState::Quit(_) if !entered => {
             Some(EventFault::NotEntered)
         }
         _ => None,
@@ -482,5 +502,36 @@ mod tests {
         let q = src.drain_quarantine();
         assert_eq!(q.len(), 3);
         assert_eq!(q[0].event.user, 5, "oldest records evicted first");
+    }
+
+    #[test]
+    fn quarantined_fresh_ids_leave_the_index_unchanged() {
+        let topo = topo();
+        let fresh = |user: u64, state| UserEvent { user, state };
+        let batches = vec![
+            vec![enter(1, 0), enter(u64::MAX, 3)],
+            vec![
+                // Every fault kind, each from an id never seen before.
+                fresh(10, TransitionState::Enter(CellId(99))),
+                fresh(11, TransitionState::Move { from: CellId(0), to: CellId(15) }),
+                fresh(12, TransitionState::Move { from: CellId(0), to: CellId(1) }),
+                fresh(1 << 63, TransitionState::Quit(CellId(0))),
+                fresh(0, TransitionState::Move { from: CellId(0), to: CellId(99) }),
+            ],
+        ];
+        let mut src = ValidatedSource::new(
+            IterSource::new(batches.into_iter()),
+            Arc::clone(&topo),
+            IngestPolicy::DropEvents,
+        );
+        assert_eq!(src.next_batch().unwrap().len(), 2);
+        assert_eq!(src.ids.len(), 2);
+        assert_eq!(src.next_batch().unwrap().len(), 0);
+        assert_eq!(src.stats().diverted(), 5);
+        assert_eq!(src.ids.len(), 2, "faulted events interned an id");
+        assert_eq!((src.stamp.len(), src.entered.len()), (2, 2));
+        for id in [10, 11, 12, 1 << 63, 0] {
+            assert_eq!(src.ids.get(id), None, "id {id}");
+        }
     }
 }

@@ -71,6 +71,7 @@ pub mod compact;
 pub mod config;
 pub mod dmu;
 pub mod engine;
+mod ids;
 pub mod ingest;
 pub mod model;
 pub mod pool;

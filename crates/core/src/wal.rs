@@ -305,6 +305,12 @@ impl<'a> Dec<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Bytes left to decode. Decoders cap any reservation sized by an
+    /// untrusted count with it, so a crafted count cannot over-allocate.
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     /// Assert the payload was consumed exactly.
     pub(crate) fn finish(&self) -> Result<(), String> {
         if self.pos == self.bytes.len() {

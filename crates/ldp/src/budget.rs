@@ -15,7 +15,6 @@
 //! turning the privacy proof of Theorem 3 into an executable check.
 
 use crate::error::LdpError;
-use std::collections::BTreeMap;
 
 /// A validated privacy budget ε > 0.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
@@ -62,6 +61,13 @@ const EPS_TOLERANCE: f64 = 1e-9;
 
 /// Records per-timestamp budget spends and per-user report times, and checks
 /// the w-event invariant for both.
+///
+/// Population-division reports go to an append-only `(user, t)` log in
+/// recording order: recording one is a single push, with no per-user
+/// structure to look up or grow on the engine's hot path. The log is
+/// sorted by `(user, t)` only where order matters — in [`Self::verify`]
+/// and [`Self::export_state`], which sort a copy — so reported violations
+/// and exported state never depend on recording order.
 #[derive(Debug, Clone)]
 pub struct WEventLedger {
     eps_total: f64,
@@ -69,9 +75,9 @@ pub struct WEventLedger {
     /// ε spent at each timestamp by the *budget-division* path
     /// (index = timestamp).
     per_ts_eps: Vec<f64>,
-    /// For the *population-division* path: timestamps at which each user
-    /// reported (each report spends `eps_total`).
-    user_reports: BTreeMap<u64, Vec<u64>>,
+    /// For the *population-division* path: every `(user, t)` report, in
+    /// recording order (each report spends `eps_total`).
+    user_reports: Vec<(u64, u64)>,
 }
 
 impl WEventLedger {
@@ -79,7 +85,7 @@ impl WEventLedger {
     pub fn new(eps: f64, w: usize) -> Self {
         assert!(w >= 1, "window size must be >= 1");
         assert!(eps.is_finite() && eps > 0.0, "eps must be positive");
-        WEventLedger { eps_total: eps, w, per_ts_eps: Vec::new(), user_reports: BTreeMap::new() }
+        WEventLedger { eps_total: eps, w, per_ts_eps: Vec::new(), user_reports: Vec::new() }
     }
 
     /// Total budget ε.
@@ -106,7 +112,7 @@ impl WEventLedger {
     /// Record that `user` reported at timestamp `t` with the full budget
     /// (population division).
     pub fn record_user_report(&mut self, user: u64, t: u64) {
-        self.user_reports.entry(user).or_default().push(t);
+        self.user_reports.push((user, t));
     }
 
     /// Sum of budget-division spends in the window ending at `t`
@@ -152,26 +158,20 @@ impl WEventLedger {
             }
         }
         // Population division: each user's reports are >= w apart, so any
-        // w-window contains at most one full-eps report per user. The map
-        // is ordered by user id, so when several users violate the
-        // invariant the reported one is always the smallest id — error
-        // messages are reproducible across runs and platforms.
-        for (user, times) in &self.user_reports {
-            let mut sorted = times.clone();
-            sorted.sort_unstable();
-            for pair in sorted.windows(2) {
-                if pair[1] - pair[0] < self.w as u64 {
-                    return Err(LdpError::WEventViolation(format!(
-                        "user {user} reported at t={} and t={} (< w={} apart)",
-                        pair[0], pair[1], self.w
-                    )));
-                }
-                if pair[1] == pair[0] {
-                    return Err(LdpError::WEventViolation(format!(
-                        "user {user} reported twice at t={}",
-                        pair[0]
-                    )));
-                }
+        // w-window contains at most one full-eps report per user. The scan
+        // runs over the log sorted by (user, t), so when several users
+        // violate the invariant the reported one is always the smallest id
+        // — error messages are reproducible across runs and platforms. A
+        // duplicate report is a gap of 0 < w.
+        let mut sorted = self.user_reports.clone();
+        sorted.sort_unstable();
+        for pair in sorted.windows(2) {
+            let ((user, t0), (next_user, t1)) = (pair[0], pair[1]);
+            if user == next_user && t1 - t0 < self.w as u64 {
+                return Err(LdpError::WEventViolation(format!(
+                    "user {user} reported at t={t0} and t={t1} (< w={} apart)",
+                    self.w
+                )));
             }
         }
         Ok(())
@@ -179,7 +179,7 @@ impl WEventLedger {
 
     /// Number of reports recorded in the population-division path.
     pub fn total_user_reports(&self) -> usize {
-        self.user_reports.values().map(Vec::len).sum()
+        self.user_reports.len()
     }
 
     /// Forget everything recorded, in place; ε and `w` are untouched and
@@ -193,11 +193,7 @@ impl WEventLedger {
     /// serialization (checkpoints): the per-timestamp spend column, and
     /// every `(user, t)` report pair sorted by user then time.
     pub fn export_state(&self) -> (Vec<f64>, Vec<(u64, u64)>) {
-        let mut reports: Vec<(u64, u64)> = self
-            .user_reports
-            .iter()
-            .flat_map(|(&u, times)| times.iter().map(move |&t| (u, t)))
-            .collect();
+        let mut reports = self.user_reports.clone();
         reports.sort_unstable();
         (self.per_ts_eps.clone(), reports)
     }
@@ -207,9 +203,7 @@ impl WEventLedger {
     pub fn import_state(&mut self, per_ts_eps: &[f64], reports: &[(u64, u64)]) {
         self.reset();
         self.per_ts_eps.extend_from_slice(per_ts_eps);
-        for &(user, t) in reports {
-            self.user_reports.entry(user).or_default().push(t);
-        }
+        self.user_reports.extend_from_slice(reports);
     }
 }
 
@@ -293,7 +287,11 @@ mod tests {
         // w = 1: duplicates at the same timestamp are still violations.
         ledger.record_user_report(3, 5);
         ledger.record_user_report(3, 5);
-        assert!(ledger.verify().is_err());
+        let err = ledger.verify().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "w-event LDP violation: user 3 reported at t=5 and t=5 (< w=1 apart)"
+        );
     }
 
     #[test]
