@@ -32,7 +32,7 @@
 
 use crate::model::GlobalMobilityModel;
 use crate::population::{UserRegistry, UserStatus};
-use crate::session::{check_events, SessionError, StepOutcome, StreamingEngine};
+use crate::session::{resolve_events, SessionError, StepOutcome, StreamingEngine};
 use crate::store::SnapshotView;
 use crate::synthesis::SyntheticDb;
 use rand::rngs::StdRng;
@@ -128,6 +128,11 @@ pub struct LdpIds {
     /// Absorption state (LBA/LPA).
     last_pub_t: Option<u64>,
     nullified_until: Option<u64>,
+    /// Reused per-step scratch: each event's domain index, written by the
+    /// validating resolve pre-pass.
+    scratch_resolved: Vec<usize>,
+    /// Reused per-step scratch: the (user, movement index) reports.
+    scratch_states: Vec<(u64, usize)>,
 }
 
 impl LdpIds {
@@ -158,6 +163,8 @@ impl LdpIds {
             group_pubs: VecDeque::new(),
             last_pub_t: None,
             nullified_until: None,
+            scratch_resolved: Vec::new(),
+            scratch_states: Vec::new(),
         }
     }
 
@@ -225,19 +232,18 @@ impl LdpIds {
         if t != self.next_t {
             return Err(SessionError::timestamp(self.next_t, t));
         }
-        check_events(&self.table, t, events)?;
+        resolve_events(&self.table, t, events, &mut self.scratch_resolved)?;
         self.next_t += 1;
 
         // Movement states only; enter/quit holders have nothing to report.
-        let mut states: Vec<(u64, usize)> = Vec::new();
+        let mut states = std::mem::take(&mut self.scratch_states);
+        states.clear();
         let mut target_active = 0usize;
-        for e in events {
+        for (e, &idx) in events.iter().zip(&self.scratch_resolved) {
             if !matches!(e.state, TransitionState::Quit(_)) {
                 target_active += 1;
             }
             if let TransitionState::Move { .. } = e.state {
-                // Safe after the check_events pre-pass.
-                let idx = self.table.index_of(e.state).expect("adjacent move");
                 states.push((e.user, idx));
             }
         }
@@ -247,6 +253,7 @@ impl LdpIds {
         } else {
             self.step_budget(t, &states);
         }
+        self.scratch_states = states;
 
         let size = *self.fixed_size.get_or_insert(target_active.max(1));
         self.synthetic.step_no_eq(t, &self.model, &self.table, size, &mut self.rng);

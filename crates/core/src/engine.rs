@@ -33,7 +33,7 @@ use crate::config::{Division, RetraSynConfig};
 use crate::dmu;
 use crate::model::GlobalMobilityModel;
 use crate::population::{UserRegistry, UserStatus};
-use crate::session::{check_events, SessionError, StepOutcome, StreamingEngine};
+use crate::session::{resolve_events, SessionError, StepOutcome, StreamingEngine};
 use crate::store::SnapshotView;
 use crate::synthesis::SyntheticDb;
 use crate::wal::{Dec, Enc, Fingerprint};
@@ -146,6 +146,9 @@ pub struct RetraSyn {
     overflow_warned: bool,
     /// Reused reporter-value scratch for the collection path.
     scratch_values: Vec<usize>,
+    /// Reused per-step event scratch: each event's domain index, written
+    /// by the validating resolve pre-pass.
+    scratch_resolved: Vec<usize>,
     /// Reused per-step event scratch: (registry slot, domain index)
     /// states; the slot is [`NO_SLOT`] under budget division.
     scratch_states: Vec<(u32, usize)>,
@@ -208,6 +211,7 @@ impl RetraSyn {
             compaction_stats: CompactionStats::default(),
             overflow_warned: false,
             scratch_values: Vec::new(),
+            scratch_resolved: Vec::new(),
             scratch_states: Vec::new(),
             scratch_quitters: Vec::new(),
             scratch_eligible: Vec::new(),
@@ -339,7 +343,7 @@ impl RetraSyn {
         if t != self.next_t {
             return Err(SessionError::timestamp(self.next_t, t));
         }
-        check_events(&self.table, t, events)?;
+        resolve_events(&self.table, t, events, &mut self.scratch_resolved)?;
         self.next_t += 1;
         self.steps += 1;
 
@@ -355,7 +359,7 @@ impl RetraSyn {
         states.clear();
         self.scratch_quitters.clear();
         let mut target_active = 0usize;
-        for e in events {
+        for (e, &idx) in events.iter().zip(&self.scratch_resolved) {
             let quit = matches!(e.state, TransitionState::Quit(_));
             let collected =
                 self.config.enter_quit || matches!(e.state, TransitionState::Move { .. });
@@ -369,15 +373,10 @@ impl RetraSyn {
             } else {
                 target_active += 1;
             }
-            if !collected {
-                continue;
+            if collected {
+                debug_assert!(idx < domain);
+                states.push((slot, idx));
             }
-            // Safe after the check_events pre-pass: every cell is in
-            // domain and every Move is adjacency-constrained.
-            let idx =
-                self.table.index_of(e.state).expect("timeline events are reachability-constrained");
-            debug_assert!(idx < domain);
-            states.push((slot, idx));
         }
 
         let collected = match self.division {

@@ -207,9 +207,10 @@ impl UserRegistry {
     }
 
     /// Serialize the registry for a checkpoint: every status in ascending
-    /// id order (deterministic bytes), then the ring slots in index order
-    /// with their members as ids. The window is not serialized — it is
-    /// pinned by the session fingerprint.
+    /// id order (the index sorts its ids here, so the bytes are the same
+    /// whatever order the ids were interned in), then the ring slots in
+    /// index order with their members as ids. The window is not
+    /// serialized — it is pinned by the session fingerprint.
     pub(crate) fn encode_into(&self, enc: &mut Enc) {
         enc.usize(self.seen);
         for (user, slot) in self.ids.iter() {
@@ -239,6 +240,12 @@ impl UserRegistry {
     pub(crate) fn decode_from(&mut self, dec: &mut Dec) -> Result<(), String> {
         self.reset();
         let seen = dec.usize()?;
+        // One table allocation for the whole restore. A status record is
+        // 9 bytes, so a count the payload cannot hold reserves no more
+        // than the bytes left.
+        let reserve = seen.min(dec.remaining() / 9);
+        self.ids.reserve(reserve);
+        self.status.reserve(reserve);
         for _ in 0..seen {
             let user = dec.u64()?;
             let status = match dec.u8()? {
@@ -483,6 +490,20 @@ mod tests {
         let mut r = UserRegistry::new(1);
         let err = r.decode_from(&mut Dec::new(&enc.buf)).unwrap_err();
         assert!(err.contains("unexpected end of data"), "{err}");
+    }
+
+    /// A crafted status count is capped by the payload before it sizes
+    /// the id table or the status column.
+    #[test]
+    fn huge_seen_count_is_an_error_not_an_abort() {
+        let mut enc = Enc::default();
+        enc.usize(1 << 61); // status count
+        enc.u64(9);
+        enc.u8(0); // one real record
+        let mut r = UserRegistry::new(1);
+        let err = r.decode_from(&mut Dec::new(&enc.buf)).unwrap_err();
+        assert!(err.contains("unexpected end of data"), "{err}");
+        assert!(r.status.capacity() <= 16, "reserved {}", r.status.capacity());
     }
 
     #[test]

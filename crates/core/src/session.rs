@@ -238,40 +238,52 @@ impl From<WalError> for SessionError {
 }
 
 /// Hard per-event validation shared by every engine's
-/// [`try_step`](StreamingEngine::try_step): cell indices must lie inside
-/// the compiled topology and `Move`s must connect adjacent cells. Runs as
-/// a pure pre-pass — before any engine state (timestamps, registries, RNG
-/// streams) mutates — so a failed batch leaves the session untouched and
-/// steppable.
+/// [`try_step`](StreamingEngine::try_step), fused with resolving each
+/// event's state to its dense index in `table`: cell indices must lie
+/// inside the compiled topology and `Move`s must connect adjacent cells.
+/// On `Ok`, `resolved[i]` is the domain index of `events[i]`.
+///
+/// Runs as a pure pre-pass — before any engine state (timestamps,
+/// registries, RNG streams) mutates — so a failed batch leaves the
+/// session untouched and steppable; `resolved` is scratch and holds a
+/// prefix on `Err`.
 ///
 /// Lifecycle faults (duplicates, moves of never-entered users) are *not*
 /// checked here: the engines tolerate them by construction, and the
 /// [`ValidatedSource`](crate::ingest::ValidatedSource) screening layer
 /// handles them at the ingest boundary.
-pub(crate) fn check_events(
+pub(crate) fn resolve_events(
     table: &TransitionTable,
     t: u64,
     events: &[UserEvent],
+    resolved: &mut Vec<usize>,
 ) -> Result<(), SessionError> {
-    let topo = table.topology();
-    let cells = topo.num_cells();
+    let cells = table.num_cells();
+    resolved.clear();
+    resolved.reserve(events.len());
     for e in events {
-        let fault = match e.state {
+        let index = match e.state {
             TransitionState::Move { from, to } => {
                 if from.index() >= cells || to.index() >= cells {
-                    Some(EventFault::OutOfDomain)
-                } else if !topo.are_adjacent(from, to) {
-                    Some(EventFault::NonAdjacentMove)
+                    Err(EventFault::OutOfDomain)
                 } else {
-                    None
+                    // Each block's targets ascend, so a hit's position in
+                    // the block is the move's offset from the block start.
+                    let block = table.move_block(from);
+                    table
+                        .move_targets(from)
+                        .binary_search(&to)
+                        .map(|pos| block.start + pos)
+                        .map_err(|_| EventFault::NonAdjacentMove)
                 }
             }
-            TransitionState::Enter(c) | TransitionState::Quit(c) => {
-                (c.index() >= cells).then_some(EventFault::OutOfDomain)
-            }
+            TransitionState::Enter(c) if c.index() < cells => Ok(table.enter_index(c)),
+            TransitionState::Quit(c) if c.index() < cells => Ok(table.quit_index(c)),
+            TransitionState::Enter(_) | TransitionState::Quit(_) => Err(EventFault::OutOfDomain),
         };
-        if let Some(fault) = fault {
-            return Err(SessionError::InvalidEvent { t, user: e.user, fault });
+        match index {
+            Ok(index) => resolved.push(index),
+            Err(fault) => return Err(SessionError::InvalidEvent { t, user: e.user, fault }),
         }
     }
     Ok(())
@@ -780,6 +792,34 @@ mod tests {
             .iter()
             .map(|&u| UserEvent { user: u, state: TransitionState::Enter(CellId(0)) })
             .collect()
+    }
+
+    /// Every state of the domain resolves to the index `index_of` gives
+    /// it, and the first malformed event is the reported fault.
+    #[test]
+    fn resolve_matches_index_of_and_reports_the_first_fault() {
+        let table = TransitionTable::new(&retrasyn_geo::Grid::unit(4));
+        let events: Vec<UserEvent> = (0..table.len())
+            .map(|i| UserEvent { user: i as u64, state: table.state_of(i) })
+            .collect();
+        let mut resolved = Vec::new();
+        resolve_events(&table, 3, &events, &mut resolved).unwrap();
+        let want: Vec<usize> = events.iter().map(|e| table.index_of(e.state).unwrap()).collect();
+        assert_eq!(resolved, want);
+        assert_eq!(resolved, (0..table.len()).collect::<Vec<_>>());
+
+        let far =
+            UserEvent { user: 7, state: TransitionState::Move { from: CellId(0), to: CellId(15) } };
+        let out = UserEvent { user: 8, state: TransitionState::Quit(CellId(16)) };
+        for (bad, fault) in [(far, EventFault::NonAdjacentMove), (out, EventFault::OutOfDomain)] {
+            let batch = [events[0], bad, far, out];
+            let err = resolve_events(&table, 3, &batch, &mut resolved).unwrap_err();
+            assert!(
+                matches!(err, SessionError::InvalidEvent { t: 3, user, fault: f }
+                    if user == bad.user && f == fault),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

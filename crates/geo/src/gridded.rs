@@ -229,10 +229,14 @@ impl GriddedDataset {
     /// non-adjacent cell jumps.
     pub fn from_dataset(dataset: &StreamDataset, space: &impl Space) -> Self {
         let topology = space.compile_shared();
-        let mut ids = Vec::new();
-        let mut starts = Vec::new();
-        let mut offsets = vec![0usize];
-        let mut cells: Vec<CellId> = Vec::new();
+        // Every point becomes one cell; splits only add streams.
+        let points: usize = dataset.trajectories().iter().map(|t| t.points.len()).sum();
+        let streams = dataset.trajectories().len();
+        let mut ids = Vec::with_capacity(streams);
+        let mut starts = Vec::with_capacity(streams);
+        let mut offsets = Vec::with_capacity(streams + 1);
+        offsets.push(0usize);
+        let mut cells: Vec<CellId> = Vec::with_capacity(points);
         let mut next_id = 0u64;
         let mut seg: Vec<CellId> = Vec::new();
         for traj in dataset.trajectories() {

@@ -33,7 +33,24 @@ impl EventTimeline {
     /// Derive the timeline from a gridded database.
     pub fn build(dataset: &GriddedDataset) -> Self {
         let horizon = dataset.horizon() as usize;
-        let mut events: Vec<Vec<UserEvent>> = vec![Vec::new(); horizon];
+        // Size every timestamp's batch exactly before filling it: a stream
+        // reports at `start..=end + 1`, so a difference array over the
+        // horizon counts each batch in O(streams + horizon).
+        let mut delta = vec![0isize; horizon + 1];
+        for s in dataset.iter() {
+            let first = (s.start as usize).min(horizon);
+            let last = ((s.end() + 2) as usize).min(horizon);
+            delta[first] += 1;
+            delta[last] -= 1;
+        }
+        let mut running = 0isize;
+        let mut events: Vec<Vec<UserEvent>> = delta[..horizon]
+            .iter()
+            .map(|&d| {
+                running += d;
+                Vec::with_capacity(running as usize)
+            })
+            .collect();
         for s in dataset.iter() {
             let id = s.id;
             // Enter at start.
@@ -133,6 +150,16 @@ mod tests {
         assert!(
             at4.contains(&UserEvent { user: 1, state: TransitionState::Enter(grid.cell_at(2, 2)) })
         );
+    }
+
+    /// Each batch is allocated at its exact size, including a stream
+    /// clipped by the horizon.
+    #[test]
+    fn batches_are_sized_exactly() {
+        let tl = EventTimeline::build(&dataset());
+        for batch in &tl.events {
+            assert_eq!(batch.capacity(), batch.len());
+        }
     }
 
     #[test]
