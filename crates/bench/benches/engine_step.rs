@@ -30,7 +30,7 @@ fn bench_engine_step(c: &mut Criterion) {
                         for t in 0..orig.horizon() {
                             engine.step(t, timeline.at(t));
                         }
-                        black_box(engine.synthetic_active())
+                        black_box(engine.snapshot().active_count())
                     })
                 },
             );

@@ -1,6 +1,8 @@
-//! Wall-clock probe of the collection kernels plus the dense/sparse
-//! crossover sweep used to set `BLOCKED_DENSE_MIN_Q` and `DENSE_MIN_Q`
-//! (tuning aid; the blessed numbers come from `benches/collection.rs`).
+//! Wall-clock probe of the blocked per-user collection kernel against the
+//! fused sequential reference (`Oue::perturb_tally_into`, looped over the
+//! reporters), plus the dense/sparse crossover sweep used to set
+//! `BLOCKED_DENSE_MIN_Q` (tuning aid; the blessed numbers come from
+//! `benches/collection.rs`).
 //!
 //! The crossover sweep times the blocked kernel's dense pass (cost
 //! `c_dense` per position, independent of `q`) against its sparse
@@ -9,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use retrasyn_ldp::{Oue, Philox, ReportMode};
+use retrasyn_ldp::{Oue, Philox};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -24,7 +26,11 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(1);
     for label in ["fused (warm)", "fused"] {
         let t = Instant::now();
-        oue.collect_ones_into(&values, ReportMode::PerUser, &mut ones, &mut rng).unwrap();
+        ones.clear();
+        ones.resize(DOMAIN, 0);
+        for &v in &values {
+            oue.perturb_tally_into(v, &mut ones, &mut rng).unwrap();
+        }
         let dt = t.elapsed().as_secs_f64();
         black_box(ones.iter().sum::<u64>());
         println!("{label:18} {dt:.4} s  ({:.3} ns/pos)", dt * 1e9 / (USERS * DOMAIN) as f64);

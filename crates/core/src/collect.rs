@@ -1,46 +1,32 @@
-//! Sharded LDP collection pipeline (§IV-B user-side computation, §VII
-//! acceleration).
+//! Sharded per-user LDP collection pipeline (§IV-B user-side
+//! computation, §VII acceleration).
 //!
-//! Per-user OUE perturbation dominates per-timestamp cost (Table V) and is
-//! embarrassingly parallel across users: no reporter's randomness depends
-//! on another's. The [`CollectionPool`] mirrors the proven synthesis-pool
-//! architecture on the task-generic `WorkerPool` and runs either
-//! collection kernel (`CollectionKernel`):
+//! Per-user OUE perturbation dominates per-timestamp cost in
+//! [`ReportMode::PerUser`](retrasyn_ldp::ReportMode::PerUser) sessions
+//! and is embarrassingly parallel across users. Every per-user round runs
+//! one kernel, the counter-based [`Oue::collect_ones_blocked`]: each
+//! draw is a pure function of `(key, reporter row, position)`, so a round
+//! needs exactly **one** Philox key however many workers run it. The
+//! [`CollectionPool`] runs that kernel on the task-generic `WorkerPool`
+//! ([`CollectionPool::collect_ones_blocked`]):
 //!
-//! - **Sequential** ([`CollectionPool::collect_ones`]): the reporter
-//!   values are sharded into `threads` disjoint contiguous ranges (fixed
-//!   sizes, a pure function of `(n, threads)`); one seed per shard is
-//!   drawn from the caller's RNG *in shard order*, whether or not the
-//!   shard is empty, so RNG consumption depends only on the thread count;
-//!   each worker runs the fused perturb→tally round
-//!   ([`Oue::collect_ones_into`]) over its shard into a private
-//!   domain-sized ones accumulator; the caller merges accumulators by
-//!   addition (`u64` addition is exact and commutative, so arrival order
-//!   cannot affect the result).
-//! - **Blocked** ([`CollectionPool::collect_ones_blocked`]): every draw
-//!   is a pure function of `(key, reporter row, position)`, so the round
-//!   needs exactly **one** key however many workers run it, and the
-//!   merged counts are *bit-identical* at any thread count — not merely
-//!   distribution-equivalent. Dense rounds shard the **domain** into
-//!   [`GANG_POS`]-aligned ranges (each worker sweeps all reporters over
-//!   its range, [`Oue::blocked_tally_range`]) and the caller stitches
-//!   the disjoint ranges; sparse rounds shard the **reporters** with
-//!   global row bases ([`Oue::blocked_tally_sparse`]) and merge by
-//!   addition.
+//! - dense rounds shard the **domain** into [`GANG_POS`]-aligned ranges
+//!   (each worker sweeps all reporters over its range,
+//!   [`Oue::blocked_tally_range`]) and the caller stitches the disjoint
+//!   ranges;
+//! - sparse rounds shard the **reporters** with global row bases
+//!   ([`Oue::blocked_tally_sparse`]) and merge by exact `u64` addition.
 //!
-//! Determinism contract: under `Sequential`, a fixed `(seed, threads)`
-//! pair is bit-identical across runs and the merged counts are
-//! distributionally equivalent to the sequential path; under `Blocked`,
-//! a fixed seed is bit-identical across runs *and* thread counts.
+//! Determinism contract: a fixed key gives bit-identical counts across
+//! runs *and* thread counts — not merely distribution-equivalent ones —
+//! so the collection thread count never changes a session's output.
 //!
 //! Shard buffers (values and ones) shuttle between the caller and the
 //! workers and keep their capacity, so a steady-state collection round
 //! performs zero heap allocations after warm-up.
 
-use crate::pool::{draw_seeds, PoolError, PoolJob, WorkerPool};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use retrasyn_ldp::{LdpError, Oue, Philox, ReportMode, GANG_POS};
+use crate::pool::{PoolError, PoolJob, WorkerPool};
+use retrasyn_ldp::{LdpError, Oue, Philox, GANG_POS};
 use std::sync::Arc;
 
 /// Why a sharded collection round failed.
@@ -83,18 +69,16 @@ impl From<PoolError> for CollectError {
 #[derive(Debug, Default)]
 struct CollectShard {
     /// The reporter values assigned to this shard: a contiguous range of
-    /// the round's value slice (sequential / blocked-sparse), or a full
-    /// copy of it (blocked-dense, where the *domain* is sharded instead).
+    /// the round's value slice (sparse), or a full copy of it (dense,
+    /// where the *domain* is sharded instead).
     values: Vec<usize>,
-    /// Private ones accumulator — domain-sized and merged by addition,
-    /// except blocked-dense where it is range-sized and stitched.
+    /// Private ones accumulator — domain-sized and merged by addition
+    /// (sparse), or range-sized and stitched (dense).
     ones: Vec<u64>,
 }
 
 /// What one collection worker runs over its shard.
 enum CollectTask {
-    /// Fused perturb→tally over this shard's reporters, seeded per shard.
-    Sequential { mode: ReportMode, seed: u64 },
     /// Blocked dense tally of domain range `lo..hi` over *all* reporters.
     BlockedDense { ph: Philox, lo: usize, hi: usize },
     /// Blocked sparse walk over this shard's reporters at global row
@@ -114,15 +98,6 @@ struct CollectJob {
 impl PoolJob for CollectJob {
     fn run(&mut self) {
         self.result = match self.task {
-            CollectTask::Sequential { mode, seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                self.oracle.collect_ones_into(
-                    &self.shard.values,
-                    mode,
-                    &mut self.shard.ones,
-                    &mut rng,
-                )
-            }
             CollectTask::BlockedDense { ref ph, lo, hi } => {
                 self.shard.ones.clear();
                 self.shard.ones.resize(hi - lo, 0);
@@ -145,14 +120,12 @@ impl PoolJob for CollectJob {
 }
 
 /// The collection instantiation of `WorkerPool`: a persistent pool of
-/// fused perturb→tally workers plus the reusable shard buffers.
+/// counter-based collection workers plus the reusable shard buffers.
 pub struct CollectionPool {
     pool: WorkerPool<CollectJob>,
     /// Reused shard states, indexed by shard; buffer capacity survives the
     /// worker round-trip.
     shards: Vec<CollectShard>,
-    /// Reused per-shard seed buffer.
-    seeds: Vec<u64>,
 }
 
 impl std::fmt::Debug for CollectionPool {
@@ -166,55 +139,12 @@ impl CollectionPool {
     pub fn new(threads: usize) -> Self {
         let pool = WorkerPool::new(threads, "retrasyn-collect");
         let shards = (0..pool.threads()).map(|_| CollectShard::default()).collect();
-        CollectionPool { pool, shards, seeds: Vec::new() }
+        CollectionPool { pool, shards }
     }
 
     /// Number of workers (= shards per round).
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// Run one sharded collection round over the reporters' true `values`,
-    /// filling `ones` with the merged per-position counts.
-    ///
-    /// Exactly `threads` seeds are drawn from `rng` in shard order
-    /// regardless of shard occupancy; empty shards contribute nothing.
-    /// Zero heap allocations after warm-up. Returns the number of
-    /// reporters.
-    pub fn collect_ones<R: Rng + ?Sized>(
-        &mut self,
-        oracle: &Arc<Oue>,
-        values: &[usize],
-        mode: ReportMode,
-        ones: &mut Vec<u64>,
-        rng: &mut R,
-    ) -> Result<u64, CollectError> {
-        let shard_count = self.pool.threads();
-        draw_seeds(&mut self.seeds, shard_count, rng);
-        let chunk = values.len().div_ceil(shard_count).max(1);
-        let mut outstanding = 0usize;
-        for (idx, shard) in self.shards.iter_mut().enumerate() {
-            let lo = (idx * chunk).min(values.len());
-            let hi = ((idx + 1) * chunk).min(values.len());
-            shard.values.clear();
-            shard.values.extend_from_slice(&values[lo..hi]);
-            if shard.values.is_empty() {
-                continue;
-            }
-            self.pool.submit(
-                idx,
-                CollectJob {
-                    shard: std::mem::take(shard),
-                    oracle: Arc::clone(oracle),
-                    task: CollectTask::Sequential { mode, seed: self.seeds[idx] },
-                    result: Ok(()),
-                },
-            )?;
-            outstanding += 1;
-        }
-        ones.clear();
-        ones.resize(oracle.domain(), 0);
-        self.drain(outstanding, ones).map(|()| values.len() as u64)
     }
 
     /// Run one **blocked-kernel** collection round keyed by `ph`, filling
@@ -300,7 +230,7 @@ impl CollectionPool {
 
     /// Receive `outstanding` finished jobs, folding each successful
     /// shard's accumulator into `ones` (stitched for blocked-dense range
-    /// shards, exact addition otherwise — both bit-identical regardless
+    /// shards, exact addition for sparse ones — both bit-identical regardless
     /// of arrival order) and returning the lowest-shard error if any
     /// worker failed, so the reported failure is scheduling-independent.
     /// A [`PoolError`] (dead worker) aborts the drain immediately — the
@@ -313,7 +243,7 @@ impl CollectionPool {
                 Ok(()) => {
                     let dst = match job.task {
                         CollectTask::BlockedDense { lo, hi, .. } => &mut ones[lo..hi],
-                        _ => &mut ones[..],
+                        CollectTask::BlockedSparse { .. } => &mut ones[..],
                     };
                     for (acc, &x) in dst.iter_mut().zip(&job.shard.ones) {
                         *acc += x;
@@ -354,40 +284,19 @@ mod tests {
     fn merged_counts_bound_by_reporters() {
         // Every position count is at most n, and the true-bit position of
         // each reporter contributes at most one — structural sanity of the
-        // shard merge.
-        let oracle = Arc::new(Oue::new(1.0, 32).unwrap());
-        let values: Vec<usize> = (0..500).map(|i| i % 32).collect();
-        let mut pool = CollectionPool::new(4);
-        let mut ones = Vec::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        let n =
-            pool.collect_ones(&oracle, &values, ReportMode::PerUser, &mut ones, &mut rng).unwrap();
-        assert_eq!(n, 500);
-        assert_eq!(ones.len(), 32);
-        assert!(ones.iter().all(|&c| c <= 500));
-        assert!(ones.iter().sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn out_of_domain_value_is_reported() {
-        let oracle = Arc::new(Oue::new(1.0, 8).unwrap());
-        let mut pool = CollectionPool::new(2);
-        let mut ones = Vec::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let res = pool.collect_ones(&oracle, &[1, 2, 8], ReportMode::PerUser, &mut ones, &mut rng);
-        assert!(res.is_err());
-    }
-
-    #[test]
-    fn empty_round_is_all_zero() {
-        let oracle = Arc::new(Oue::new(1.0, 8).unwrap());
-        let mut pool = CollectionPool::new(2);
-        let mut ones = vec![7u64; 3];
-        let mut rng = StdRng::seed_from_u64(1);
-        let n =
-            pool.collect_ones(&oracle, &[], ReportMode::Aggregate, &mut ones, &mut rng).unwrap();
-        assert_eq!(n, 0);
-        assert_eq!(ones, vec![0u64; 8]);
+        // shard merge, in the dense (ε = 1) and sparse (ε = 3.5) regimes.
+        for eps in [1.0, 3.5] {
+            let oracle = Arc::new(Oue::new(eps, 32).unwrap());
+            let values: Vec<usize> = (0..500).map(|i| i % 32).collect();
+            let mut pool = CollectionPool::new(4);
+            let mut ones = Vec::new();
+            let n =
+                pool.collect_ones_blocked(&oracle, &values, &Philox::new(9), &mut ones).unwrap();
+            assert_eq!(n, 500);
+            assert_eq!(ones.len(), 32);
+            assert!(ones.iter().all(|&c| c <= 500), "eps={eps}");
+            assert!(ones.iter().sum::<u64>() > 0, "eps={eps}");
+        }
     }
 
     #[test]

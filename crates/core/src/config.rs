@@ -2,7 +2,7 @@
 
 use crate::allocation::AllocationKind;
 use crate::compact::CompactionPolicy;
-use retrasyn_ldp::{CollectionKernel, ReportMode};
+use retrasyn_ldp::ReportMode;
 
 /// How the w-event budget is spread over the window (§III-E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +35,10 @@ pub struct RetraSynConfig {
     /// dataset's average stream length.
     pub lambda: f64,
     /// Report simulation mode (see `retrasyn_ldp::ReportMode`).
+    /// [`ReportMode::PerUser`] rounds run the counter-based Philox kernel
+    /// (`Oue::collect_ones_blocked`) under one key drawn from the session
+    /// RNG per round; [`ReportMode::Aggregate`] rounds sample the
+    /// position counts from their binomial distribution in O(domain).
     pub report_mode: ReportMode,
     /// Enable the DMU significant-transition selection (§III-C). Disabling
     /// reproduces the *AllUpdate* ablation of Table IV.
@@ -48,23 +52,14 @@ pub struct RetraSynConfig {
     /// random stream but stays deterministic per `(seed, threads)`.
     pub synthesis_threads: usize,
     /// Worker threads for the LDP collection phase (per-user perturbation
-    /// and tallying). 1 = sequential (default); >1 shards the reporters
-    /// across a persistent collection pool — a different random stream,
-    /// deterministic per `(seed, threads)` and distributionally
-    /// equivalent to the sequential round. Applies to
-    /// [`ReportMode::PerUser`] rounds, where the per-user work is what
-    /// parallelizes; the O(domain) [`ReportMode::Aggregate`] shortcut
-    /// always runs sequentially.
+    /// and tallying). 1 = sequential (default); >1 shards each
+    /// [`ReportMode::PerUser`] round across a persistent collection pool.
+    /// Every draw of the per-user kernel is addressed by (key, reporter,
+    /// position), so the output is bit-identical at every thread count;
+    /// the O(domain) [`ReportMode::Aggregate`] shortcut always runs
+    /// sequentially. Purely operational, like `compaction`: it is left out
+    /// of the session fingerprint.
     pub collection_threads: usize,
-    /// Collection kernel for [`ReportMode::PerUser`] rounds (see
-    /// [`CollectionKernel`]). `Sequential` (default) keeps the historical
-    /// fused perturb→tally stream; `Blocked` switches to the
-    /// counter-based Philox kernel — a different (still
-    /// distribution-identical) random stream that is bit-identical
-    /// across `collection_threads` values, not just across runs.
-    /// [`ReportMode::Aggregate`] rounds ignore the kernel: their
-    /// O(domain) binomial shortcut has no per-user pass to accelerate.
-    pub collection_kernel: CollectionKernel,
     /// Epoch compaction policy (`None` = never compact, the default).
     /// When set, a step that leaves more resident cells than the policy's
     /// high-water mark drains finished streams out of the tail arena into
@@ -93,7 +88,6 @@ impl RetraSynConfig {
             enter_quit: true,
             synthesis_threads: 1,
             collection_threads: 1,
-            collection_kernel: CollectionKernel::Sequential,
             compaction: None,
         }
     }
@@ -143,12 +137,6 @@ impl RetraSynConfig {
         self
     }
 
-    /// Select the collection kernel for per-user rounds.
-    pub fn with_collection_kernel(mut self, kernel: CollectionKernel) -> Self {
-        self.collection_kernel = kernel;
-        self
-    }
-
     /// Enable epoch compaction above `high_water_cells` resident cells.
     pub fn with_compaction(mut self, high_water_cells: usize) -> Self {
         assert!(high_water_cells >= 1, "high-water mark must be >= 1");
@@ -171,7 +159,7 @@ mod tests {
         assert!(c.dmu);
         assert!(c.enter_quit);
         assert_eq!(c.report_mode, ReportMode::Aggregate);
-        assert_eq!(c.collection_kernel, CollectionKernel::Sequential);
+        assert_eq!(c.collection_threads, 1);
     }
 
     #[test]
@@ -184,7 +172,6 @@ mod tests {
             .per_user_reports()
             .with_synthesis_threads(2)
             .with_collection_threads(4)
-            .with_collection_kernel(CollectionKernel::Blocked)
             .with_compaction(10_000);
         assert_eq!(c.lambda, 13.6);
         assert_eq!(c.allocation, AllocationKind::Uniform);
@@ -193,7 +180,6 @@ mod tests {
         assert_eq!(c.report_mode, ReportMode::PerUser);
         assert_eq!(c.synthesis_threads, 2);
         assert_eq!(c.collection_threads, 4);
-        assert_eq!(c.collection_kernel, CollectionKernel::Blocked);
         assert_eq!(c.compaction, Some(CompactionPolicy::new(10_000)));
         assert_eq!(RetraSynConfig::new(1.0, 10).compaction, None);
     }

@@ -40,7 +40,7 @@ use crate::wal::{Dec, Enc, Fingerprint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retrasyn_geo::{GriddedDataset, Space, Topology, TransitionState, TransitionTable, UserEvent};
-use retrasyn_ldp::{CollectionKernel, Estimate, Oue, Philox, ReportMode, WEventLedger};
+use retrasyn_ldp::{Estimate, Oue, Philox, ReportMode, WEventLedger};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,7 +51,7 @@ pub struct StepTimings {
     /// User-side computation (perturbation / report simulation): the
     /// wall-clock of the whole collection round — when
     /// `collection_threads > 1` this covers shard dispatch, the per-shard
-    /// fused perturb→tally passes and the accumulator merge.
+    /// counter-based tally passes and the accumulator merge.
     pub user_side: f64,
     /// Mobility model construction (aggregation, debias, update).
     pub model_construction: f64,
@@ -261,27 +261,6 @@ impl RetraSyn {
     /// The timestamp the next [`Self::step`] must carry.
     pub fn next_timestamp(&self) -> u64 {
         self.next_t
-    }
-
-    /// Number of live synthetic streams.
-    ///
-    /// # Panics
-    ///
-    /// If the session was already released (the streams moved out with the
-    /// release — a silent 0 here would misread as a population collapse).
-    pub fn synthetic_active(&self) -> usize {
-        self.snapshot().active_count()
-    }
-
-    /// Per-cell occupancy of the live synthetic population — the real-time
-    /// release a downstream monitor consumes (post-processing; no
-    /// additional privacy cost by Theorem 2).
-    ///
-    /// # Panics
-    ///
-    /// If the session was already released (see [`Self::snapshot`]).
-    pub fn synthetic_occupancy(&self) -> Vec<u64> {
-        self.snapshot().occupancy(self.table.num_cells())
     }
 
     /// Collection domain: the full transition domain, or the movement
@@ -537,12 +516,13 @@ impl RetraSyn {
     }
 
     /// Stable fingerprint of everything that shapes this engine's output:
-    /// seed, division, every output-affecting configuration knob (thread
-    /// counts included — sharding changes RNG consumption order) and the
-    /// discretization descriptor. WAL files and checkpoints carry it so recovery
-    /// refuses to replay a log into a differently-configured engine.
-    /// Purely operational settings (compaction, fsync policy) are
-    /// excluded: they never change the released bytes.
+    /// seed, division, every output-affecting configuration knob
+    /// (`synthesis_threads` included — sharding changes synthesis RNG
+    /// consumption order) and the discretization descriptor. WAL files and
+    /// checkpoints carry it so recovery refuses to replay a log into a
+    /// differently-configured engine. Purely operational settings
+    /// (`collection_threads`, compaction, fsync policy) are excluded: they
+    /// never change the released bytes.
     pub fn fingerprint(&self) -> u64 {
         let c = &self.config;
         let mut f = Fingerprint::new("retrasyn");
@@ -570,11 +550,6 @@ impl RetraSyn {
             .u64(c.dmu as u64)
             .u64(c.enter_quit as u64)
             .usize(c.synthesis_threads)
-            .usize(c.collection_threads)
-            .u64(match c.collection_kernel {
-                CollectionKernel::Sequential => 0,
-                CollectionKernel::Blocked => 1,
-            })
             .space(self.table.topology().descriptor());
         f.finish()
     }
@@ -792,18 +767,15 @@ impl RetraSyn {
 
     /// Shared collection tail: run one OUE round over
     /// [`Self::scratch_values`] with per-report budget `eps`, filling
-    /// [`Self::scratch_est`]. Per-user rounds run the configured
-    /// [`CollectionKernel`] — `Sequential` keeps the historical fused
-    /// perturb→tally stream (one seed per shard when pooled); `Blocked`
-    /// draws exactly **one** key from the session RNG and hands it to the
-    /// counter-based kernel, whose output is bit-identical at every
-    /// `collection_threads` value. Sharded across the persistent
-    /// [`CollectionPool`] when `collection_threads > 1` *and* the round
-    /// simulates per-user reports — the per-user work is what
-    /// parallelizes; the O(domain) `Aggregate` shortcut would only
-    /// multiply its binomial draws by the shard count, so it always runs
-    /// sequentially and ignores the kernel. Every buffer involved is
-    /// engine scratch — zero heap allocations after warm-up.
+    /// [`Self::scratch_est`]. A [`ReportMode::PerUser`] round draws exactly
+    /// **one** key from the session RNG and runs the counter-based kernel
+    /// ([`Oue::collect_ones_blocked`]), sharded across the persistent
+    /// [`CollectionPool`] when `collection_threads > 1`; every draw is
+    /// addressed, so the output is bit-identical at every thread count. A
+    /// [`ReportMode::Aggregate`] round runs the O(domain) binomial
+    /// shortcut ([`Oue::collect_ones_into`]) sequentially: sharding it would
+    /// only multiply its draws. Every buffer involved is engine scratch —
+    /// zero heap allocations after warm-up.
     ///
     /// The collected states are in domain by construction (the `try_step`
     /// pre-pass validated every event), so a mechanism error here is a
@@ -820,43 +792,21 @@ impl RetraSyn {
         self.ensure_oracle(eps, self.domain_len().max(2));
         let oracle = Arc::clone(self.oracle.as_ref().expect("ensured above"));
         let values = std::mem::take(&mut self.scratch_values);
-        let per_user = self.config.report_mode == ReportMode::PerUser;
-        let result: Result<(), CollectError> = if per_user
-            && self.config.collection_kernel == CollectionKernel::Blocked
-        {
-            // Blocked counter-based kernel: the round's entire randomness
-            // is one key (a single u64 draw, however many threads run),
-            // and the pooled round is bit-identical to the unsharded one.
-            let ph = Philox::new(self.rng.random());
-            if self.config.collection_threads > 1 {
+        let ones = &mut self.scratch_ones;
+        let result: Result<(), CollectError> = match self.config.report_mode {
+            ReportMode::PerUser => {
+                let ph = Philox::new(self.rng.random());
                 let threads = self.config.collection_threads;
-                let pool = self.collector.get_or_insert_with(|| CollectionPool::new(threads));
-                pool.collect_ones_blocked(&oracle, &values, &ph, &mut self.scratch_ones).map(|_| ())
-            } else {
-                oracle
-                    .collect_ones_blocked(&values, 0, &ph, &mut self.scratch_ones)
-                    .map_err(CollectError::Ldp)
+                if threads > 1 {
+                    let pool = self.collector.get_or_insert_with(|| CollectionPool::new(threads));
+                    pool.collect_ones_blocked(&oracle, &values, &ph, ones).map(|_| ())
+                } else {
+                    oracle.collect_ones_blocked(&values, 0, &ph, ones).map_err(CollectError::Ldp)
+                }
             }
-        } else if per_user && self.config.collection_threads > 1 {
-            let threads = self.config.collection_threads;
-            let pool = self.collector.get_or_insert_with(|| CollectionPool::new(threads));
-            pool.collect_ones(
-                &oracle,
-                &values,
-                self.config.report_mode,
-                &mut self.scratch_ones,
-                &mut self.rng,
-            )
-            .map(|_| ())
-        } else {
-            oracle
-                .collect_ones_into(
-                    &values,
-                    self.config.report_mode,
-                    &mut self.scratch_ones,
-                    &mut self.rng,
-                )
-                .map_err(CollectError::Ldp)
+            ReportMode::Aggregate => {
+                oracle.collect_ones_into(&values, ones, &mut self.rng).map_err(CollectError::Ldp)
+            }
         };
         self.scratch_values = values;
         match result {
@@ -1075,7 +1025,7 @@ mod tests {
         for t in 0..gridded.horizon() {
             engine.step(t, timeline.at(t));
             assert_eq!(
-                engine.synthetic_active(),
+                engine.snapshot().active_count(),
                 gridded.active_count(t),
                 "size mismatch at t={t}"
             );
@@ -1092,7 +1042,7 @@ mod tests {
         let init = gridded.active_count(0);
         for t in 0..gridded.horizon() {
             engine.step(t, timeline.at(t));
-            assert_eq!(engine.synthetic_active(), init, "t={t}");
+            assert_eq!(engine.snapshot().active_count(), init, "t={t}");
         }
         // NoEQ synthetic streams never terminate.
         let syn = engine.release();

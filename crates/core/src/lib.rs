@@ -24,11 +24,11 @@
 //!   budget (§IV-B) — O(1) movement/enter draws through a [`SamplerCache`]
 //!   owned by the model and rebuilt incrementally after each DMU step.
 //! - [`pool`]: the task-generic persistent worker pool (§VII
-//!   acceleration) with deterministic per-shard seeding, instantiated by
-//!   both the synthesis and the collection pipelines.
-//! - [`collect`]: the sharded LDP collection pipeline — reporter values
-//!   split into disjoint ranges, fused perturb→tally per worker into
-//!   private accumulators, merged by addition.
+//!   acceleration), instantiated by both the synthesis and the collection
+//!   pipelines.
+//! - [`collect`]: the sharded per-user LDP collection pipeline — one
+//!   counter-based Philox round split into domain or reporter ranges,
+//!   bit-identical at every thread count.
 //! - [`session`]: the streaming session API — the [`StreamingEngine`]
 //!   trait unifying [`RetraSyn`] and the [`LdpIds`] baselines
 //!   (`step` / `snapshot` / `release` / `ledger`), plus pluggable
@@ -93,7 +93,6 @@ pub use ingest::{IngestPolicy, IngestStats, QuarantinedEvent, ValidatedSource};
 pub use model::GlobalMobilityModel;
 pub use pool::{PoolError, SynthesisPool};
 pub use population::{UserRegistry, UserStatus};
-pub use retrasyn_ldp::CollectionKernel;
 pub use sampler::{AliasTable, SamplerCache};
 pub use session::{
     BatchSender, ChannelSource, EventFault, EventSource, FnSource, IterSource, SessionError,

@@ -13,13 +13,16 @@
 //!
 //! - [`SynthesisPool`] (this module) runs the synthesis passes over
 //!   `ShardState` column shards;
-//! - [`crate::collect::CollectionPool`] runs fused perturb→tally collection
-//!   rounds over reporter-value shards.
+//! - [`crate::collect::CollectionPool`] runs counter-based per-user
+//!   collection rounds over domain or reporter-value shards.
 //!
-//! Determinism contract shared by both: each shard is seeded from the
-//! caller's RNG in shard order, shards are fixed-size disjoint ranges, and
-//! replies are re-assembled by shard index, so a fixed `(seed, threads)`
-//! pair yields identical output regardless of worker scheduling.
+//! Determinism contract shared by both: shards are fixed-size disjoint
+//! ranges and replies are re-assembled by shard index, so output never
+//! depends on worker scheduling. Synthesis shards are seeded from the
+//! caller's RNG in shard order, so a fixed `(seed, threads)` pair yields
+//! identical output; a collection round draws no seeds (its one Philox
+//! key addresses every draw), so its output is the same at every thread
+//! count.
 //!
 //! # Synthesis shards
 //!

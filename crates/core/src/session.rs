@@ -667,8 +667,9 @@ pub trait StreamingEngine {
     fn reset(&mut self);
 
     /// FNV-1a hash of the session's immutable identity: seed, engine
-    /// kind, configuration (everything output-affecting, including thread
-    /// counts) and discretization. Two engines with equal fingerprints produce
+    /// kind, configuration (everything output-affecting, including the
+    /// synthesis thread count; purely operational settings such as the
+    /// collection thread count are left out) and discretization. Two engines with equal fingerprints produce
     /// bit-identical sessions from the same events; the WAL header records
     /// it so a log can only be replayed into a matching engine.
     fn fingerprint(&self) -> u64;

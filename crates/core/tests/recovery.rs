@@ -170,6 +170,44 @@ fn recover_parallel_session_bit_identical() {
     cleanup(&path);
 }
 
+/// `collection_threads` is left out of the fingerprint because it never
+/// changes the output: a per-user session logged and checkpointed at four
+/// collection threads recovers into a one-thread engine — from the
+/// checkpoint or by full replay — with the same release and checkpoint
+/// bytes.
+#[test]
+fn per_user_wal_recovers_across_collection_threads() {
+    let gridded = dataset(8, 150, 24);
+    let per_user = |threads: usize| {
+        let config = RetraSynConfig::new(1.0, 5)
+            .with_lambda(10.0)
+            .per_user_reports()
+            .with_collection_threads(threads);
+        RetraSyn::new(config, Grid::unit(5), Division::Population, 7)
+    };
+    let path = temp_path("collection-threads");
+    let mut original = per_user(4);
+    drive_logged(&mut original, &gridded, &path, 24, Some(10));
+    let expected_ckpt = original.checkpoint_bytes().expect("engine checkpoints");
+    let expected = original.release();
+    original.ledger().verify().expect("w-event invariant");
+
+    let mut restored = per_user(1);
+    let recovery = restored.recover(&path).expect("recover at one collection thread");
+    assert_eq!(recovery.checkpoint, CheckpointUse::Restored { at: 20 });
+    assert_eq!(restored.checkpoint_bytes(), Some(expected_ckpt.clone()));
+    assert_eq!(restored.release(), expected);
+    restored.ledger().verify().expect("w-event invariant after recovery");
+
+    std::fs::remove_file(Checkpointer::sidecar(&path)).expect("remove sidecar");
+    let mut replayed = per_user(1);
+    let recovery = replayed.recover(&path).expect("full replay at one collection thread");
+    assert_eq!(recovery.checkpoint, CheckpointUse::None);
+    assert_eq!(replayed.checkpoint_bytes(), Some(expected_ckpt));
+    assert_eq!(replayed.release(), expected);
+    cleanup(&path);
+}
+
 #[test]
 fn recover_rejects_mismatched_sessions() {
     let gridded = dataset(4, 80, 10);

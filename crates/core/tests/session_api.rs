@@ -265,13 +265,13 @@ fn run_on_a_mid_session_engine_panics_descriptively() {
 #[test]
 #[should_panic(expected = "already released")]
 fn occupancy_after_release_panics_descriptively() {
-    // Same guard for the occupancy/active accessors, which read the same
+    // The occupancy read goes through the same guarded snapshot of the
     // (now emptied) store.
     let gridded = dataset(100, 8, 17);
     let config = RetraSynConfig::new(1.0, 4).with_lambda(5.0);
     let mut engine = RetraSyn::population_division(config, Grid::unit(5), 1);
     let _ = engine.run_gridded(&gridded);
-    let _ = engine.synthetic_occupancy();
+    let _ = engine.snapshot().occupancy(Grid::unit(5).num_cells());
 }
 
 #[test]

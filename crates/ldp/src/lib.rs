@@ -32,6 +32,6 @@ pub use audit::{audit_grr, audit_oue, AuditReport};
 pub use budget::{PrivacyBudget, WEventLedger};
 pub use error::LdpError;
 pub use grr::Grr;
-pub use oracle::{CollectionKernel, Estimate, FrequencyOracle, ReportMode};
+pub use oracle::{Estimate, FrequencyOracle, ReportMode};
 pub use oue::{BitReport, Oue, GANG_POS};
 pub use philox::{Philox, PhiloxRng};

@@ -7,8 +7,10 @@
 //! end-to-end for a batch of users in either of two statistically equivalent
 //! modes:
 //!
-//! - [`ReportMode::PerUser`] materializes each user's report exactly as a
-//!   deployment would — O(n·d) work, used in tests and small examples.
+//! - [`ReportMode::PerUser`] samples every user's report bit by bit, exactly
+//!   as a deployment would — O(n·d) work, used in tests and small examples.
+//!   OUE rounds run the counter-based [`Oue::collect_ones_blocked`] kernel
+//!   under one Philox key drawn from the caller's RNG.
 //! - [`ReportMode::Aggregate`] samples the per-position ones-counts directly
 //!   from their exact distribution (`Binomial(c_j, p) + Binomial(n−c_j, q)`)
 //!   — O(d) work, used by the experiment harness.
@@ -17,39 +19,21 @@ use crate::binomial;
 use crate::error::LdpError;
 use crate::grr::Grr;
 use crate::oue::Oue;
+use crate::philox::Philox;
 use rand::Rng;
 
 /// How to simulate the report collection round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
-    /// Materialize every user's report (exact end-to-end simulation).
+    /// Sample every user's report bit by bit (exact end-to-end
+    /// simulation). OUE rounds run the one per-user kernel,
+    /// [`Oue::collect_ones_blocked`], keyed by one draw from the caller's
+    /// RNG, so the output does not depend on how the round is sharded.
     PerUser,
     /// Sample aggregated position counts directly (distributionally
     /// identical, O(domain) instead of O(n·domain)).
     #[default]
     Aggregate,
-}
-
-/// Which dense-capable kernel executes a [`ReportMode::PerUser`] OUE
-/// collection round. Both kernels sample the per-bit OUE process; they
-/// consume **different random streams**, so the choice is part of the
-/// determinism contract (fixed `(seed, threads, kernel)` → bit-identical
-/// output) and of the engine fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollectionKernel {
-    /// The historical kernel: one sequential `next_u64` per
-    /// (reporter × position) from the caller's (or shard's) xoshiro
-    /// stream — one draw chain, loop-carried RNG dependence. Default, and
-    /// the stream all pre-existing blessed snapshots were taken under.
-    #[default]
-    Sequential,
-    /// The counter-based kernel ([`crate::Oue::collect_ones_blocked`]):
-    /// one Philox4×32-10 key per round, draws addressed by
-    /// `(reporter, position)` and generated in independent 8-block gangs
-    /// with no carry chain, accumulated through L1-resident domain tiles.
-    /// Output is invariant to the `(reporter × domain)` partition, hence
-    /// to the collection thread count.
-    Blocked,
 }
 
 /// The result of one collection round.
@@ -142,12 +126,17 @@ impl FrequencyOracle for Oue {
         if n == 0 {
             return Ok(Estimate::empty(self.domain()));
         }
-        // Both modes run through the zero-allocation round: PerUser takes
-        // the fused perturb→tally kernel (no report materialization),
-        // Aggregate samples the position counts in place with the same
-        // random stream as the historical allocating path.
+        // PerUser spends one key draw on the counter-based kernel (no
+        // report materialization); Aggregate samples the position counts
+        // in place with the same random stream as the historical
+        // allocating path.
         let mut ones = Vec::new();
-        self.collect_ones_into(values, mode, &mut ones, rng)?;
+        match mode {
+            ReportMode::PerUser => {
+                self.collect_ones_blocked(values, 0, &Philox::new(rng.random()), &mut ones)?
+            }
+            ReportMode::Aggregate => self.collect_ones_into(values, &mut ones, rng)?,
+        }
         Ok(Estimate { freqs: self.debias(&ones, n), n, variance: Oue::variance(self, n) })
     }
 }

@@ -113,7 +113,8 @@ pub const OUE_P: f64 = 0.5;
 /// 2^15`; the tie at 2^15 has a zero low half, so it never extends).
 const OUE_P_THRESH16: u32 = 1 << 15;
 
-/// At or above this `q` the **sequential** fused kernel uses the dense
+/// At or above this `q` the sequential reference kernel
+/// ([`Oue::perturb_tally_into`]) uses the dense
 /// branchless Bernoulli pass (one predictable-latency draw per
 /// position); below it reports are sparse enough that geometric skipping
 /// (one logarithm per reported 1, ≈ d·q of them) is cheaper. The
@@ -277,10 +278,10 @@ impl Oue {
     ///
     /// Distributionally identical to [`Self::perturb_into`] +
     /// [`Self::tally_into`] in either regime (independent Bernoulli(q)
-    /// 0-bits, Bernoulli(p) true bit). This is the per-user kernel of the
-    /// sharded collection pipeline: each worker folds its reporters into
-    /// a private domain-sized accumulator and accumulators merge by
-    /// addition.
+    /// 0-bits, Bernoulli(p) true bit). No collection round calls it: every
+    /// per-user round runs [`Self::collect_ones_blocked`]. It stays as the
+    /// sequential-stream reference that the blocked kernel's benchmark
+    /// gate (`collection_per_user_100k_d4096/fused`) measures against.
     pub fn perturb_tally_into<R: Rng + ?Sized>(
         &self,
         value: usize,
@@ -319,19 +320,16 @@ impl Oue {
         Ok(())
     }
 
-    /// Run one full collection round into a reused ones-count buffer —
-    /// zero heap allocations once `ones` has reached domain capacity.
-    ///
-    /// [`crate::ReportMode::PerUser`] folds every reporter through the
-    /// fused [`Self::perturb_tally_into`] kernel.
-    /// [`crate::ReportMode::Aggregate`] counts the true values in place
-    /// and then replaces each count `c_j` with
-    /// `Binomial(c_j, p) + Binomial(n − c_j, q)` — the same sampling order
-    /// as the allocating path, so the random stream is unchanged.
+    /// Run one [`crate::ReportMode::Aggregate`] collection round into a
+    /// reused ones-count buffer — zero heap allocations once `ones` has
+    /// reached domain capacity. Counts the true values in place and then
+    /// replaces each count `c_j` with `Binomial(c_j, p) + Binomial(n − c_j,
+    /// q)` — the same sampling order as the historical allocating path, so
+    /// the random stream is unchanged. Per-user rounds run
+    /// [`Self::collect_ones_blocked`] instead.
     pub fn collect_ones_into<R: Rng + ?Sized>(
         &self,
         values: &[usize],
-        mode: crate::oracle::ReportMode,
         ones: &mut Vec<u64>,
         rng: &mut R,
     ) -> Result<(), LdpError> {
@@ -341,38 +339,28 @@ impl Oue {
         if n == 0 {
             return Ok(());
         }
-        match mode {
-            crate::oracle::ReportMode::PerUser => {
-                for &v in values {
-                    self.perturb_tally_into(v, ones, rng)?;
-                }
+        for &v in values {
+            if v >= self.domain {
+                return Err(LdpError::ValueOutOfDomain { value: v, domain: self.domain });
             }
-            crate::oracle::ReportMode::Aggregate => {
-                for &v in values {
-                    if v >= self.domain {
-                        return Err(LdpError::ValueOutOfDomain { value: v, domain: self.domain });
-                    }
-                    ones[v] += 1;
-                }
-                for c in ones.iter_mut() {
-                    let truth = *c;
-                    *c = binomial::sample(truth, OUE_P, rng)
-                        + binomial::sample(n - truth, self.q, rng);
-                }
-            }
+            ones[v] += 1;
+        }
+        for c in ones.iter_mut() {
+            let truth = *c;
+            *c = binomial::sample(truth, OUE_P, rng) + binomial::sample(n - truth, self.q, rng);
         }
         Ok(())
     }
 
     /// Whether the blocked kernel runs its dense regime at this `q`
-    /// (determines how [`crate::CollectionKernel::Blocked`] rounds shard:
-    /// dense shards the *domain* range, sparse the reporter range).
+    /// (determines how pooled per-user rounds shard: dense shards the
+    /// *domain* range, sparse the reporter range).
     pub fn blocked_dense(&self) -> bool {
         self.q >= BLOCKED_DENSE_MIN_Q
     }
 
-    /// Run one full collection round with the **blocked counter-based
-    /// kernel** ([`crate::CollectionKernel::Blocked`]): every
+    /// Run one full [`crate::ReportMode::PerUser`] collection round with
+    /// the **blocked counter-based kernel**: every
     /// `(reporter, position)` Bernoulli draw is addressed as a pure
     /// function of `ph`'s key, the reporter's global row `base + i` and
     /// the position — no sequential RNG state anywhere in the round.
@@ -391,8 +379,7 @@ impl Oue {
     /// Because every draw is addressed, the merged counts are invariant
     /// to how the `(reporter × position)` rectangle is partitioned — a
     /// pooled round is bit-identical to this sequential one at any
-    /// thread count. The stream differs from the sequential kernel's, so
-    /// the two kernels are distinct members of the determinism contract.
+    /// thread count.
     pub fn collect_ones_blocked(
         &self,
         values: &[usize],

@@ -1,9 +1,11 @@
-//! Pins for the fused perturb→tally collection fast path: the fused
-//! kernel must produce per-position ones counts from exactly the same
-//! distribution as the frozen report-buffer reference
-//! (`perturb_into` + `tally_into`), the in-place Aggregate round must
-//! reproduce the historical allocating path bit-for-bit (same random
-//! stream), and `debias_into` must match `debias`.
+//! Pins for the fused perturb→tally reference kernel
+//! (`Oue::perturb_tally_into`, the sequential stream the blocked kernel's
+//! benchmark gate measures against): it must produce per-position ones
+//! counts from exactly the same distribution as the frozen report-buffer
+//! reference (`perturb_into` + `tally_into`). Also: the in-place
+//! Aggregate round must reproduce the historical allocating path
+//! bit-for-bit (same random stream), and `debias_into` must match
+//! `debias`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,8 +51,10 @@ fn reference_ones(oue: &Oue, values: &[usize], rng: &mut StdRng) -> Vec<u64> {
 }
 
 fn fused_ones(oue: &Oue, values: &[usize], rng: &mut StdRng) -> Vec<u64> {
-    let mut ones = Vec::new();
-    oue.collect_ones_into(values, ReportMode::PerUser, &mut ones, rng).unwrap();
+    let mut ones = vec![0u64; oue.domain()];
+    for &v in values {
+        oue.perturb_tally_into(v, &mut ones, rng).unwrap();
+    }
     ones
 }
 
@@ -102,12 +106,12 @@ fn fused_estimates_are_unbiased() {
     let mut rng = StdRng::seed_from_u64(42);
     let n = 5000usize;
     let values: Vec<usize> = (0..n).map(|i| if i % 5 < 3 { 2 } else { 0 }).collect();
-    let est = oue.collect(&values, ReportMode::PerUser, &mut rng).unwrap();
+    let est = oue.debias(&fused_ones(&oue, &values, &mut rng), n as u64);
     let sd = Oue::variance(&oue, n as u64).sqrt();
-    assert!((est.freqs[2] - 0.6).abs() < 3.5 * sd, "est[2]={}", est.freqs[2]);
-    assert!((est.freqs[0] - 0.4).abs() < 3.5 * sd, "est[0]={}", est.freqs[0]);
-    assert!(est.freqs[1].abs() < 3.5 * sd);
-    assert!(est.freqs[3].abs() < 3.5 * sd);
+    assert!((est[2] - 0.6).abs() < 3.5 * sd, "est[2]={}", est[2]);
+    assert!((est[0] - 0.4).abs() < 3.5 * sd, "est[0]={}", est[0]);
+    assert!(est[1].abs() < 3.5 * sd);
+    assert!(est[3].abs() < 3.5 * sd);
 }
 
 /// The in-place Aggregate round must consume the random stream exactly as
@@ -134,7 +138,7 @@ fn aggregate_round_preserves_historical_random_stream() {
 
     let mut rng = StdRng::seed_from_u64(77);
     let mut ones = Vec::new();
-    oue.collect_ones_into(&values, ReportMode::Aggregate, &mut ones, &mut rng).unwrap();
+    oue.collect_ones_into(&values, &mut ones, &mut rng).unwrap();
     assert_eq!(ones, expected);
 }
 
@@ -159,9 +163,9 @@ fn fused_kernel_validates_inputs() {
     let mut short = vec![0u64; 7];
     assert!(oue.perturb_tally_into(1, &mut short, &mut rng).is_err());
     // Out-of-domain values surface from the round-level API in both modes.
-    let mut buf = Vec::new();
-    assert!(oue.collect_ones_into(&[0, 9], ReportMode::PerUser, &mut buf, &mut rng).is_err());
-    assert!(oue.collect_ones_into(&[0, 9], ReportMode::Aggregate, &mut buf, &mut rng).is_err());
+    for mode in [ReportMode::PerUser, ReportMode::Aggregate] {
+        assert!(oue.collect(&[0, 9], mode, &mut rng).is_err(), "{mode:?}");
+    }
 }
 
 /// Every per-position count is bounded by the number of reporters — the

@@ -159,31 +159,30 @@ fn budget_and_population_divisions_both_work_on_all_generators() {
 #[test]
 fn per_user_report_mode_matches_aggregate_statistically() {
     // The exact per-user simulation and the binomial aggregate path must
-    // produce statistically equivalent releases (both within a loose bound
-    // of the original data).
+    // produce statistically equivalent releases. Swept over 16 engine
+    // seeds so the claim cannot rest on one lucky stream: the mean |Δ| of
+    // density and transition error between the two modes stays within
+    // 0.1, and every session's w-event ledger verifies.
+    use retrasyn::metrics::{density::density_error, transition::transition_error};
+    const SEEDS: u64 = 16;
     let ds = small_taxi();
     let grid = Grid::unit(4);
     let orig = ds.discretize(&grid);
-    let suite = MetricSuite::new(SuiteConfig { phi: 10, ..Default::default() });
-
-    let agg_config = RetraSynConfig::new(2.0, 8).with_lambda(orig.avg_length());
-    let mut agg = RetraSyn::population_division(agg_config, grid.clone(), 31);
-    let agg_report = suite.evaluate(&orig, &agg.run_gridded(&orig));
-
-    let pu_config = RetraSynConfig::new(2.0, 8).with_lambda(orig.avg_length()).per_user_reports();
-    let mut pu = RetraSyn::population_division(pu_config, grid, 31);
-    let pu_report = suite.evaluate(&orig, &pu.run_gridded(&orig));
-
-    assert!(
-        (agg_report.density_error - pu_report.density_error).abs() < 0.1,
-        "density: {} vs {}",
-        agg_report.density_error,
-        pu_report.density_error
-    );
-    assert!(
-        (agg_report.transition_error - pu_report.transition_error).abs() < 0.1,
-        "transition: {} vs {}",
-        agg_report.transition_error,
-        pu_report.transition_error
-    );
+    let table = TransitionTable::new(orig.topology());
+    let errors = |config: RetraSynConfig, seed: u64| {
+        let mut engine = RetraSyn::population_division(config, grid.clone(), seed);
+        let syn = engine.run_gridded(&orig);
+        engine.ledger().verify().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        (density_error(&orig, &syn), transition_error(&orig, &syn, &table))
+    };
+    let (mut density, mut transition) = (0.0, 0.0);
+    for seed in 0..SEEDS {
+        let config = RetraSynConfig::new(2.0, 8).with_lambda(orig.avg_length());
+        let (agg_density, agg_transition) = errors(config.clone(), seed);
+        let (pu_density, pu_transition) = errors(config.per_user_reports(), seed);
+        density += (agg_density - pu_density).abs() / SEEDS as f64;
+        transition += (agg_transition - pu_transition).abs() / SEEDS as f64;
+    }
+    assert!(density < 0.1, "mean density |Δ| over {SEEDS} seeds: {density}");
+    assert!(transition < 0.1, "mean transition |Δ| over {SEEDS} seeds: {transition}");
 }
