@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use retrasyn_core::{Division, RetraSyn, RetraSynConfig};
+use retrasyn_core::{Division, RetraSyn, RetraSynConfig, StreamingEngine};
 use retrasyn_datagen::RandomWalkConfig;
 use retrasyn_geo::{EventTimeline, Grid};
 use std::hint::black_box;

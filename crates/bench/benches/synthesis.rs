@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the real-time synthesis step (§III-D) — the
-//! dominant per-timestamp cost in Table V.
+//! Micro-benchmarks of the real-time synthesis step (§III-D), the
+//! synthesis row of Table V.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -349,10 +349,8 @@ fn bench_step_100k_grid32(c: &mut Criterion) {
 }
 
 fn bench_size_adjustment(c: &mut Criterion) {
-    // Worst case: a 20% population swing in one tick — sequentially and
-    // through the pooled two-phase selection (quit draws + per-shard
-    // Efraimidis–Spirakis keys on the workers, global cut on the caller,
-    // pooled retirement + extension).
+    // Worst case: a 20% population swing in one tick (quit draws, then
+    // the Efraimidis–Spirakis victim cut, then extension).
     let mut group = c.benchmark_group("synthesis_size_swing_5000");
     group.sample_size(10).measurement_time(Duration::from_millis(900));
     let grid = Grid::unit(6);
@@ -373,103 +371,8 @@ fn bench_size_adjustment(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    group.bench_function("shrink_20pct_pooled_4t", |b| {
-        b.iter_batched(
-            || {
-                let mut db = SyntheticDb::new();
-                let mut rng = StdRng::seed_from_u64(9);
-                db.step(0, &model, &table, 5000, 30.0, &mut rng);
-                // Warm step creates the worker pool outside the measured
-                // region.
-                db.step_parallel(1, &model, &table, 5000, 30.0, &mut rng, 4);
-                (db, StdRng::seed_from_u64(10))
-            },
-            |(mut db, mut rng)| {
-                db.step_parallel(2, &model, &table, 4000, 30.0, &mut rng, 4);
-                black_box(db.active_count())
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
     group.finish();
 }
 
-fn bench_parallel_step(c: &mut Criterion) {
-    // The paper's future-work acceleration (§VII): parallel synthesis.
-    // `step_parallel` now runs the whole step (quit + shrink + extend) on
-    // the pool.
-    let mut group = c.benchmark_group("synthesis_step_20000_threads");
-    group.sample_size(10).measurement_time(Duration::from_millis(900));
-    let grid = Grid::unit(6);
-    let table = TransitionTable::new(&grid);
-    let model = informed_model(&table);
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &threads| {
-            b.iter_batched(
-                || {
-                    let mut db = SyntheticDb::new();
-                    let mut rng = StdRng::seed_from_u64(7);
-                    db.step(0, &model, &table, 20_000, 30.0, &mut rng);
-                    // Warm step creates the worker pool outside the
-                    // measured region.
-                    db.step_parallel(1, &model, &table, 20_000, 30.0, &mut rng, threads);
-                    (db, StdRng::seed_from_u64(8))
-                },
-                |(mut db, mut rng)| {
-                    db.step_parallel(2, &model, &table, 20_000, 30.0, &mut rng, threads);
-                    black_box(db.active_count())
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    group.finish();
-}
-
-fn bench_parallel_step_100k(c: &mut Criterion) {
-    // The acceptance target for full sharding: 100k users on a 32×32 grid
-    // through the fully sharded pooled step over the columnar store
-    // (disjoint index-range shards, per-shard tail buffers relocated at
-    // the merge). The PR-1 extension-only reference was dropped with the
-    // storage refactor — the comparison stopped being meaningful once
-    // shards became column ranges.
-    let mut group = c.benchmark_group("synthesis_step_100k_grid32_threads");
-    group.sample_size(10).measurement_time(Duration::from_millis(1200));
-    let grid = Grid::unit(32);
-    let table = TransitionTable::new(&grid);
-    let model = informed_model(&table);
-    let population = 100_000usize;
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("full", threads), &threads, |b, &threads| {
-            b.iter_batched(
-                || {
-                    let mut db = SyntheticDb::new();
-                    let mut rng = StdRng::seed_from_u64(7);
-                    for t in 0..4 {
-                        db.step(t, &model, &table, population, 30.0, &mut rng);
-                    }
-                    // Warm step creates the worker pool outside
-                    // the measured region.
-                    db.step_parallel(4, &model, &table, population, 30.0, &mut rng, threads);
-                    (db, StdRng::seed_from_u64(8))
-                },
-                |(mut db, mut rng)| {
-                    db.step_parallel(5, &model, &table, population, 30.0, &mut rng, threads);
-                    black_box(db.active_count())
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_step,
-    bench_step_100k_grid32,
-    bench_size_adjustment,
-    bench_parallel_step,
-    bench_parallel_step_100k
-);
+criterion_group!(benches, bench_step, bench_step_100k_grid32, bench_size_adjustment);
 criterion_main!(benches);

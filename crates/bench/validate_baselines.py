@@ -15,9 +15,16 @@ BASELINES = ("sampler", "oue", "synthesis", "collection", "topology")
 REQUIRED = {"id", "median_ns", "mean_ns", "min_ns", "samples", "iters_per_sample"}
 
 # Arms that must be present per baseline file (beyond well-formedness).
-# The blocked collection kernel ships with a hard acceptance ratio, so a
-# bench run that silently dropped its arm must fail the build.
+# The blocked collection kernel ships with a hard acceptance ratio, and the
+# sequential synthesis arms are the only synthesis baselines, so a bench
+# run that silently dropped any of them must fail the build.
 REQUIRED_IDS = {
+    "synthesis": {
+        "synthesis_step/20000",
+        "synthesis_step_100k_grid32/alias",
+        "synthesis_step_100k_grid32/vec_reference",
+        "synthesis_size_swing_5000/shrink_20pct",
+    },
     "collection": {
         "collection_per_user_100k_d4096/fused",
         "collection_per_user_100k_d4096/blocked",

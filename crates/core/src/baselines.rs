@@ -112,11 +112,10 @@ pub struct LdpIds {
     ledger: WEventLedger,
     registry: UserRegistry,
     rng: StdRng,
-    /// Construction seed, kept so [`Self::reset`] replays identically.
+    /// Construction seed, kept so a reset replays identically.
     seed: u64,
     next_t: u64,
-    /// Set by [`Self::release`]; a released engine refuses to step until
-    /// [`Self::reset`].
+    /// Set by a release; a released engine refuses to step until reset.
     session_released: bool,
     fixed_size: Option<usize>,
     /// Fixed-population assumption n₀ (population variants).
@@ -173,21 +172,6 @@ impl LdpIds {
         self.kind
     }
 
-    /// The privacy ledger.
-    pub fn ledger(&self) -> &WEventLedger {
-        &self.ledger
-    }
-
-    /// The compiled discretization this baseline synthesizes over.
-    pub fn topology(&self) -> &Arc<Topology> {
-        self.table.topology()
-    }
-
-    /// The timestamp the next [`Self::step`] must carry.
-    pub fn next_timestamp(&self) -> u64 {
-        self.next_t
-    }
-
     /// Whether `t` falls in a nullified stretch (absorption variants).
     fn is_nullified(&self, t: u64) -> bool {
         self.nullified_until.is_some_and(|until| t <= until)
@@ -209,140 +193,6 @@ impl LdpIds {
         let mut full = vec![0.0; self.table.len()];
         full[..self.table.num_moves()].copy_from_slice(&self.released);
         self.model.replace_all(&full);
-    }
-
-    /// Advance one timestamp. Panicking wrapper over [`Self::try_step`].
-    pub fn step(&mut self, t: u64, events: &[UserEvent]) -> StepOutcome {
-        match self.try_step(t, events) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Advance one timestamp, reporting misuse and malformed events as a
-    /// typed [`SessionError`] instead of panicking. Validation is a pure
-    /// pre-pass (no RNG consumed, no state mutated), so an `Err` leaves
-    /// the baseline untouched and steppable; the historical path
-    /// `.expect`ed mid-loop on a non-adjacent `Move`, after the timestamp
-    /// had already advanced.
-    pub fn try_step(&mut self, t: u64, events: &[UserEvent]) -> Result<StepOutcome, SessionError> {
-        if self.session_released {
-            return Err(SessionError::Released);
-        }
-        if t != self.next_t {
-            return Err(SessionError::timestamp(self.next_t, t));
-        }
-        resolve_events(&self.table, t, events, &mut self.scratch_resolved)?;
-        self.next_t += 1;
-
-        // Movement states only; enter/quit holders have nothing to report.
-        let mut states = std::mem::take(&mut self.scratch_states);
-        states.clear();
-        let mut target_active = 0usize;
-        for (e, &idx) in events.iter().zip(&self.scratch_resolved) {
-            if !matches!(e.state, TransitionState::Quit(_)) {
-                target_active += 1;
-            }
-            if let TransitionState::Move { .. } = e.state {
-                states.push((e.user, idx));
-            }
-        }
-
-        if self.kind.is_population() {
-            self.step_population(t, &states);
-        } else {
-            self.step_budget(t, &states);
-        }
-        self.scratch_states = states;
-
-        let size = *self.fixed_size.get_or_insert(target_active.max(1));
-        self.synthetic.step_no_eq(t, &self.model, &self.table, size, &mut self.rng);
-        Ok(StepOutcome {
-            t,
-            active: self.synthetic.active_count(),
-            finished: self.synthetic.finished_count(),
-        })
-    }
-
-    /// Borrowed, zero-copy view of the synthetic database as of the last
-    /// completed step (post-processing; no privacy cost).
-    ///
-    /// # Panics
-    ///
-    /// If the session was already released — the streams moved out with
-    /// the release, so an "empty" view here would misread as a population
-    /// collapse.
-    pub fn snapshot(&self) -> SnapshotView<'_> {
-        assert!(
-            !self.session_released,
-            "baseline already released its session; query the released dataset \
-             (or reset() and start a new stream) instead of snapshot()"
-        );
-        self.synthetic.snapshot(self.next_t)
-    }
-
-    /// Close the session and release everything synthesized over
-    /// `0..next_timestamp()`. Zero-copy and callable mid-stream;
-    /// afterwards the engine refuses to step until [`Self::reset`].
-    ///
-    /// # Panics
-    ///
-    /// If the session was already released.
-    pub fn release(&mut self) -> GriddedDataset {
-        match self.try_release() {
-            Ok(dataset) => dataset,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Close the session (see [`Self::release`]), failing with
-    /// [`SessionError::Released`] instead of panicking when the session
-    /// was already released.
-    pub fn try_release(&mut self) -> Result<GriddedDataset, SessionError> {
-        if self.session_released {
-            return Err(SessionError::Released);
-        }
-        self.session_released = true;
-        Ok(self.synthetic.release(self.table.topology(), self.next_t))
-    }
-
-    /// Start a new session: restore the freshly-constructed state in
-    /// place, re-seeded with the construction seed. Allocated buffers are
-    /// retained, so back-to-back sessions re-allocate almost nothing.
-    pub fn reset(&mut self) {
-        self.released.iter_mut().for_each(|f| *f = 0.0);
-        self.has_release = false;
-        self.model.reset();
-        self.synthetic.reset();
-        self.ledger.reset();
-        self.registry.reset();
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.next_t = 0;
-        self.session_released = false;
-        self.fixed_size = None;
-        self.n0 = None;
-        self.budget_pubs.clear();
-        self.group_pubs.clear();
-        self.last_pub_t = None;
-        self.nullified_until = None;
-    }
-
-    /// Stable fingerprint of everything that shapes this baseline's
-    /// output: mechanism kind, seed, configuration and discretization. WAL
-    /// files carry it so recovery refuses to replay a log into a
-    /// differently-configured engine.
-    pub fn fingerprint(&self) -> u64 {
-        let mut f = crate::wal::Fingerprint::new("ldp-ids");
-        f.bytes(self.kind.name().as_bytes())
-            .u64(self.seed)
-            .f64(self.config.eps)
-            .usize(self.config.w)
-            .u64(match self.config.report_mode {
-                ReportMode::PerUser => 0,
-                ReportMode::Aggregate => 1,
-            })
-            .space(self.table.topology().descriptor());
-        f.finish()
     }
 
     /// LBD / LBA: two-phase budget division.
@@ -514,35 +364,117 @@ impl LdpIds {
 
 impl StreamingEngine for LdpIds {
     fn topology(&self) -> &Arc<Topology> {
-        LdpIds::topology(self)
+        self.table.topology()
     }
 
     fn next_timestamp(&self) -> u64 {
-        LdpIds::next_timestamp(self)
+        self.next_t
     }
 
+    /// Validation is a pure pre-pass (no RNG consumed, no state mutated),
+    /// so an `Err` leaves the baseline untouched and steppable.
     fn try_step(&mut self, t: u64, events: &[UserEvent]) -> Result<StepOutcome, SessionError> {
-        LdpIds::try_step(self, t, events)
+        if self.session_released {
+            return Err(SessionError::Released);
+        }
+        if t != self.next_t {
+            return Err(SessionError::timestamp(self.next_t, t));
+        }
+        resolve_events(&self.table, t, events, &mut self.scratch_resolved)?;
+        self.next_t += 1;
+
+        // Movement states only; enter/quit holders have nothing to report.
+        let mut states = std::mem::take(&mut self.scratch_states);
+        states.clear();
+        let mut target_active = 0usize;
+        for (e, &idx) in events.iter().zip(&self.scratch_resolved) {
+            if !matches!(e.state, TransitionState::Quit(_)) {
+                target_active += 1;
+            }
+            if let TransitionState::Move { .. } = e.state {
+                states.push((e.user, idx));
+            }
+        }
+
+        if self.kind.is_population() {
+            self.step_population(t, &states);
+        } else {
+            self.step_budget(t, &states);
+        }
+        self.scratch_states = states;
+
+        let size = *self.fixed_size.get_or_insert(target_active.max(1));
+        self.synthetic.step_no_eq(t, &self.model, &self.table, size, &mut self.rng);
+        Ok(StepOutcome {
+            t,
+            active: self.synthetic.active_count(),
+            finished: self.synthetic.finished_count(),
+        })
     }
 
+    /// # Panics
+    ///
+    /// If the session was already released — the streams moved out with
+    /// the release, so an "empty" view here would misread as a population
+    /// collapse.
     fn snapshot(&self) -> SnapshotView<'_> {
-        LdpIds::snapshot(self)
+        assert!(
+            !self.session_released,
+            "baseline already released its session; query the released dataset \
+             (or reset() and start a new stream) instead of snapshot()"
+        );
+        self.synthetic.snapshot(self.next_t)
     }
 
     fn try_release(&mut self) -> Result<GriddedDataset, SessionError> {
-        LdpIds::try_release(self)
+        if self.session_released {
+            return Err(SessionError::Released);
+        }
+        self.session_released = true;
+        Ok(self.synthetic.release(self.table.topology(), self.next_t))
     }
 
     fn ledger(&self) -> &WEventLedger {
-        LdpIds::ledger(self)
+        &self.ledger
     }
 
+    /// Start a new session: restore the freshly-constructed state in
+    /// place, re-seeded with the construction seed. Allocated buffers are
+    /// retained, so back-to-back sessions re-allocate almost nothing.
     fn reset(&mut self) {
-        LdpIds::reset(self);
+        self.released.iter_mut().for_each(|f| *f = 0.0);
+        self.has_release = false;
+        self.model.reset();
+        self.synthetic.reset();
+        self.ledger.reset();
+        self.registry.reset();
+        self.rng = StdRng::seed_from_u64(self.seed);
+        self.next_t = 0;
+        self.session_released = false;
+        self.fixed_size = None;
+        self.n0 = None;
+        self.budget_pubs.clear();
+        self.group_pubs.clear();
+        self.last_pub_t = None;
+        self.nullified_until = None;
     }
 
+    /// Stable fingerprint of everything that shapes this baseline's
+    /// output: mechanism kind, seed, configuration and discretization. WAL
+    /// files carry it so recovery refuses to replay a log into a
+    /// differently-configured engine.
     fn fingerprint(&self) -> u64 {
-        LdpIds::fingerprint(self)
+        let mut f = crate::wal::Fingerprint::new("ldp-ids");
+        f.bytes(self.kind.name().as_bytes())
+            .u64(self.seed)
+            .f64(self.config.eps)
+            .usize(self.config.w)
+            .u64(match self.config.report_mode {
+                ReportMode::PerUser => 0,
+                ReportMode::Aggregate => 1,
+            })
+            .space(self.table.topology().descriptor());
+        f.finish()
     }
 }
 

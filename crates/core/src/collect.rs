@@ -17,9 +17,8 @@
 //! - sparse rounds shard the **reporters** with global row bases
 //!   ([`Oue::blocked_tally_sparse`]) and merge by exact `u64` addition.
 //!
-//! Determinism contract: a fixed key gives bit-identical counts across
-//! runs *and* thread counts — not merely distribution-equivalent ones —
-//! so the collection thread count never changes a session's output.
+//! A fixed key gives the same counts at every thread count (row D2 of the
+//! determinism contract in the crate docs).
 //!
 //! Shard buffers (values and ones) shuttle between the caller and the
 //! workers and keep their capacity, so a steady-state collection round

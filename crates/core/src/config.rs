@@ -47,10 +47,6 @@ pub struct RetraSynConfig {
     /// the *NoEQ* ablation of Table IV: movement-only domain, fixed-size
     /// randomly-initialized synthetic database that never terminates.
     pub enter_quit: bool,
-    /// Worker threads for the synthesis phase (the paper's §VII
-    /// future-work acceleration). 1 = sequential (default); >1 changes the
-    /// random stream but stays deterministic per `(seed, threads)`.
-    pub synthesis_threads: usize,
     /// Worker threads for the LDP collection phase (per-user perturbation
     /// and tallying). 1 = sequential (default); >1 shards each
     /// [`ReportMode::PerUser`] round across a persistent collection pool.
@@ -86,7 +82,6 @@ impl RetraSynConfig {
             report_mode: ReportMode::Aggregate,
             dmu: true,
             enter_quit: true,
-            synthesis_threads: 1,
             collection_threads: 1,
             compaction: None,
         }
@@ -120,13 +115,6 @@ impl RetraSynConfig {
     /// Use exact per-user report simulation (slower; for validation).
     pub fn per_user_reports(mut self) -> Self {
         self.report_mode = ReportMode::PerUser;
-        self
-    }
-
-    /// Parallelize the synthesis phase over `threads` workers.
-    pub fn with_synthesis_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
-        self.synthesis_threads = threads;
         self
     }
 
@@ -170,7 +158,6 @@ mod tests {
             .all_update()
             .no_eq()
             .per_user_reports()
-            .with_synthesis_threads(2)
             .with_collection_threads(4)
             .with_compaction(10_000);
         assert_eq!(c.lambda, 13.6);
@@ -178,7 +165,6 @@ mod tests {
         assert!(!c.dmu);
         assert!(!c.enter_quit);
         assert_eq!(c.report_mode, ReportMode::PerUser);
-        assert_eq!(c.synthesis_threads, 2);
         assert_eq!(c.collection_threads, 4);
         assert_eq!(c.compaction, Some(CompactionPolicy::new(10_000)));
         assert_eq!(RetraSynConfig::new(1.0, 10).compaction, None);

@@ -1,6 +1,6 @@
 //! The RetraSyn streaming engine (§III-F, Algorithm 1).
 //!
-//! One [`RetraSyn::step`] per timestamp performs:
+//! One [`StreamingEngine::step`] per timestamp performs:
 //!
 //! 1. user bookkeeping — register arrivals, recycle users that reported
 //!    `w` steps ago, retire quitters (population division);
@@ -17,13 +17,14 @@
 //! [`WEventLedger`] and accumulates per-component wall-clock timings
 //! (Table V).
 //!
-//! The engine is driven as a **streaming session** (see
-//! [`crate::session`]): [`RetraSyn::step`] per timestamp,
-//! [`RetraSyn::snapshot`] for the borrowed per-timestamp view in between,
-//! [`RetraSyn::release`] to close the session (mid-stream or at the
-//! horizon), [`RetraSyn::reset`] to start the next one. Batch mode
-//! (`run(&dataset)`) comes from the [`StreamingEngine`] trait and is just
-//! a session driven by a [`crate::TimelineSource`].
+//! The engine is driven as a **streaming session** through the
+//! [`StreamingEngine`] trait (see [`crate::session`]):
+//! [`step`](StreamingEngine::step) per timestamp,
+//! [`snapshot`](StreamingEngine::snapshot) for the borrowed per-timestamp
+//! view in between, [`release`](StreamingEngine::release) to close the
+//! session (mid-stream or at the horizon), [`reset`](StreamingEngine::reset)
+//! to start the next one. Batch mode (`run(&dataset)`) is just a session
+//! driven by a [`crate::TimelineSource`].
 
 use crate::allocation::{AllocationKind, Allocator};
 use crate::collect::CollectError;
@@ -114,11 +115,10 @@ pub struct RetraSyn {
     synthetic: SyntheticDb,
     allocator: Allocator,
     rng: StdRng,
-    /// Construction seed, kept so [`Self::reset`] replays identically.
+    /// Construction seed, kept so a reset replays identically.
     seed: u64,
     next_t: u64,
-    /// Set by [`Self::release`]; a released engine refuses to step until
-    /// [`Self::reset`].
+    /// Set by a release; a released engine refuses to step until reset.
     released: bool,
     /// Fixed synthetic size for the NoEQ ablation (captured at the first
     /// step).
@@ -233,11 +233,6 @@ impl RetraSyn {
         Self::new(config, space, Division::Population, seed)
     }
 
-    /// The privacy ledger (verify with [`WEventLedger::verify`]).
-    pub fn ledger(&self) -> &WEventLedger {
-        &self.ledger
-    }
-
     /// The current global mobility model.
     pub fn model(&self) -> &GlobalMobilityModel {
         &self.model
@@ -251,16 +246,6 @@ impl RetraSyn {
     /// The division strategy.
     pub fn division(&self) -> Division {
         self.division
-    }
-
-    /// The compiled discretization this engine synthesizes over.
-    pub fn topology(&self) -> &Arc<Topology> {
-        self.table.topology()
-    }
-
-    /// The timestamp the next [`Self::step`] must carry.
-    pub fn next_timestamp(&self) -> u64 {
-        self.next_t
     }
 
     /// Collection domain: the full transition domain, or the movement
@@ -287,125 +272,13 @@ impl RetraSyn {
         }
     }
 
-    /// Advance one timestamp. `events` are the transition states held by
-    /// the participating streams at `t` (from
-    /// [`retrasyn_geo::EventTimeline::at`] or any
-    /// [`crate::EventSource`]). Timestamps must be fed in order starting
-    /// from 0. Panicking wrapper over [`Self::try_step`]; the panic
-    /// message is the error's `Display` rendering.
-    pub fn step(&mut self, t: u64, events: &[UserEvent]) -> StepOutcome {
-        match self.try_step(t, events) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Advance one timestamp, reporting misuse and mid-step faults as a
-    /// typed [`SessionError`] instead of panicking.
-    ///
-    /// The batch is validated in a pure pre-pass (no RNG consumed, no
-    /// state mutated) before ingestion: a released session, a
-    /// non-consecutive timestamp, an out-of-domain cell or a non-adjacent
-    /// `Move` all return a *pre-state* error that leaves the engine
-    /// untouched and steppable — in release builds as well as debug (the
-    /// historical path only `debug_assert`ed the event domain, silently
-    /// mis-tallying malformed input in release mode). For well-formed
-    /// input the step is bit-identical to what it always was.
-    ///
-    /// A *mid-step* error (collection or pool failure) leaves the session
-    /// in an unspecified state: recover it from its WAL (e.g. via a
-    /// [`Supervisor`](crate::supervise::Supervisor)) or [`Self::reset`].
-    pub fn try_step(&mut self, t: u64, events: &[UserEvent]) -> Result<StepOutcome, SessionError> {
-        if self.released {
-            return Err(SessionError::Released);
-        }
-        if t != self.next_t {
-            return Err(SessionError::timestamp(self.next_t, t));
-        }
-        resolve_events(&self.table, t, events, &mut self.scratch_resolved)?;
-        self.next_t += 1;
-        self.steps += 1;
-
-        // States in domain space; NoEQ drops enter/quit events. Each
-        // event's user is interned into its registry slot at most once
-        // here: population division carries the slot through eligibility,
-        // sampling and reporting; budget division needs one only to retire
-        // quitters. The event scratch buffers are engine fields, reused
-        // across steps.
-        let domain = self.domain_len();
-        let population = self.division == Division::Population;
-        let mut states = std::mem::take(&mut self.scratch_states);
-        states.clear();
-        self.scratch_quitters.clear();
-        let mut target_active = 0usize;
-        for (e, &idx) in events.iter().zip(&self.scratch_resolved) {
-            let quit = matches!(e.state, TransitionState::Quit(_));
-            let collected =
-                self.config.enter_quit || matches!(e.state, TransitionState::Move { .. });
-            let slot = if quit || (population && collected) {
-                self.registry.intern(e.user)
-            } else {
-                NO_SLOT
-            };
-            if quit {
-                self.scratch_quitters.push(slot);
-            } else {
-                target_active += 1;
-            }
-            if collected {
-                debug_assert!(idx < domain);
-                states.push((slot, idx));
-            }
-        }
-
-        let collected = match self.division {
-            Division::Population => self.collect_population(t, &states),
-            Division::Budget => self.collect_budget(t, &states),
-        };
-        self.scratch_states = states;
-        collected?;
-        for &slot in &self.scratch_quitters {
-            self.registry.mark_quitted(slot);
-            // A quitted user never reports again: drop its RandomReport
-            // slot so the map stays bounded on churning streams.
-            self.report_slots.remove(&self.registry.user(slot));
-        }
-
-        let estimate = std::mem::take(&mut self.scratch_est);
-        self.update_model(t, &estimate);
-        self.scratch_est = estimate;
-
-        // Real-time synthesis (§III-D).
-        let timer = telemetry_clock();
-        if self.config.enter_quit {
-            self.synthetic.try_step_parallel(
-                t,
-                &self.model,
-                &self.table,
-                target_active,
-                self.config.lambda,
-                &mut self.rng,
-                self.config.synthesis_threads,
-            )?;
-        } else {
-            let size = *self.fixed_size.get_or_insert(target_active);
-            self.synthetic.step_no_eq(t, &self.model, &self.table, size, &mut self.rng);
-        }
-        self.timings.synthesis += timer.elapsed().as_secs_f64();
-        self.maybe_compact(t);
-        Ok(StepOutcome {
-            t,
-            active: self.synthetic.active_count(),
-            finished: self.synthetic.finished_count(),
-        })
-    }
-
     /// Epoch-compact the synthetic store when the resident arena exceeds
     /// the configured high-water mark. Purely an operational memory bound:
-    /// it never changes what [`Self::snapshot`] or [`Self::release`]
-    /// observe. If the *live* population alone exceeds the mark the engine
-    /// degrades gracefully — it logs once, counts the overflow and keeps
-    /// running uncompacted rather than aborting the stream.
+    /// it never changes what [`StreamingEngine::snapshot`] or
+    /// [`StreamingEngine::release`] observe. If the *live* population alone
+    /// exceeds the mark the engine degrades gracefully — it logs once,
+    /// counts the overflow and keeps running uncompacted rather than
+    /// aborting the stream.
     fn maybe_compact(&mut self, t: u64) {
         let Some(policy) = self.config.compaction else { return };
         let mark = policy.high_water_cells;
@@ -440,118 +313,6 @@ impl RetraSyn {
     /// quantity bounded by the compaction high-water mark.
     pub fn resident_cells(&self) -> usize {
         self.synthetic.resident_cells()
-    }
-
-    /// Borrowed, zero-copy view of the synthetic database as of the last
-    /// completed step (Algorithm 1's per-timestamp release; reading it is
-    /// post-processing and costs no privacy budget).
-    ///
-    /// # Panics
-    ///
-    /// If the session was already released — the streams moved out with
-    /// the release, so an "empty" view here would misread as a population
-    /// collapse.
-    pub fn snapshot(&self) -> SnapshotView<'_> {
-        assert!(
-            !self.released,
-            "engine already released its session; query the released dataset \
-             (or reset() and start a new stream) instead of snapshot()"
-        );
-        self.synthetic.snapshot(self.next_t)
-    }
-
-    /// Close the session and release everything synthesized over
-    /// `0..next_timestamp()` as an id-sorted [`GriddedDataset`].
-    /// Zero-copy (the store's cells move into the dataset) and callable
-    /// mid-stream. Afterwards the engine refuses to step until
-    /// [`Self::reset`]; accessors (ledger, model, timings) keep reporting
-    /// the closed session.
-    ///
-    /// # Panics
-    ///
-    /// If the session was already released.
-    pub fn release(&mut self) -> GriddedDataset {
-        match self.try_release() {
-            Ok(dataset) => dataset,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Close the session (see [`Self::release`]), failing with
-    /// [`SessionError::Released`] instead of panicking when the session
-    /// was already released.
-    pub fn try_release(&mut self) -> Result<GriddedDataset, SessionError> {
-        if self.released {
-            return Err(SessionError::Released);
-        }
-        self.released = true;
-        Ok(self.synthetic.release(self.table.topology(), self.next_t))
-    }
-
-    /// Start a new session: restore the freshly-constructed state in
-    /// place, re-seeded with the construction seed — replaying the same
-    /// events yields a bit-identical release. Worker pools, the cached
-    /// collection oracle and all scratch buffers survive the reset (they
-    /// are pure functions of the configuration, which is untouched), so
-    /// back-to-back sessions spawn no new threads and re-allocate nothing.
-    pub fn reset(&mut self) {
-        self.model.reset();
-        self.registry.reset();
-        self.ledger.reset();
-        self.synthetic.reset();
-        self.allocator.reset();
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.next_t = 0;
-        self.released = false;
-        self.fixed_size = None;
-        self.report_slots.clear();
-        self.timings = StepTimings::default();
-        self.steps = 0;
-        self.compaction_stats = CompactionStats::default();
-        self.overflow_warned = false;
-        // NoEQ's model refresh relies on the uncollected tails of these
-        // staying at their zero/false initialization.
-        self.scratch_full.iter_mut().for_each(|f| *f = 0.0);
-        self.scratch_sel.iter_mut().for_each(|s| *s = false);
-    }
-
-    /// Stable fingerprint of everything that shapes this engine's output:
-    /// seed, division, every output-affecting configuration knob
-    /// (`synthesis_threads` included — sharding changes synthesis RNG
-    /// consumption order) and the discretization descriptor. WAL files and
-    /// checkpoints carry it so recovery refuses to replay a log into a
-    /// differently-configured engine. Purely operational settings
-    /// (`collection_threads`, compaction, fsync policy) are excluded: they
-    /// never change the released bytes.
-    pub fn fingerprint(&self) -> u64 {
-        let c = &self.config;
-        let mut f = Fingerprint::new("retrasyn");
-        f.u64(self.seed)
-            .u64(match self.division {
-                Division::Budget => 0,
-                Division::Population => 1,
-            })
-            .f64(c.eps)
-            .usize(c.w)
-            .u64(match c.allocation {
-                AllocationKind::Adaptive => 0,
-                AllocationKind::Uniform => 1,
-                AllocationKind::Sample => 2,
-                AllocationKind::RandomReport => 3,
-            })
-            .f64(c.alpha)
-            .usize(c.kappa)
-            .f64(c.p_max)
-            .f64(c.lambda)
-            .u64(match c.report_mode {
-                ReportMode::PerUser => 0,
-                ReportMode::Aggregate => 1,
-            })
-            .u64(c.dmu as u64)
-            .u64(c.enter_quit as u64)
-            .usize(c.synthesis_threads)
-            .space(self.table.topology().descriptor());
-        f.finish()
     }
 
     /// Serialize the full mid-stream session state. Returns `None` once
@@ -607,7 +368,7 @@ impl RetraSyn {
 
     /// Restore a session from [`Self::encode_checkpoint`] output. Every
     /// structural invariant is validated; on `Err` the engine may hold
-    /// partially-restored state and the caller must [`Self::reset`] before
+    /// partially-restored state and the caller must [`StreamingEngine::reset`] before
     /// reuse (recovery does).
     fn decode_checkpoint(&mut self, payload: &[u8]) -> Result<(), String> {
         let mut dec = Dec::new(payload);
@@ -883,35 +644,196 @@ impl RetraSyn {
 
 impl StreamingEngine for RetraSyn {
     fn topology(&self) -> &Arc<Topology> {
-        RetraSyn::topology(self)
+        self.table.topology()
     }
 
     fn next_timestamp(&self) -> u64 {
-        RetraSyn::next_timestamp(self)
+        self.next_t
     }
 
+    /// The batch is validated in a pure pre-pass (no RNG consumed, no
+    /// state mutated) before ingestion: a released session, a
+    /// non-consecutive timestamp, an out-of-domain cell or a non-adjacent
+    /// `Move` all return a *pre-state* error that leaves the engine
+    /// untouched and steppable — in release builds as well as debug. For
+    /// well-formed input the step is bit-identical to what it always was.
+    ///
+    /// A *mid-step* error (collection or pool failure) leaves the session
+    /// in an unspecified state: recover it from its WAL (e.g. via a
+    /// [`Supervisor`](crate::supervise::Supervisor)) or reset it.
     fn try_step(&mut self, t: u64, events: &[UserEvent]) -> Result<StepOutcome, SessionError> {
-        RetraSyn::try_step(self, t, events)
+        if self.released {
+            return Err(SessionError::Released);
+        }
+        if t != self.next_t {
+            return Err(SessionError::timestamp(self.next_t, t));
+        }
+        resolve_events(&self.table, t, events, &mut self.scratch_resolved)?;
+        self.next_t += 1;
+        self.steps += 1;
+
+        // States in domain space; NoEQ drops enter/quit events. Each
+        // event's user is interned into its registry slot at most once
+        // here: population division carries the slot through eligibility,
+        // sampling and reporting; budget division needs one only to retire
+        // quitters. The event scratch buffers are engine fields, reused
+        // across steps.
+        let domain = self.domain_len();
+        let population = self.division == Division::Population;
+        let mut states = std::mem::take(&mut self.scratch_states);
+        states.clear();
+        self.scratch_quitters.clear();
+        let mut target_active = 0usize;
+        for (e, &idx) in events.iter().zip(&self.scratch_resolved) {
+            let quit = matches!(e.state, TransitionState::Quit(_));
+            let collected =
+                self.config.enter_quit || matches!(e.state, TransitionState::Move { .. });
+            let slot = if quit || (population && collected) {
+                self.registry.intern(e.user)
+            } else {
+                NO_SLOT
+            };
+            if quit {
+                self.scratch_quitters.push(slot);
+            } else {
+                target_active += 1;
+            }
+            if collected {
+                debug_assert!(idx < domain);
+                states.push((slot, idx));
+            }
+        }
+
+        let collected = match self.division {
+            Division::Population => self.collect_population(t, &states),
+            Division::Budget => self.collect_budget(t, &states),
+        };
+        self.scratch_states = states;
+        collected?;
+        for &slot in &self.scratch_quitters {
+            self.registry.mark_quitted(slot);
+            // A quitted user never reports again: drop its RandomReport
+            // slot so the map stays bounded on churning streams.
+            self.report_slots.remove(&self.registry.user(slot));
+        }
+
+        let estimate = std::mem::take(&mut self.scratch_est);
+        self.update_model(t, &estimate);
+        self.scratch_est = estimate;
+
+        // Real-time synthesis (§III-D).
+        let timer = telemetry_clock();
+        if self.config.enter_quit {
+            self.synthetic.step(
+                t,
+                &self.model,
+                &self.table,
+                target_active,
+                self.config.lambda,
+                &mut self.rng,
+            );
+        } else {
+            let size = *self.fixed_size.get_or_insert(target_active);
+            self.synthetic.step_no_eq(t, &self.model, &self.table, size, &mut self.rng);
+        }
+        self.timings.synthesis += timer.elapsed().as_secs_f64();
+        self.maybe_compact(t);
+        Ok(StepOutcome {
+            t,
+            active: self.synthetic.active_count(),
+            finished: self.synthetic.finished_count(),
+        })
     }
 
+    /// # Panics
+    ///
+    /// If the session was already released — the streams moved out with
+    /// the release, so an "empty" view here would misread as a population
+    /// collapse.
     fn snapshot(&self) -> SnapshotView<'_> {
-        RetraSyn::snapshot(self)
+        assert!(
+            !self.released,
+            "engine already released its session; query the released dataset \
+             (or reset() and start a new stream) instead of snapshot()"
+        );
+        self.synthetic.snapshot(self.next_t)
     }
 
+    /// Accessors (ledger, model, timings) keep reporting the closed
+    /// session after a release.
     fn try_release(&mut self) -> Result<GriddedDataset, SessionError> {
-        RetraSyn::try_release(self)
+        if self.released {
+            return Err(SessionError::Released);
+        }
+        self.released = true;
+        Ok(self.synthetic.release(self.table.topology(), self.next_t))
     }
 
     fn ledger(&self) -> &WEventLedger {
-        RetraSyn::ledger(self)
+        &self.ledger
     }
 
+    /// Start a new session: restore the freshly-constructed state in
+    /// place, re-seeded with the construction seed — replaying the same
+    /// events yields a bit-identical release. The collection worker pool,
+    /// the cached collection oracle and all scratch buffers survive the
+    /// reset (they are pure functions of the configuration, which is
+    /// untouched), so back-to-back sessions spawn no new threads and
+    /// re-allocate nothing.
     fn reset(&mut self) {
-        RetraSyn::reset(self);
+        self.model.reset();
+        self.registry.reset();
+        self.ledger.reset();
+        self.synthetic.reset();
+        self.allocator.reset();
+        self.rng = StdRng::seed_from_u64(self.seed);
+        self.next_t = 0;
+        self.released = false;
+        self.fixed_size = None;
+        self.report_slots.clear();
+        self.timings = StepTimings::default();
+        self.steps = 0;
+        self.compaction_stats = CompactionStats::default();
+        self.overflow_warned = false;
+        // NoEQ's model refresh relies on the uncollected tails of these
+        // staying at their zero/false initialization.
+        self.scratch_full.iter_mut().for_each(|f| *f = 0.0);
+        self.scratch_sel.iter_mut().for_each(|s| *s = false);
     }
 
+    /// Covers the seed, the division, every output-affecting configuration
+    /// knob and the discretization descriptor. No thread count is
+    /// fingerprinted: the purely operational settings
+    /// (`collection_threads`, compaction, fsync policy) never change the
+    /// released bytes and are left out.
     fn fingerprint(&self) -> u64 {
-        RetraSyn::fingerprint(self)
+        let c = &self.config;
+        let mut f = Fingerprint::new("retrasyn");
+        f.u64(self.seed)
+            .u64(match self.division {
+                Division::Budget => 0,
+                Division::Population => 1,
+            })
+            .f64(c.eps)
+            .usize(c.w)
+            .u64(match c.allocation {
+                AllocationKind::Adaptive => 0,
+                AllocationKind::Uniform => 1,
+                AllocationKind::Sample => 2,
+                AllocationKind::RandomReport => 3,
+            })
+            .f64(c.alpha)
+            .usize(c.kappa)
+            .f64(c.p_max)
+            .f64(c.lambda)
+            .u64(match c.report_mode {
+                ReportMode::PerUser => 0,
+                ReportMode::Aggregate => 1,
+            })
+            .u64(c.dmu as u64)
+            .u64(c.enter_quit as u64)
+            .space(self.table.topology().descriptor());
+        f.finish()
     }
 
     fn checkpoint_bytes(&self) -> Option<Vec<u8>> {

@@ -186,9 +186,7 @@ impl AliasTable {
 /// into one `u128` — fixed-point acceptance threshold (low 32 bits), the
 /// slot's own destination cell (bits 32..64) and its alias's destination
 /// cell (bits 64..96) — so one draw costs one RNG variate, one 16-byte
-/// load and a few ALU ops, with no secondary target lookup. Workers on
-/// the synthesis pool sample through a shared `Arc<SamplerCache>` without
-/// touching the model or the table.
+/// load and a few ALU ops, with no secondary target lookup.
 ///
 /// [`GlobalMobilityModel`]: crate::model::GlobalMobilityModel
 #[derive(Debug, Clone)]

@@ -154,9 +154,9 @@ pub enum SessionError {
         /// The underlying mechanism error.
         detail: String,
     },
-    /// A worker pool died mid-step (a worker panicked or hung up). The
-    /// owning engine drops the poisoned pool; a fresh one is spawned on
-    /// the next parallel step after recovery.
+    /// The per-user collection pool died mid-step (a worker panicked or
+    /// hung up). The owning engine drops the poisoned pool; a fresh one is
+    /// spawned on the next pooled round after recovery.
     Pool(PoolError),
     /// A checkpoint could not be written or restored.
     Checkpoint {
@@ -222,12 +222,6 @@ impl std::error::Error for SessionError {
             SessionError::Wal(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<PoolError> for SessionError {
-    fn from(e: PoolError) -> Self {
-        SessionError::Pool(e)
     }
 }
 
@@ -667,11 +661,12 @@ pub trait StreamingEngine {
     fn reset(&mut self);
 
     /// FNV-1a hash of the session's immutable identity: seed, engine
-    /// kind, configuration (everything output-affecting, including the
-    /// synthesis thread count; purely operational settings such as the
-    /// collection thread count are left out) and discretization. Two engines with equal fingerprints produce
-    /// bit-identical sessions from the same events; the WAL header records
-    /// it so a log can only be replayed into a matching engine.
+    /// kind, every output-affecting configuration setting and the
+    /// discretization. No thread count is fingerprinted: purely
+    /// operational settings (collection threads, compaction) never change
+    /// the output and are left out. Two engines with equal fingerprints
+    /// produce bit-identical sessions from the same events; the WAL header
+    /// records it so a log can only be replayed into a matching engine.
     fn fingerprint(&self) -> u64;
 
     /// Serialize the engine's full mutable state for a

@@ -25,14 +25,6 @@
 //! to [`GriddedDataset::from_columns`] — no per-stream `Vec` is ever
 //! allocated on the release path.
 //!
-//! Sharded synthesis copies disjoint index ranges of the head columns into
-//! per-worker `Columns` (a handful of `memcpy`s, not a per-stream
-//! shuffle); workers append tail nodes into private buffers with
-//! shard-local addresses, and the merge relocates each buffer to the end of
-//! the shared arena in shard order, offsetting the survivors' links — which
-//! keeps the fixed-`(seed, threads)` output bit-identical to the sequential
-//! ordering semantics.
-//!
 //! **Read-only view layer.** The streaming session API observes the store
 //! *between* steps through a [`SnapshotView`]: a borrowed, zero-copy
 //! per-timestamp view over the live head columns plus the finished region.
@@ -169,21 +161,6 @@ impl TailArena {
         addr
     }
 
-    /// Bulk-append `nodes` (chunk-wise copies), preserving order.
-    pub(crate) fn extend_from_slice(&mut self, nodes: &[TailNode]) {
-        let mut rest = nodes;
-        while !rest.is_empty() {
-            if self.len & CHUNK_MASK == 0 {
-                self.grow();
-            }
-            let room = CHUNK_LEN - (self.len & CHUNK_MASK);
-            let take = room.min(rest.len());
-            self.chunks[self.len >> CHUNK_BITS].extend_from_slice(&rest[..take]);
-            self.len += take;
-            rest = &rest[take..];
-        }
-    }
-
     /// Serialize every node in address order (checkpoint format: links as
     /// portable `u64`s, see [`link_to_u64`]).
     pub(crate) fn encode_into(&self, enc: &mut Enc) {
@@ -215,31 +192,6 @@ impl TailArena {
     }
 }
 
-/// Where a pass appends tail nodes: the shared arena directly (sequential
-/// paths — addresses are global immediately) or a per-shard buffer (pool
-/// workers — addresses are shard-local until the merge relocates the
-/// buffer and offsets the links).
-pub(crate) trait TailSink {
-    /// Append one node, returning its address in this sink's space.
-    fn append_node(&mut self, node: TailNode) -> Addr;
-}
-
-impl TailSink for TailArena {
-    #[inline]
-    fn append_node(&mut self, node: TailNode) -> Addr {
-        self.push(node)
-    }
-}
-
-impl TailSink for Vec<TailNode> {
-    #[inline]
-    fn append_node(&mut self, node: TailNode) -> Addr {
-        let addr = self.len() as Addr;
-        self.push(node);
-        addr
-    }
-}
-
 /// Structure-of-arrays stream state: five parallel columns, one row per
 /// stream. The fused quit+extend pass touches `heads`/`lens`/`links`;
 /// `ids`/`starts` ride along for retirement and release.
@@ -262,12 +214,6 @@ impl Columns {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.heads.len()
-    }
-
-    /// Whether there are no rows.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heads.is_empty()
     }
 
     /// Drop all rows, keeping capacity.
@@ -301,23 +247,13 @@ impl Columns {
     }
 
     /// Extend stream `i` by one cell: its old head becomes a tail node in
-    /// `sink`, the new cell takes the head slot.
+    /// `tail`, the new cell takes the head slot.
     #[inline]
-    pub(crate) fn extend_row<S: TailSink>(&mut self, i: usize, to: CellId, sink: &mut S) {
-        let link = sink.append_node(TailNode { cell: self.heads[i], prev: self.links[i] });
+    pub(crate) fn extend_row(&mut self, i: usize, to: CellId, tail: &mut TailArena) {
+        let link = tail.push(TailNode { cell: self.heads[i], prev: self.links[i] });
         self.heads[i] = to;
         self.links[i] = link;
         self.lens[i] += 1;
-    }
-
-    /// Append rows `lo..hi` of `src` (five contiguous copies — the
-    /// shard-out path).
-    pub(crate) fn extend_from_range(&mut self, src: &Columns, lo: usize, hi: usize) {
-        self.heads.extend_from_slice(&src.heads[lo..hi]);
-        self.ids.extend_from_slice(&src.ids[lo..hi]);
-        self.starts.extend_from_slice(&src.starts[lo..hi]);
-        self.lens.extend_from_slice(&src.lens[lo..hi]);
-        self.links.extend_from_slice(&src.links[lo..hi]);
     }
 
     /// Drain every row of `other` onto the end of `self`, preserving order
@@ -761,18 +697,14 @@ mod tests {
     #[test]
     fn arena_chunks_do_not_move_nodes() {
         let mut arena = TailArena::default();
-        // Cross several chunk boundaries through both push and bulk paths.
-        for i in 0..CHUNK_LEN + 10 {
+        // Cross several chunk boundaries.
+        for i in 0..2 * CHUNK_LEN + 10 {
             let addr = arena.push(TailNode { cell: CellId((i % 7) as u32), prev: i as Addr });
             assert_eq!(addr, i as Addr);
         }
-        let batch: Vec<TailNode> =
-            (0..CHUNK_LEN + 5).map(|i| TailNode { cell: CellId(3), prev: i as Addr }).collect();
-        let base = arena.len();
-        arena.extend_from_slice(&batch);
-        assert_eq!(arena.len(), base + batch.len());
-        for (i, node) in batch.iter().enumerate() {
-            assert_eq!(arena.get((base + i) as Addr).prev, node.prev);
+        assert_eq!(arena.len(), 2 * CHUNK_LEN + 10);
+        for i in [CHUNK_LEN - 1, CHUNK_LEN, 2 * CHUNK_LEN + 9] {
+            assert_eq!(arena.get(i as Addr).prev, i as Addr);
         }
         // Early nodes are untouched by growth.
         assert_eq!(arena.get(5).prev, 5);
@@ -896,35 +828,5 @@ mod tests {
         assert_eq!(it.next(), Some(grid.cell_at(0, 0)));
         assert_eq!(it.len(), 0);
         assert_eq!(it.next(), None);
-    }
-
-    #[test]
-    fn local_sink_addresses_relocate() {
-        // Worker-style: append into a local buffer, then relocate into the
-        // arena at a base offset — links stay consistent.
-        let grid = Grid::unit(4);
-        let mut store = StreamStore::default();
-        store.spawn(0, 0, grid.cell_at(0, 0));
-        let mut local: Vec<TailNode> = Vec::new();
-        let StreamStore { live, .. } = &mut store;
-        live.extend_row(0, grid.cell_at(1, 0), &mut local);
-        live.extend_row(0, grid.cell_at(2, 0), &mut local);
-        assert_eq!(store.live.links[0], 1); // shard-local address
-        let base = store.tail.len() as Addr;
-        // Local `prev` pointers inside the batch must be rebased too; the
-        // merge path only offsets links of rows extended this pass, so the
-        // batch itself is rebased by the caller before relocation.
-        for node in &mut local {
-            if node.prev != NO_LINK {
-                node.prev += base;
-            }
-        }
-        store.tail.extend_from_slice(&local);
-        store.live.links[0] += base;
-        let ds = store.into_dataset(grid.clone(), 3);
-        assert_eq!(
-            ds.stream(0).cells,
-            &[grid.cell_at(0, 0), grid.cell_at(1, 0), grid.cell_at(2, 0)]
-        );
     }
 }

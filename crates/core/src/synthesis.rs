@@ -23,78 +23,43 @@
 //! over a reused scratch buffer, so standalone callers that never call
 //! [`GlobalMobilityModel::rebuild_samplers`] still get correct output.
 //!
-//! **Parallelism.** [`SyntheticDb::step_parallel`] runs the *entire* step
-//! on a persistent [`SynthesisPool`] owned by the database: disjoint index
-//! ranges of the store's head columns are copied into per-worker
-//! `ShardState`s (five `memcpy`s per shard, reused across steps), each
-//! worker runs the fused quit+extend pass over its columns with a
-//! per-shard finished region and a private tail buffer, and downward size
-//! adjustment is a two-phase parallel selection — workers compute
-//! Efraimidis–Spirakis keys per shard, the caller makes the global
-//! top-`excess` cut, workers retire their victims and extend the
-//! remainder. The merge relocates each shard's tail buffer into the shared
-//! arena in shard order and offsets the survivors' links, so a fixed
-//! `(seed, threads)` gives identical output.
-//!
 //! The *NoEQ* mode ([`SyntheticDb::step_no_eq`]) reproduces the baselines
 //! and the Table-IV ablation: a fixed-size database initialized at random
 //! whose streams never terminate.
 
 use crate::model::GlobalMobilityModel;
-use crate::pool::{draw_seeds, PoolError, ShardState, ShardTask, SynthesisPool, MIN_SHRINK_WEIGHT};
 use crate::sampler::{sample_weighted, SamplerCache};
-use crate::store::{Addr, Columns, SnapshotView, StreamStore, TailArena, TailSink};
+use crate::store::{Columns, SnapshotView, StreamStore, TailArena};
 use crate::wal::{Dec, Enc};
 use rand::Rng;
 use retrasyn_geo::{CellId, GriddedDataset, Space, TransitionTable};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Below this population the parallel step falls back to the sequential
-/// path: dispatch overhead dominates the per-stream work.
-const MIN_PARALLEL: usize = 2048;
+/// Floor for Efraimidis–Spirakis weights so zero-mass cells keep a strict
+/// ordering.
+const MIN_SHRINK_WEIGHT: f64 = 1e-12;
 
 /// Descending order over Efraimidis–Spirakis keys with a deterministic
-/// `(shard, position)` tiebreak, so the global top-`excess` cut selects a
-/// unique victim set regardless of `select_nth_unstable_by`'s internal
-/// ordering. Keys are compared in the log domain (`ln(u)/w` rather than
-/// `u^{1/w}` — the same ordering, but `u^{1/w}` underflows to exactly 0
-/// for the tiny weights a large grid produces, which would silently turn
-/// big one-tick shrinks into positional selection). With `u ∈ [0, 1)` and
-/// `w > 0` a key is in `[−∞, 0)`: never NaN.
-fn cmp_keys_desc(a: &(f64, u32, u32), b: &(f64, u32, u32)) -> Ordering {
-    b.0.partial_cmp(&a.0)
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| a.1.cmp(&b.1))
-        .then_with(|| a.2.cmp(&b.2))
-}
-
-/// Extend every stream by one alias-sampled movement: contiguous walk over
-/// the head column, one appended tail node per stream. Shared by the
-/// sequential cached paths and the pool workers so the two can never
-/// diverge (the sink is the global arena sequentially, a shard-local
-/// buffer in workers).
-pub(crate) fn extend_cols<R: Rng + ?Sized, S: TailSink>(
-    cols: &mut Columns,
-    sink: &mut S,
-    cache: &SamplerCache,
-    rng: &mut R,
-) {
-    for i in 0..cols.len() {
-        let to = cache.sample_move(cols.heads[i], rng);
-        cols.extend_row(i, to, sink);
-    }
+/// position tiebreak, so the top-`excess` cut selects a unique victim set
+/// regardless of `select_nth_unstable_by`'s internal ordering. Keys are
+/// compared in the log domain (`ln(u)/w` rather than `u^{1/w}` — the same
+/// ordering, but `u^{1/w}` underflows to exactly 0 for the tiny weights a
+/// large grid produces, which would silently turn big one-tick shrinks
+/// into positional selection). With `u ∈ [0, 1)` and `w > 0` a key is in
+/// `[−∞, 0)`: never NaN.
+fn cmp_keys_desc(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
+    b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then_with(|| a.1.cmp(&b.1))
 }
 
 /// One in-place termination pass (Eq. 8, cached quit probabilities):
 /// quitters are `swap_remove`d into the `finished` columns (the swapped-in
 /// stream is decided next, so the pass moves O(quits) rows), survivors
-/// optionally extend in the same pass. Shared by the sequential cached
-/// paths and the pool workers so the two can never diverge.
-pub(crate) fn quit_pass_cols<R: Rng + ?Sized, S: TailSink>(
+/// optionally extend in the same pass.
+fn quit_pass_cols<R: Rng + ?Sized>(
     cols: &mut Columns,
     finished: &mut Columns,
-    sink: &mut S,
+    tail: &mut TailArena,
     cache: &SamplerCache,
     lambda: f64,
     extend: bool,
@@ -108,7 +73,7 @@ pub(crate) fn quit_pass_cols<R: Rng + ?Sized, S: TailSink>(
         if rng.random::<f64>() >= q {
             if extend {
                 let to = cache.sample_move(from, rng);
-                cols.extend_row(i, to, sink);
+                cols.extend_row(i, to, tail);
             }
             i += 1;
         } else {
@@ -118,53 +83,22 @@ pub(crate) fn quit_pass_cols<R: Rng + ?Sized, S: TailSink>(
 }
 
 /// The evolving synthetic trajectory database `T_syn`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SyntheticDb {
     store: StreamStore,
     next_id: u64,
     initialized: bool,
-    /// Persistent worker pool, created lazily on the first parallel step.
-    pool: Option<SynthesisPool>,
-    /// Reused per-worker shard states (columns, tail buffers, key and
-    /// victim buffers all keep their capacity across steps).
-    shards: Vec<ShardState>,
-    /// Reused per-shard seed buffer.
-    seeds: Vec<u64>,
     /// Reused O(k) probability buffer for the scan fallback.
     scan_buf: Vec<f64>,
-    /// Reused `(key, shard, position)` buffer for the shrink cut.
-    keyed: Vec<(f64, u32, u32)>,
-    /// Reused victim-position buffer for the sequential shrink path.
+    /// Reused `(key, position)` buffer for the shrink cut.
+    keyed: Vec<(f64, u32)>,
+    /// Reused victim-position buffer for the shrink path.
     victims: Vec<u32>,
-    /// Reused enter-cell buffer for the pooled upward adjustment (cells
-    /// drawn sequentially on the caller, appended on the workers).
-    spawn_cells: Vec<CellId>,
     /// Reused spare arena epoch compaction rebuilds into (swapped with the
     /// store's, so chunk allocations recycle across runs).
     compact_spare: TailArena,
     /// Reused cell buffer for compaction chain walks.
     compact_scratch: Vec<CellId>,
-}
-
-impl Clone for SyntheticDb {
-    fn clone(&self) -> Self {
-        // Worker pools are not cloneable state: the clone re-creates its
-        // own lazily on the first parallel step.
-        SyntheticDb {
-            store: self.store.clone(),
-            next_id: self.next_id,
-            initialized: self.initialized,
-            pool: None,
-            shards: Vec::new(),
-            seeds: Vec::new(),
-            scan_buf: Vec::new(),
-            keyed: Vec::new(),
-            victims: Vec::new(),
-            spawn_cells: Vec::new(),
-            compact_spare: TailArena::default(),
-            compact_scratch: Vec::new(),
-        }
-    }
 }
 
 impl SyntheticDb {
@@ -205,8 +139,8 @@ impl SyntheticDb {
     }
 
     /// Reset to a fresh, uninitialized session in place: all stream
-    /// storage is dropped (ids restart at 0) while the worker pool, arena
-    /// chunks and every scratch buffer keep their allocations.
+    /// storage is dropped (ids restart at 0) while the arena chunks and
+    /// every scratch buffer keep their allocations.
     pub fn reset(&mut self) {
         self.store.reset();
         self.next_id = 0;
@@ -221,8 +155,8 @@ impl SyntheticDb {
         self.store.encode_into(enc);
     }
 
-    /// Restore from [`Self::encode_into`] output, keeping the worker pool
-    /// and scratch buffers.
+    /// Restore from [`Self::encode_into`] output, keeping the scratch
+    /// buffers.
     pub(crate) fn decode_from(&mut self, dec: &mut Dec) -> Result<(), String> {
         self.next_id = dec.u64()?;
         self.initialized = dec.u8()? != 0;
@@ -252,11 +186,11 @@ impl SyntheticDb {
         lambda: f64,
         rng: &mut R,
     ) {
-        let cache = model.sampler().cloned();
+        let cache = model.sampler().map(Arc::as_ref);
         if !self.initialized {
             // Initialization of T_syn (Alg. 1 line 5): spawn `target`
             // streams from the entering distribution.
-            self.spawn(t, model, table, cache.as_deref(), target, rng);
+            self.spawn(t, model, table, cache, target, rng);
             self.initialized = true;
             return;
         }
@@ -267,21 +201,21 @@ impl SyntheticDb {
             // into ONE compacting pass — per stream, one cached quit
             // probability, one alias draw, zero allocations, contiguous
             // column traffic.
-            self.quit_and_extend_fused(model, table, cache.as_deref(), lambda, rng);
+            self.quit_and_extend_fused(model, table, cache, lambda, rng);
         } else {
             // Phase 1a: natural termination via Eq. 8.
-            self.quit_phase(model, table, cache.as_deref(), lambda, rng);
+            self.quit_phase(model, table, cache, lambda, rng);
             // Phase 2a: size adjustment downward *before* extension, so
             // the terminated streams end at their `t−1` location.
-            self.shrink_to_target(model, table, cache.as_deref(), target, rng);
+            self.shrink_to_target(model, table, cache, target, rng);
             // Phase 1b: extension — survivors move to a neighbor drawn
             // from the movement distribution conditioned on not quitting.
-            self.extend_all(model, table, cache.as_deref(), rng);
+            self.extend_all(model, table, cache, rng);
         }
         // Phase 2b: size adjustment upward via the entering distribution.
         if self.store.live.len() < target {
             let missing = target - self.store.live.len();
-            self.spawn(t, model, table, cache.as_deref(), missing, rng);
+            self.spawn(t, model, table, cache, missing, rng);
         }
     }
 
@@ -338,7 +272,12 @@ impl SyntheticDb {
     ) {
         let StreamStore { live, tail, .. } = &mut self.store;
         match cache {
-            Some(cache) => extend_cols(live, tail, cache, rng),
+            Some(cache) => {
+                for i in 0..live.len() {
+                    let to = cache.sample_move(live.heads[i], rng);
+                    live.extend_row(i, to, tail);
+                }
+            }
             None => {
                 let mut buf = std::mem::take(&mut self.scan_buf);
                 for i in 0..live.len() {
@@ -409,7 +348,7 @@ impl SyntheticDb {
                 for (i, &head) in self.store.live.heads.iter().enumerate() {
                     let w = cache.quit_weight(head).max(MIN_SHRINK_WEIGHT);
                     let u: f64 = rng.random::<f64>();
-                    self.keyed.push((u.ln() / w, 0, i as u32));
+                    self.keyed.push((u.ln() / w, i as u32));
                 }
             }
             None => {
@@ -417,7 +356,7 @@ impl SyntheticDb {
                 for (i, &head) in self.store.live.heads.iter().enumerate() {
                     let w = quit_dist[head.index()].max(MIN_SHRINK_WEIGHT);
                     let u: f64 = rng.random::<f64>();
-                    self.keyed.push((u.ln() / w, 0, i as u32));
+                    self.keyed.push((u.ln() / w, i as u32));
                 }
             }
         }
@@ -425,7 +364,7 @@ impl SyntheticDb {
             self.keyed.select_nth_unstable_by(excess - 1, cmp_keys_desc);
         }
         self.victims.clear();
-        self.victims.extend(self.keyed[..excess].iter().map(|&(_, _, i)| i));
+        self.victims.extend(self.keyed[..excess].iter().map(|&(_, i)| i));
         // `swap_remove` from the highest position down: each removal moves
         // the current last row, which sits past every remaining (smaller)
         // victim position.
@@ -458,265 +397,6 @@ impl SyntheticDb {
             return;
         }
         self.extend_all(model, table, model.sampler().map(Arc::as_ref), rng);
-    }
-
-    /// Parallel variant of [`Self::step`] — the acceleration the paper
-    /// names as future work (§VII: "study acceleration techniques (e.g.,
-    /// parallel computing)").
-    ///
-    /// The *entire* step runs on a persistent worker pool owned by this
-    /// database (created on first use, re-created if `threads` changes):
-    ///
-    /// - steady state (no shrink possible): one dispatch of the fused
-    ///   quit+extend pass; quitters retire into per-shard finished columns;
-    /// - shrinking: two dispatches — workers draw quits and compute one
-    ///   Efraimidis–Spirakis key per survivor, the caller makes the global
-    ///   top-`excess` cut across all shards, then workers retire their
-    ///   victims and extend the remainder;
-    /// - growing: the caller draws the missing enter cells sequentially
-    ///   (preserving the sequential spawn's RNG stream exactly), then one
-    ///   dispatch appends the fresh rows on the workers.
-    ///
-    /// Shards are disjoint index ranges of the store's head columns;
-    /// workers receive them as owned column copies and return them in
-    /// place. Semantically identical invariants to [`Self::step`] (exact
-    /// size tracking, adjacency, identical per-stream decision
-    /// distributions); the random stream differs from the sequential path
-    /// but is deterministic for a fixed `(seed, threads)`. Falls back to
-    /// the sequential step for small databases where dispatch overhead
-    /// dominates, and whenever the model has no fresh [`SamplerCache`]
-    /// (workers sample exclusively through the cache snapshot).
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_parallel<R: Rng + ?Sized>(
-        &mut self,
-        t: u64,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        target: usize,
-        lambda: f64,
-        rng: &mut R,
-        threads: usize,
-    ) {
-        match self.try_step_parallel(t, model, table, target, lambda, rng, threads) {
-            Ok(()) => {}
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Self::step_parallel`]: a dead pool worker surfaces as a
-    /// typed [`PoolError`] instead of a panic. On `Err` the database is in
-    /// an unspecified state (the dead worker held shard columns) and the
-    /// poisoned pool has been dropped — the owning session must be
-    /// recovered or reset, after which the next parallel step re-spawns a
-    /// fresh pool.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_step_parallel<R: Rng + ?Sized>(
-        &mut self,
-        t: u64,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        target: usize,
-        lambda: f64,
-        rng: &mut R,
-        threads: usize,
-    ) -> Result<(), PoolError> {
-        let result = self.step_parallel_inner(t, model, table, target, lambda, rng, threads);
-        if result.is_err() {
-            self.pool = None;
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn step_parallel_inner<R: Rng + ?Sized>(
-        &mut self,
-        t: u64,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        target: usize,
-        lambda: f64,
-        rng: &mut R,
-        threads: usize,
-    ) -> Result<(), PoolError> {
-        let cache = model.sampler().cloned();
-        let parallel_ok = threads > 1 && self.store.live.len() >= MIN_PARALLEL && cache.is_some();
-        if !parallel_ok {
-            self.step(t, model, table, target, lambda, rng);
-            return Ok(());
-        }
-        let cache: Arc<SamplerCache> = cache.unwrap();
-        // An uninitialized database has no live streams, so the
-        // MIN_PARALLEL guard above already routed initialization through
-        // the sequential step.
-        debug_assert!(self.initialized);
-
-        self.ensure_pool(threads);
-        let live = self.store.live.len();
-        let num_shards = self.shard_live(threads);
-        let pool = self.pool.as_ref().expect("pool created above");
-        if live <= target {
-            // Steady state: one dispatch of the fused quit+extend pass
-            // (downward adjustment is impossible no matter how the quit
-            // draws fall).
-            draw_seeds(&mut self.seeds, num_shards, rng);
-            pool.run_shards(
-                &mut self.shards[..num_shards],
-                &self.seeds,
-                &cache,
-                ShardTask::QuitExtend { lambda },
-            )?;
-        } else {
-            // Two-phase parallel downward adjustment. Pass 1: quit draws
-            // plus one Efraimidis–Spirakis key per survivor, per shard.
-            draw_seeds(&mut self.seeds, num_shards, rng);
-            pool.run_shards(
-                &mut self.shards[..num_shards],
-                &self.seeds,
-                &cache,
-                ShardTask::QuitKeys { lambda },
-            )?;
-            // Global top-`excess` cut over all shards' keys on the caller.
-            let survivors: usize = self.shards[..num_shards].iter().map(|s| s.cols.len()).sum();
-            let excess = survivors.saturating_sub(target);
-            if excess > 0 {
-                self.keyed.clear();
-                for (si, shard) in self.shards[..num_shards].iter().enumerate() {
-                    debug_assert_eq!(shard.keys.len(), shard.cols.len());
-                    for (pos, &key) in shard.keys.iter().enumerate() {
-                        self.keyed.push((key, si as u32, pos as u32));
-                    }
-                }
-                if excess < self.keyed.len() {
-                    self.keyed.select_nth_unstable_by(excess - 1, cmp_keys_desc);
-                }
-                for &(_, si, pos) in &self.keyed[..excess] {
-                    self.shards[si as usize].victims.push(pos);
-                }
-                for shard in &mut self.shards[..num_shards] {
-                    // Descending, so the workers' `swap_remove`s stay valid.
-                    shard.victims.sort_unstable_by(|a, b| b.cmp(a));
-                }
-            }
-            // Pass 2: workers retire their victims and extend the rest.
-            draw_seeds(&mut self.seeds, num_shards, rng);
-            pool.run_shards(
-                &mut self.shards[..num_shards],
-                &self.seeds,
-                &cache,
-                ShardTask::RetireExtend,
-            )?;
-        }
-        self.merge_shards(num_shards);
-
-        // Phase 2b: upward size adjustment, on the pool. The enter draws
-        // stay sequential on the caller (identical RNG consumption to the
-        // sequential spawn at every thread count); only the column
-        // appends move to the workers.
-        if self.store.live.len() < target {
-            let missing = target - self.store.live.len();
-            self.spawn_pooled(t, &cache, missing, rng)?;
-        }
-        Ok(())
-    }
-
-    /// Pooled upward adjustment: draw `missing` enter cells sequentially
-    /// into the reused buffer — bit-for-bit the RNG consumption of the
-    /// sequential [`Self::spawn`] — then split the draws into contiguous
-    /// shard ranges with contiguous id ranges and run the row appends as
-    /// a [`ShardTask::Spawn`] pass. Merging in shard order restores draw
-    /// order, so the resulting store is identical to a sequential spawn
-    /// regardless of thread count.
-    fn spawn_pooled<R: Rng + ?Sized>(
-        &mut self,
-        t: u64,
-        cache: &Arc<SamplerCache>,
-        missing: usize,
-        rng: &mut R,
-    ) -> Result<(), PoolError> {
-        self.spawn_cells.clear();
-        self.spawn_cells.extend((0..missing).map(|_| cache.sample_enter(rng)));
-        let threads = self.pool.as_ref().expect("pool created above").threads();
-        let chunk_len = missing.div_ceil(threads).max(1);
-        let num_shards = missing.div_ceil(chunk_len);
-        if self.shards.len() < num_shards {
-            self.shards.resize_with(num_shards, ShardState::default);
-        }
-        for (k, shard) in self.shards[..num_shards].iter_mut().enumerate() {
-            let lo = k * chunk_len;
-            let hi = (lo + chunk_len).min(missing);
-            debug_assert!(shard.cols.is_empty(), "shards merged before spawn");
-            shard.spawn_cells.clear();
-            shard.spawn_cells.extend_from_slice(&self.spawn_cells[lo..hi]);
-            shard.spawn_base = self.next_id + lo as u64;
-        }
-        self.next_id += missing as u64;
-        // The spawn pass uses no worker randomness, so no per-shard seeds
-        // are drawn — the caller's RNG stream stays identical to the
-        // sequential spawn's.
-        self.seeds.clear();
-        self.seeds.resize(num_shards, 0);
-        let pool = self.pool.as_ref().expect("pool created above");
-        pool.run_shards(
-            &mut self.shards[..num_shards],
-            &self.seeds,
-            cache,
-            ShardTask::Spawn { t },
-        )?;
-        for shard in &mut self.shards[..num_shards] {
-            self.store.live.append(&mut shard.cols);
-        }
-        Ok(())
-    }
-
-    /// Create or resize the persistent pool for `threads` workers.
-    fn ensure_pool(&mut self, threads: usize) {
-        match &self.pool {
-            Some(pool) if pool.threads() == threads => {}
-            _ => self.pool = Some(SynthesisPool::new(threads)),
-        }
-    }
-
-    /// Copy the live columns into disjoint fixed-size shard ranges
-    /// (buffers reused across steps); returns the shard count.
-    fn shard_live(&mut self, threads: usize) -> usize {
-        let n = self.store.live.len();
-        debug_assert!(n < u32::MAX as usize, "positions are u32");
-        let chunk_len = n.div_ceil(threads).max(1);
-        let num_shards = n.div_ceil(chunk_len);
-        if self.shards.len() < num_shards {
-            self.shards.resize_with(num_shards, ShardState::default);
-        }
-        for (k, shard) in self.shards[..num_shards].iter_mut().enumerate() {
-            let lo = k * chunk_len;
-            let hi = (lo + chunk_len).min(n);
-            shard.cols.clear();
-            shard.cols.extend_from_range(&self.store.live, lo, hi);
-        }
-        self.store.live.clear();
-        num_shards
-    }
-
-    /// Re-assemble shard results in shard order: each shard's tail buffer
-    /// relocates to the end of the shared arena and the survivors' links
-    /// gain the shard's base offset (every live row extends exactly once
-    /// per extending pass, so appended nodes' `prev` pointers are pre-pass
-    /// global addresses and only the live links need rebasing); survivor
-    /// columns append back onto `live`, per-shard finished columns onto
-    /// the store's finished region (id-sorted once at [`Self::finish`]).
-    /// Every buffer keeps its capacity for the next step.
-    fn merge_shards(&mut self, num_shards: usize) {
-        for shard in &mut self.shards[..num_shards] {
-            let base = self.store.tail.len() as Addr;
-            self.store.tail.extend_from_slice(&shard.appended);
-            shard.appended.clear();
-            if base > 0 {
-                for link in &mut shard.cols.links {
-                    *link += base;
-                }
-            }
-            self.store.live.append(&mut shard.cols);
-            self.store.finished.append(&mut shard.finished);
-        }
     }
 
     fn spawn<R: Rng + ?Sized>(
@@ -761,8 +441,8 @@ impl SyntheticDb {
     /// into the dataset).
     ///
     /// Non-consuming: afterwards the database is reset to a fresh,
-    /// uninitialized session (ids restart at 0) while the worker pool and
-    /// every scratch buffer keep their capacity, so a long-lived service
+    /// uninitialized session (ids restart at 0) while every scratch buffer
+    /// keeps its capacity, so a long-lived service
     /// can release one stream and immediately begin the next.
     pub fn release<S: Space>(&mut self, space: S, horizon: u64) -> GriddedDataset {
         let store = std::mem::take(&mut self.store);
@@ -974,104 +654,41 @@ mod tests {
     }
 
     #[test]
-    fn parallel_step_keeps_invariants() {
-        let (grid, table, _) = setup();
-        let model = eastward_model_cached(&grid, &table);
+    fn shrink_selection_survives_key_underflow_regime() {
+        // 32×32 grid, uniform quitting distribution: per-cell weight ≈ 1e-3,
+        // exactly the regime where naive `u^{1/w}` keys underflow to 0.0 and
+        // a large one-tick shrink would degrade into positional tie-breaking
+        // (victims taken from position 0 upward). With log-domain keys the
+        // selection stays weighted-random, so every id quarter keeps roughly
+        // its proportional share of survivors.
+        let grid = Grid::unit(32);
+        let table = TransitionTable::new(&grid);
+        let mut model = GlobalMobilityModel::new(table.len());
+        model.rebuild_samplers(&table); // uninformed: uniform fallbacks
         let mut db = SyntheticDb::new();
-        let mut rng = StdRng::seed_from_u64(12);
-        // Large enough to cross the parallel threshold.
-        db.step_parallel(0, &model, &table, 4000, 50.0, &mut rng, 2);
-        for (t, target) in [(1u64, 4000usize), (2, 3500), (3, 4200), (4, 100)] {
-            db.step_parallel(t, &model, &table, target, 50.0, &mut rng, 2);
-            assert_eq!(db.active_count(), target, "t={t}");
-        }
-        let released = db.release(&grid, 5);
+        let mut rng = StdRng::seed_from_u64(77);
+        db.step(0, &model, &table, 4096, 1e12, &mut rng);
+        db.step(1, &model, &table, 1024, 1e12, &mut rng);
+        assert_eq!(db.active_count(), 1024);
+        let released = db.release(&grid, 2);
+        // Streams were spawned with ids 0..4096 in order and never
+        // reordered before the shrink, so id / 1024 is the stream's
+        // position quarter.
+        let mut kept = [0u32; 4];
         for s in released.iter() {
-            for w in s.cells.windows(2) {
-                assert!(grid.are_adjacent(w[0], w[1]));
+            let survived = s.start + s.cells.len() as u64 - 1 == 1;
+            if survived {
+                kept[(s.id / 1024) as usize] += 1;
             }
         }
-    }
-
-    #[test]
-    fn parallel_step_single_thread_matches_sequential() {
-        let (grid, table, _) = setup();
-        let model = eastward_model_cached(&grid, &table);
-        let run = |parallel: bool| {
-            let mut db = SyntheticDb::new();
-            let mut rng = StdRng::seed_from_u64(13);
-            for t in 0..6 {
-                if parallel {
-                    db.step_parallel(t, &model, &table, 50, 10.0, &mut rng, 1);
-                } else {
-                    db.step(t, &model, &table, 50, 10.0, &mut rng);
-                }
-            }
-            db.release(&grid, 6)
-        };
-        // threads = 1 delegates to the sequential path: identical output.
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn parallel_step_deterministic_per_seed() {
-        let (grid, table, _) = setup();
-        let model = eastward_model_cached(&grid, &table);
-        let run = || {
-            let mut db = SyntheticDb::new();
-            let mut rng = StdRng::seed_from_u64(14);
-            for t in 0..4 {
-                db.step_parallel(t, &model, &table, 3000, 50.0, &mut rng, 3);
-            }
-            db.release(&grid, 4)
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn pooled_step_reuses_one_pool_across_steps() {
-        let (grid, table, _) = setup();
-        let model = eastward_model_cached(&grid, &table);
-        let mut db = SyntheticDb::new();
-        let mut rng = StdRng::seed_from_u64(15);
-        for t in 0..5 {
-            db.step_parallel(t, &model, &table, 5000, 50.0, &mut rng, 2);
+        // Hypergeometric per quarter: mean 256, sd ≈ 12; the bounds are
+        // ±~9 sd.
+        for (quarter, &k) in kept.iter().enumerate() {
+            assert!(
+                (150..=370).contains(&(k as usize)),
+                "quarter {quarter} kept {k} of 1024 survivors (expected ≈256): {kept:?}"
+            );
         }
-        let pool = db.pool.as_ref().expect("pool created by parallel steps");
-        assert_eq!(pool.threads(), 2);
-        // Changing the thread count re-creates the pool at the new size.
-        db.step_parallel(5, &model, &table, 5000, 50.0, &mut rng, 4);
-        assert_eq!(db.pool.as_ref().unwrap().threads(), 4);
-        let released = db.release(&grid, 6);
-        for s in released.iter() {
-            for w in s.cells.windows(2) {
-                assert!(grid.are_adjacent(w[0], w[1]));
-            }
-        }
-    }
-
-    #[test]
-    fn reset_keeps_pool_workers_alive() {
-        let (grid, table, _) = setup();
-        let model = eastward_model_cached(&grid, &table);
-        let mut db = SyntheticDb::new();
-        let mut rng = StdRng::seed_from_u64(16);
-        for t in 0..3 {
-            db.step_parallel(t, &model, &table, 5000, 50.0, &mut rng, 2);
-        }
-        let ids = db.pool.as_ref().expect("pool created").worker_ids();
-        db.reset();
-        assert!(db.pool.is_some(), "reset dropped the worker pool");
-        let mut rng = StdRng::seed_from_u64(16);
-        for t in 0..3 {
-            db.step_parallel(t, &model, &table, 5000, 50.0, &mut rng, 2);
-        }
-        assert_eq!(
-            db.pool.as_ref().unwrap().worker_ids(),
-            ids,
-            "reset re-spawned pool workers instead of reusing them"
-        );
-        let _ = db.release(&grid, 3);
     }
 
     #[test]

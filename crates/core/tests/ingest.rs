@@ -10,7 +10,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use retrasyn_core::{
     ChannelSource, EventSource, IngestPolicy, RetraSyn, RetraSynConfig, SessionError, StallPolicy,
-    ValidatedSource,
+    StreamingEngine, ValidatedSource,
 };
 use retrasyn_geo::{CellId, Grid, Space, Topology, TransitionState, UserEvent};
 

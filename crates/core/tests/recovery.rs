@@ -36,10 +36,7 @@ fn dataset(seed: u64, users: usize, timestamps: u64) -> GriddedDataset {
 }
 
 fn engine(division: Division, threads: usize, seed: u64) -> RetraSyn {
-    let config = RetraSynConfig::new(1.0, 5)
-        .with_lambda(10.0)
-        .with_synthesis_threads(threads)
-        .with_collection_threads(threads);
+    let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0).with_collection_threads(threads);
     RetraSyn::new(config, Grid::unit(5), division, seed)
 }
 
@@ -156,15 +153,22 @@ fn recover_with_checkpoint_matches_full_replay() {
 
 #[test]
 fn recover_parallel_session_bit_identical() {
-    // Above MIN_PARALLEL live streams so the sharded synthesis path (and
-    // its per-shard RNG streams) is actually exercised by the replay.
+    // Per-user reports, so every round of the logged session and of its
+    // replay runs on the four-worker collection pool.
     let gridded = dataset(3, 2600, 8);
+    let pooled = || {
+        let config = RetraSynConfig::new(1.0, 5)
+            .with_lambda(10.0)
+            .per_user_reports()
+            .with_collection_threads(4);
+        RetraSyn::new(config, Grid::unit(5), Division::Population, 7)
+    };
     let path = temp_path("parallel");
-    let mut original = engine(Division::Population, 4, 7);
+    let mut original = pooled();
     drive_logged(&mut original, &gridded, &path, 8, None);
     let expected = original.release();
 
-    let mut recovered = engine(Division::Population, 4, 7);
+    let mut recovered = pooled();
     recovered.recover(&path).expect("recover");
     assert_eq!(recovered.release(), expected);
     cleanup(&path);
@@ -215,11 +219,12 @@ fn recover_rejects_mismatched_sessions() {
     let mut original = engine(Division::Budget, 1, 7);
     drive_logged(&mut original, &gridded, &path, 10, None);
 
-    // Different seed, different config, different division: all rejected.
+    // Different seed, different division, different config: all rejected.
+    let other_lambda = RetraSynConfig::new(1.0, 5).with_lambda(12.0);
     for mut other in [
         engine(Division::Budget, 1, 8),
         engine(Division::Population, 1, 7),
-        engine(Division::Budget, 4, 7),
+        RetraSyn::new(other_lambda, Grid::unit(5), Division::Budget, 7),
     ] {
         match other.recover(&path) {
             Err(WalError::Mismatch { detail }) => {

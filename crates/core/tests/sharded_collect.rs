@@ -245,8 +245,8 @@ fn blocked_engine_bit_identical_across_collection_threads() {
 
 /// `collection_threads` never changes the output, so it is left out of
 /// the session fingerprint (a WAL logged at 4 collection threads recovers
-/// at 1). Knobs that do shape the output — the report mode and the
-/// synthesis thread count — still change it.
+/// at 1). A knob that does shape the output — the report mode — still
+/// changes it.
 #[test]
 fn fingerprint_ignores_collection_threads() {
     let grid = Grid::unit(4);
@@ -259,7 +259,6 @@ fn fingerprint_ignores_collection_threads() {
         assert_eq!(expect, fp(base().with_collection_threads(threads)), "threads={threads}");
     }
     assert_ne!(expect, fp(RetraSynConfig::new(1.0, 5).with_lambda(10.0)));
-    assert_ne!(expect, fp(base().with_synthesis_threads(4)));
 }
 
 /// The per-user kernel must not distort what the engine learns: a pooled

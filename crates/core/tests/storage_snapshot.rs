@@ -84,26 +84,15 @@ fn run_scenario(name: &str) -> GriddedDataset {
             }
             db.release(&grid, targets.len() as u64)
         }
-        // Fully sharded pooled path, 3 workers, mixed schedule.
-        "par_t3" => {
-            let (grid, table, model) = informed_setup(true);
-            let targets = [4000usize, 4000, 3200, 3600, 2400, 2800];
-            let mut db = SyntheticDb::new();
-            let mut rng = StdRng::seed_from_u64(44);
-            for (t, &target) in targets.iter().enumerate() {
-                db.step_parallel(t as u64, &model, &table, target, 8.0, &mut rng, 3);
-            }
-            db.release(&grid, targets.len() as u64)
-        }
-        // Pooled path under shrink-heavy swings (λ → ∞ disables natural
-        // quits; every retirement is a two-phase shrink selection).
-        "par_t4_shrink" => {
+        // Shrink-heavy swings (λ → ∞ disables natural quits, so every
+        // retirement is a two-phase shrink selection).
+        "seq_shrink" => {
             let (grid, table, model) = informed_setup(true);
             let targets = [4096usize, 1024, 3000, 800];
             let mut db = SyntheticDb::new();
             let mut rng = StdRng::seed_from_u64(45);
             for (t, &target) in targets.iter().enumerate() {
-                db.step_parallel(t as u64, &model, &table, target, 1e12, &mut rng, 4);
+                db.step(t as u64, &model, &table, target, 1e12, &mut rng);
             }
             db.release(&grid, targets.len() as u64)
         }
@@ -121,7 +110,7 @@ fn run_scenario(name: &str) -> GriddedDataset {
     }
 }
 
-const SCENARIOS: [&str; 5] = ["seq_cached", "seq_uncached", "par_t3", "par_t4_shrink", "noeq"];
+const SCENARIOS: [&str; 4] = ["seq_cached", "seq_uncached", "seq_shrink", "noeq"];
 
 #[test]
 fn storage_matches_pre_refactor_snapshot() {
