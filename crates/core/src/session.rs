@@ -686,11 +686,17 @@ pub trait StreamingEngine {
 
     /// Reconstruct the session recorded in the WAL at `wal_path`:
     /// validate the header fingerprint against this engine, restore the
-    /// newest usable checkpoint sidecar (if any), and replay the logged
-    /// batches through [`step`](Self::step). Determinism makes the result
-    /// bit-identical to the uninterrupted run over the same prefix; a
-    /// torn or corrupt WAL tail truncates the session to the last intact
-    /// timestamp (see [`Recovery::truncated`]) instead of failing.
+    /// checkpoint sidecar if it is usable, and replay the logged batches
+    /// after it through [`step`](Self::step), streaming them one at a
+    /// time. With a usable checkpoint only the WAL header and the records
+    /// after the checkpoint are read; otherwise the whole log is replayed
+    /// (see the [`wal`](crate::wal) module docs for when recovery falls
+    /// back). Determinism makes the result bit-identical to the
+    /// uninterrupted run over the same prefix; a torn or corrupt record in
+    /// the replayed range truncates the session to the last intact
+    /// timestamp (see [`Recovery::truncated`]) instead of failing. A batch
+    /// that passes its checksum but cannot be ingested is an `Err`, raised
+    /// before it is stepped, and leaves the engine reset.
     ///
     /// The engine must be constructed exactly as the logged session was
     /// (same seed, config, discretization — enforced via
@@ -698,9 +704,11 @@ pub trait StreamingEngine {
     /// with [`reset`](Self::reset). To *continue* the recovered session
     /// durably, [`WalWriter::reopen`](crate::wal::WalWriter::reopen) the
     /// same WAL and keep feeding through a
-    /// [`WalSource`](crate::wal::WalSource).
+    /// [`WalSource`](crate::wal::WalSource), or use
+    /// [`Supervisor::resume`](crate::Supervisor::resume), which recovers
+    /// and reopens from one read of the log.
     fn recover(&mut self, wal_path: &Path) -> Result<Recovery, WalError> {
-        crate::wal::recover_engine(self, wal_path)
+        crate::wal::recover_wal(self, wal_path).map(|(recovery, _)| recovery)
     }
 
     /// Drive this engine from `source` until it is exhausted, then

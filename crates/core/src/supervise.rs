@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 use retrasyn_geo::{GriddedDataset, UserEvent};
 
 use crate::session::{EventSource, SessionError, StepOutcome, StreamingEngine};
-use crate::wal::{Checkpointer, FsyncPolicy, Recovery, WalContents, WalError, WalWriter};
+use crate::wal::{recover_wal, Checkpointer, FsyncPolicy, Recovery, WalError, WalWriter};
 
 /// Failure of the supervision machinery itself (never of a supervised
 /// step — those are retried, recovered or quarantined).
@@ -199,10 +199,16 @@ impl<E: StreamingEngine> Supervisor<E> {
         })
     }
 
-    /// Supervise a session recovered from an existing WAL: replay it into
-    /// `engine` (which must be constructed exactly as the logged session
-    /// was — fingerprints are checked) and continue appending to the same
-    /// log.
+    /// Supervise a session recovered from an existing WAL: recover
+    /// `engine` from it (which must be constructed exactly as the logged
+    /// session was — fingerprints are checked) and continue appending to
+    /// the same log.
+    ///
+    /// The log is read once, exactly as [`StreamingEngine::recover`] reads
+    /// it: with a usable checkpoint sidecar, only the records after the
+    /// checkpoint. The writer then reopens at the end of the intact prefix
+    /// recovery found; a torn or corrupt tail after it is cut off, and the
+    /// next step takes its timestamp.
     pub fn resume(
         engine: E,
         wal_path: impl AsRef<Path>,
@@ -210,9 +216,8 @@ impl<E: StreamingEngine> Supervisor<E> {
     ) -> Result<(Self, Recovery), WalError> {
         let wal_path = wal_path.as_ref().to_path_buf();
         let mut engine = engine;
-        let recovery = engine.recover(&wal_path)?;
-        let contents = WalContents::read(&wal_path)?;
-        let wal = WalWriter::reopen(&contents, &wal_path, policy)?;
+        let (recovery, valid_len) = recover_wal(&mut engine, &wal_path)?;
+        let wal = WalWriter::reopen_at(&wal_path, valid_len, recovery.next_timestamp(), policy)?;
         let supervisor = Supervisor {
             engine,
             wal,

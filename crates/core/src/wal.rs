@@ -32,11 +32,14 @@
 //! # Torn and corrupt tails
 //!
 //! A crash can leave a partially written record at the end of the file.
-//! [`WalContents::read`] validates records in order and stops at the first
-//! framing or CRC failure, keeping the valid prefix: recovery yields the
-//! session as of the last fully persisted timestamp instead of failing
-//! outright. Only a corrupt *header* is a hard error — nothing after it
-//! can be trusted.
+//! Records are read in order, streamed one at a time, and reading stops at
+//! the first framing or CRC failure, keeping the valid prefix: recovery
+//! yields the session as of the last fully persisted timestamp instead of
+//! failing outright ([`Recovery::truncated`], [`WalContents::truncated`]).
+//! Only a corrupt *header* is a hard error — nothing after it can be
+//! trusted. A batch that passes its CRC but names a cell outside the grid
+//! or a move between non-adjacent cells is a hard error too, raised before
+//! the batch is stepped; the engine is left reset.
 //!
 //! # Fsync policy
 //!
@@ -51,10 +54,29 @@
 //! Replay from t=0 is O(session length). A [`Checkpointer`] serializes
 //! the engine's full mutable state (store columns, model, ledger,
 //! registry, allocator, RNG) to an atomically replaced sidecar file every
-//! `k` timestamps, so [`StreamingEngine::recover`] only replays the WAL
-//! suffix after the last checkpoint. A corrupt or stale checkpoint is
-//! *never* fatal: recovery reports it in
-//! [`Recovery::checkpoint`] and falls back to full replay.
+//! `k` timestamps. [`StreamingEngine::recover`] then reads only the
+//! 28-byte header, the checkpoint and the records after it: it hops over
+//! the 4-byte length prefixes of the records the checkpoint covers
+//! (no payload read, no CRC) and accepts the landing if it is the end of
+//! the file or an intact record carrying the checkpoint's timestamp.
+//! Recovery time is proportional to the tail, not to the history.
+//!
+//! Anything else falls back to reading the log from the header: a missing,
+//! corrupt, mismatched or unrestorable checkpoint, a hop past the end of
+//! the file, or a failed landing check (a torn first tail record, or a
+//! damaged length prefix). If that read reaches the checkpoint's
+//! timestamp the checkpoint is still used; otherwise recovery reports it
+//! in [`Recovery::checkpoint`] and replays the valid prefix in full. A
+//! corrupt or stale checkpoint is *never* fatal.
+//!
+//! Because the covered prefix is not read, damage inside it that leaves
+//! the length prefixes intact (a flipped payload or CRC bit) is not
+//! detected once a usable checkpoint covers it. The CRC-checked checkpoint
+//! *is* the session state for that prefix, so the recovered session is
+//! still the uninterrupted one; [`Recovery::truncated`] describes only the
+//! replayed records. [`WalWriter::create`] deletes any sidecar left by an
+//! earlier session at the same path, so a checkpoint always belongs to the
+//! log beside it.
 
 use std::fmt;
 use std::fs;
@@ -111,8 +133,14 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 /// IEEE CRC32 of `bytes` (the polynomial used by zip/PNG/Ethernet).
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    crc32_extend(0, bytes)
+}
+
+/// CRC32 of `a ‖ bytes` given `crc = crc32(a)`, so a checksum can cover
+/// data that was read into two buffers.
+fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    let mut c = !crc;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -129,7 +157,7 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    !c
 }
 
 /// Little-endian `u32` at `off`. Callers bounds-check the enclosing
@@ -423,7 +451,10 @@ pub struct WalWriter {
 impl WalWriter {
     /// Create (truncating) a WAL at `path` for a session identified by
     /// `(seed, fingerprint)`. The header is written and synced
-    /// immediately.
+    /// immediately. A checkpoint sidecar (and its temporary file) left at
+    /// `path` by an earlier session is deleted first: recovery would
+    /// otherwise restore that session's state into this one whenever the
+    /// two fingerprints agree.
     pub fn create(
         path: impl AsRef<Path>,
         seed: u64,
@@ -434,6 +465,20 @@ impl WalWriter {
             assert!(k >= 1, "FsyncPolicy::EveryN requires k >= 1");
         }
         let path = path.as_ref().to_path_buf();
+        let sidecar = Checkpointer::sidecar(&path);
+        let mut removed = false;
+        for stale in [Checkpointer::temp(&sidecar), sidecar] {
+            match fs::remove_file(&stale) {
+                Ok(()) => removed = true,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        // The removal must be durable before the new header is: a crash
+        // must not pair the new log with the old checkpoint.
+        if removed {
+            sync_parent_dir(&path)?;
+        }
         let file = fs::OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(WAL_MAGIC);
@@ -465,22 +510,32 @@ impl WalWriter {
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
     ) -> Result<Self, WalError> {
+        Self::reopen_at(path.as_ref(), contents.valid_len, contents.batches.len() as u64, policy)
+    }
+
+    /// [`reopen`](Self::reopen) from a valid prefix of `valid_len` bytes
+    /// holding timestamps `0..next_t`, as recovery found it.
+    pub(crate) fn reopen_at(
+        path: &Path,
+        valid_len: u64,
+        next_t: u64,
+        policy: FsyncPolicy,
+    ) -> Result<Self, WalError> {
         if let FsyncPolicy::EveryN(k) = policy {
             assert!(k >= 1, "FsyncPolicy::EveryN requires k >= 1");
         }
-        let path = path.as_ref().to_path_buf();
-        let file = fs::OpenOptions::new().read(true).write(true).open(&path)?;
-        file.set_len(contents.valid_len)?;
+        let file = fs::OpenOptions::new().read(true).write(true).open(path)?;
+        file.set_len(valid_len)?;
         let mut file = io::BufWriter::new(file);
         file.seek(SeekFrom::End(0))?;
         Ok(WalWriter {
             file,
-            path,
+            path: path.to_path_buf(),
             policy,
-            next_t: contents.batches.len() as u64,
+            next_t,
             since_sync: 0,
             buf: Vec::new(),
-            offset: contents.valid_len,
+            offset: valid_len,
         })
     }
 
@@ -559,6 +614,16 @@ impl WalWriter {
     }
 }
 
+/// Force the directory entry changes under `path`'s parent directory to
+/// stable storage (a no-op where directories cannot be opened as files).
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Reader.
 
@@ -583,76 +648,215 @@ impl WalContents {
     /// or corrupt tail truncates to the last intact timestamp and sets
     /// [`WalContents::truncated`].
     pub fn read(path: impl AsRef<Path>) -> Result<Self, WalError> {
-        let mut bytes = Vec::new();
-        fs::File::open(path.as_ref())?.read_to_end(&mut bytes)?;
-        Self::parse(&bytes)
+        let wal = WalFile::open(path.as_ref())?;
+        Self::collect(
+            wal.seed,
+            wal.fingerprint,
+            Records::new(wal.src, HEADER_LEN as u64, wal.len, 0),
+        )
     }
 
     /// Parse an in-memory WAL image (see [`WalContents::read`]).
     pub fn parse(bytes: &[u8]) -> Result<Self, WalError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(WalError::Corrupt {
-                offset: bytes.len() as u64,
-                detail: format!(
-                    "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
-                    bytes.len()
-                ),
-            });
-        }
-        if &bytes[..8] != WAL_MAGIC {
-            return Err(WalError::Corrupt {
-                offset: 0,
-                detail: format!("bad magic {:02x?}, expected \"RSWAL002\"", &bytes[..8]),
-            });
-        }
-        let stored_crc = le_u32(bytes, HEADER_LEN - 4);
-        if crc32(&bytes[..HEADER_LEN - 4]) != stored_crc {
-            return Err(WalError::Corrupt {
-                offset: 0,
-                detail: "header checksum mismatch".to_string(),
-            });
-        }
-        let seed = le_u64(bytes, 8);
-        let fingerprint = le_u64(bytes, 16);
+        let (seed, fingerprint) = parse_header(&bytes[..bytes.len().min(HEADER_LEN)])?;
+        let records = Records::new(&bytes[HEADER_LEN..], HEADER_LEN as u64, bytes.len() as u64, 0);
+        Self::collect(seed, fingerprint, records)
+    }
 
+    fn collect<R: Read>(
+        seed: u64,
+        fingerprint: u64,
+        mut records: Records<R>,
+    ) -> Result<Self, WalError> {
         let mut batches = Vec::new();
-        let mut pos = HEADER_LEN;
-        let mut truncated = false;
-        while pos < bytes.len() {
-            match parse_record(&bytes[pos..], batches.len() as u64) {
-                Ok((events, consumed)) => {
-                    batches.push(events);
-                    pos += consumed;
-                }
-                // Any framing/CRC/semantic failure in a record: keep the
-                // prefix up to the previous record. Framing past a flip
-                // can't be trusted, so no attempt is made to resynchronize.
-                Err(_) => {
-                    truncated = true;
-                    break;
-                }
-            }
+        while let Some(batch) = records.next_batch()? {
+            batches.push(batch.to_vec());
         }
-        Ok(WalContents { seed, fingerprint, batches, valid_len: pos as u64, truncated })
+        Ok(WalContents {
+            seed,
+            fingerprint,
+            batches,
+            valid_len: records.valid_len,
+            truncated: records.truncated,
+        })
     }
 }
 
-/// Parse one record at the start of `bytes`; returns the events and the
-/// bytes consumed, or a description of why the record is torn/corrupt.
-fn parse_record(bytes: &[u8], expected_t: u64) -> Result<(Vec<UserEvent>, usize), String> {
-    if bytes.len() < 4 {
-        return Err("torn length prefix".to_string());
+/// Check a WAL header — `head` is the file's first `HEADER_LEN` bytes, or
+/// all of it if the file is shorter — and return its seed and fingerprint.
+fn parse_header(head: &[u8]) -> Result<(u64, u64), WalError> {
+    if head.len() < HEADER_LEN {
+        return Err(WalError::Corrupt {
+            offset: head.len() as u64,
+            detail: format!(
+                "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
+                head.len()
+            ),
+        });
     }
-    let payload_len = le_u32(bytes, 0) as usize;
-    let record_len = 4 + payload_len + 4;
-    if bytes.len() < record_len {
-        return Err("torn record body".to_string());
+    if &head[..8] != WAL_MAGIC {
+        return Err(WalError::Corrupt {
+            offset: 0,
+            detail: format!("bad magic {:02x?}, expected \"RSWAL002\"", &head[..8]),
+        });
     }
-    let stored_crc = le_u32(bytes, 4 + payload_len);
-    if crc32(&bytes[..4 + payload_len]) != stored_crc {
+    if crc32(&head[..HEADER_LEN - 4]) != le_u32(head, HEADER_LEN - 4) {
+        return Err(WalError::Corrupt {
+            offset: 0,
+            detail: "header checksum mismatch".to_string(),
+        });
+    }
+    Ok((le_u64(head, 8), le_u64(head, 16)))
+}
+
+/// An open WAL file whose header checked out, positioned at its first
+/// record.
+struct WalFile {
+    src: io::BufReader<fs::File>,
+    /// File length in bytes.
+    len: u64,
+    seed: u64,
+    fingerprint: u64,
+}
+
+impl WalFile {
+    /// Open `path` and check its header from one `HEADER_LEN`-byte read.
+    fn open(path: &Path) -> Result<Self, WalError> {
+        let file = fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut src = io::BufReader::new(file);
+        let mut head = Vec::with_capacity(HEADER_LEN);
+        (&mut src).take(HEADER_LEN as u64).read_to_end(&mut head)?;
+        let (seed, fingerprint) = parse_header(&head)?;
+        Ok(WalFile { src, len, seed, fingerprint })
+    }
+
+    /// The records from timestamp 0, read from just past the header.
+    fn records(&mut self) -> Result<Records<&mut io::BufReader<fs::File>>, WalError> {
+        self.src.seek(SeekFrom::Start(HEADER_LEN as u64))?;
+        Ok(Records::new(&mut self.src, HEADER_LEN as u64, self.len, 0))
+    }
+
+    /// Skip records `0..t` from the header by their length prefixes alone
+    /// (no payload read, no CRC) and return the offset where record `t`
+    /// starts, or `None` if a hop runs past the end of the file. Nothing
+    /// here proves the landing is a record boundary; the caller checks.
+    fn hop(&mut self, t: u64) -> Result<Option<u64>, WalError> {
+        self.src.seek(SeekFrom::Start(HEADER_LEN as u64))?;
+        let mut offset = HEADER_LEN as u64;
+        let mut prefix = [0u8; 4];
+        for _ in 0..t {
+            if self.len - offset < 4 {
+                return Ok(None);
+            }
+            self.src.read_exact(&mut prefix)?;
+            let skip = u64::from(le_u32(&prefix, 0)) + 4;
+            offset += 4 + skip;
+            if offset > self.len {
+                return Ok(None);
+            }
+            self.src.seek_relative(skip as i64)?;
+        }
+        Ok(Some(offset))
+    }
+}
+
+/// Streams WAL records one timestamp at a time, parsing each into a
+/// reused event buffer. It stops at the end of the data or at the first
+/// torn or corrupt record, so what it yields is always an intact prefix.
+/// [`WalContents`] collects it; recovery replays it batch by batch, so
+/// no recovery path holds the whole log in memory.
+struct Records<R> {
+    src: R,
+    /// Byte length of the whole image: a record whose length prefix runs
+    /// past it is torn, and is never allocated.
+    end: u64,
+    /// Byte offset just past the last intact record.
+    valid_len: u64,
+    /// Timestamp the next record must carry.
+    next_t: u64,
+    /// Whether reading stopped at a torn or corrupt record.
+    truncated: bool,
+    record: Vec<u8>,
+    events: Vec<UserEvent>,
+}
+
+impl<R: Read> Records<R> {
+    /// Records read from `src`, which is positioned at byte `offset` of an
+    /// `end`-byte image, at the record expected to carry timestamp `next_t`.
+    fn new(src: R, offset: u64, end: u64, next_t: u64) -> Self {
+        Records {
+            src,
+            end,
+            valid_len: offset,
+            next_t,
+            truncated: false,
+            record: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    /// The next intact batch, or `None` at the end of the data or at the
+    /// first torn or corrupt record (which sets `truncated`).
+    fn next_batch(&mut self) -> Result<Option<&[UserEvent]>, WalError> {
+        if self.truncated || self.valid_len == self.end {
+            return Ok(None);
+        }
+        if self.read_record()? && parse_record(&self.record, self.next_t, &mut self.events).is_ok()
+        {
+            self.valid_len += self.record.len() as u64;
+            self.next_t += 1;
+            return Ok(Some(&self.events));
+        }
+        // Any framing/CRC/semantic failure in a record: keep the prefix up
+        // to the previous record. Framing past a flip can't be trusted, so
+        // no attempt is made to resynchronize.
+        self.truncated = true;
+        Ok(None)
+    }
+
+    /// [`next_batch`](Self::next_batch), with the batch's timestamp, after
+    /// [`validate_batch`] accepted it for `topo`.
+    fn next_valid(&mut self, topo: &Topology) -> Result<Option<(u64, &[UserEvent])>, WalError> {
+        let (t, offset) = (self.next_t, self.valid_len);
+        match self.next_batch()? {
+            Some(batch) => {
+                validate_batch(topo, t, offset, batch)?;
+                Ok(Some((t, batch)))
+            }
+            None => Ok(None),
+        }
+    }
+
+    /// Read the record at `valid_len` into `self.record`; `false` if it is
+    /// torn (runs past the end of the image).
+    fn read_record(&mut self) -> io::Result<bool> {
+        let left = self.end - self.valid_len;
+        if left < 4 {
+            return Ok(false);
+        }
+        let mut prefix = [0u8; 4];
+        self.src.read_exact(&mut prefix)?;
+        let len = 4 + u64::from(le_u32(&prefix, 0)) + 4;
+        if len > left {
+            return Ok(false);
+        }
+        self.record.clear();
+        self.record.extend_from_slice(&prefix);
+        self.record.resize(len as usize, 0);
+        self.src.read_exact(&mut self.record[4..])?;
+        Ok(true)
+    }
+}
+
+/// Parse one framed record (length prefix, payload, CRC) into `events`,
+/// or describe why it is corrupt.
+fn parse_record(record: &[u8], expected_t: u64, events: &mut Vec<UserEvent>) -> Result<(), String> {
+    let payload_len = record.len() - 8;
+    if crc32(&record[..4 + payload_len]) != le_u32(record, 4 + payload_len) {
         return Err("record checksum mismatch".to_string());
     }
-    let mut dec = Dec::new(&bytes[4..4 + payload_len]);
+    let mut dec = Dec::new(&record[4..4 + payload_len]);
     let t = dec.u64()?;
     if t != expected_t {
         return Err(format!("record timestamp {t}, expected {expected_t}"));
@@ -661,12 +865,12 @@ fn parse_record(bytes: &[u8], expected_t: u64) -> Result<(Vec<UserEvent>, usize)
     if payload_len != PAYLOAD_PREFIX + EVENT_LEN * count {
         return Err(format!("payload length {payload_len} disagrees with event count {count}"));
     }
-    let mut events = Vec::with_capacity(count);
+    events.clear();
+    events.reserve(count);
     for _ in 0..count {
         events.push(decode_event(&mut dec)?);
     }
-    dec.finish()?;
-    Ok((events, record_len))
+    dec.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -794,6 +998,14 @@ impl Checkpointer {
         PathBuf::from(os)
     }
 
+    /// The temporary file a checkpoint is written to before it is renamed
+    /// over `sidecar`: `<wal>.ckpt.tmp`.
+    fn temp(sidecar: &Path) -> PathBuf {
+        let mut os = sidecar.as_os_str().to_os_string();
+        os.push(".tmp");
+        PathBuf::from(os)
+    }
+
     /// The sidecar file this checkpointer writes.
     pub fn path(&self) -> &Path {
         &self.path
@@ -827,9 +1039,7 @@ impl Checkpointer {
         let crc = crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
 
-        let mut tmp = self.path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
+        let tmp = Self::temp(&self.path);
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
@@ -842,31 +1052,51 @@ impl Checkpointer {
 
 /// Load and validate a checkpoint sidecar. `Ok(None)` if the file does
 /// not exist; `Err` if it exists but is corrupt or belongs to a different
-/// session (callers fall back to full WAL replay).
+/// session (callers fall back to full WAL replay). The payload is handed
+/// back in the buffer it was read into.
 pub(crate) fn load_checkpoint(
     path: &Path,
     fingerprint: u64,
 ) -> Result<Option<(u64, Vec<u8>)>, WalError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
+    let mut file = match fs::File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let corrupt = |offset: usize, detail: String| WalError::Corrupt {
-        offset: offset as u64,
+    let corrupt = |offset: u64, detail: String| WalError::Corrupt {
+        offset,
         detail: format!("checkpoint {}: {detail}", path.display()),
     };
-    if bytes.len() < 8 + 8 + 8 + 8 + 4 {
-        return Err(corrupt(bytes.len(), "file shorter than fixed fields".to_string()));
+    let size = file.metadata()?.len();
+    if size < 32 + 4 {
+        return Err(corrupt(size, "file shorter than fixed fields".to_string()));
     }
-    if &bytes[..8] != CKPT_MAGIC {
-        return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..8])));
+    let mut head = [0u8; 32];
+    file.read_exact(&mut head)?;
+    if &head[..8] != CKPT_MAGIC {
+        return Err(corrupt(0, format!("bad magic {:02x?}", &head[..8])));
     }
-    let stored_crc = le_u32(&bytes, bytes.len() - 4);
-    if crc32(&bytes[..bytes.len() - 4]) != stored_crc {
+    let payload_len = le_u64(&head, 24);
+    if size - 32 - 4 != payload_len {
+        return Err(corrupt(
+            24,
+            format!("payload length field {payload_len} disagrees with file size"),
+        ));
+    }
+    // Payload and CRC in one read; the CRC is then trimmed off in place.
+    let capacity = usize::try_from(payload_len + 4)
+        .map_err(|_| corrupt(24, format!("payload length {payload_len} exceeds memory")))?;
+    let mut payload = Vec::with_capacity(capacity);
+    file.take(payload_len + 4).read_to_end(&mut payload)?;
+    if payload.len() as u64 != payload_len + 4 {
+        return Err(corrupt(size, "file shrank while being read".to_string()));
+    }
+    let stored_crc = le_u32(&payload, capacity - 4);
+    payload.truncate(capacity - 4);
+    if crc32_extend(crc32(&head), &payload) != stored_crc {
         return Err(corrupt(0, "checksum mismatch".to_string()));
     }
-    let fp = le_u64(&bytes, 8);
+    let fp = le_u64(&head, 8);
     if fp != fingerprint {
         return Err(WalError::Mismatch {
             detail: format!(
@@ -875,15 +1105,7 @@ pub(crate) fn load_checkpoint(
             ),
         });
     }
-    let t = le_u64(&bytes, 16);
-    let payload_len = le_u64(&bytes, 24) as usize;
-    if bytes.len() != 32 + payload_len + 4 {
-        return Err(corrupt(
-            24,
-            format!("payload length field {payload_len} disagrees with file size"),
-        ));
-    }
-    Ok(Some((t, bytes[32..32 + payload_len].to_vec())))
+    Ok(Some((le_u64(&head, 16), payload)))
 }
 
 // ---------------------------------------------------------------------------
@@ -918,7 +1140,9 @@ pub struct Recovery {
     /// Number of batches replayed through `step`.
     pub replayed: u64,
     /// Whether a torn/corrupt WAL tail was discarded — the session is the
-    /// bit-identical prefix up to the last intact timestamp.
+    /// bit-identical prefix up to the last intact timestamp. Only the
+    /// replayed records are read, so after a checkpoint restore this says
+    /// nothing about the records the checkpoint covers.
     pub truncated: bool,
     /// Checkpoint usage.
     pub checkpoint: CheckpointUse,
@@ -936,11 +1160,17 @@ impl Recovery {
 /// without panicking: cells inside the discretization and movements
 /// between adjacent cells. CRC framing makes reaching this check with bad
 /// data astronomically unlikely; it converts the residual risk into a
-/// descriptive error instead of a replay panic.
-fn validate_batch(topo: &Topology, t: u64, events: &[UserEvent]) -> Result<(), WalError> {
+/// descriptive error instead of a replay panic. `offset` is where the
+/// batch's record starts.
+fn validate_batch(
+    topo: &Topology,
+    t: u64,
+    offset: u64,
+    events: &[UserEvent],
+) -> Result<(), WalError> {
     let cells = topo.num_cells();
     let bad = |detail: String| WalError::Corrupt {
-        offset: 0,
+        offset,
         detail: format!("batch t={t} passed its checksum but is semantically invalid: {detail}"),
     };
     for e in events {
@@ -963,12 +1193,45 @@ fn validate_batch(topo: &Topology, t: u64, events: &[UserEvent]) -> Result<(), W
     Ok(())
 }
 
-/// Shared implementation behind [`StreamingEngine::recover`].
-pub(crate) fn recover_engine<E: StreamingEngine + ?Sized>(
+/// Step every batch `records` yields into `engine`, each validated before
+/// it is stepped, and return how many were stepped.
+fn replay<E: StreamingEngine + ?Sized, R: Read>(
+    engine: &mut E,
+    records: &mut Records<R>,
+) -> Result<u64, WalError> {
+    let mut replayed = 0;
+    while let Some((t, batch)) = records.next_valid(engine.topology())? {
+        engine.step(t, batch);
+        replayed += 1;
+    }
+    Ok(replayed)
+}
+
+/// Whether records `0..t` of `wal` are all intact (and valid for `topo`),
+/// read from the header.
+fn reaches(wal: &mut WalFile, t: u64, topo: &Topology) -> Result<bool, WalError> {
+    let mut records = wal.records()?;
+    while records.next_t < t {
+        if records.next_valid(topo)?.is_none() {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Shared implementation behind [`StreamingEngine::recover`] and
+/// [`Supervisor::resume`](crate::Supervisor::resume): recover `engine`
+/// from the WAL at `wal_path` and return the byte length of the WAL prefix
+/// the session now covers, where a writer continues.
+///
+/// A WAL that fails its header or fingerprint check leaves the engine
+/// untouched; any later error resets it, so a half-replayed session is
+/// never handed back.
+pub(crate) fn recover_wal<E: StreamingEngine + ?Sized>(
     engine: &mut E,
     wal_path: &Path,
-) -> Result<Recovery, WalError> {
-    let wal = WalContents::read(wal_path)?;
+) -> Result<(Recovery, u64), WalError> {
+    let mut wal = WalFile::open(wal_path)?;
     let fingerprint = engine.fingerprint();
     if wal.fingerprint != fingerprint {
         return Err(WalError::Mismatch {
@@ -980,56 +1243,79 @@ pub(crate) fn recover_engine<E: StreamingEngine + ?Sized>(
             ),
         });
     }
-    // Pre-validate every batch before mutating the engine, so a semantic
-    // failure surfaces as an error, never a half-replayed panic.
-    for (t, batch) in wal.batches.iter().enumerate() {
-        validate_batch(engine.topology(), t as u64, batch)?;
-    }
-
     engine.reset();
-    let mut resumed_from = 0u64;
+    let result = restore_and_replay(engine, &mut wal, &Checkpointer::sidecar(wal_path));
+    if result.is_err() {
+        engine.reset();
+    }
+    result
+}
+
+/// Recovery after the header checked out, into a freshly reset `engine`.
+///
+/// With a usable checkpoint for timestamp `t`, only the checkpoint and the
+/// records from `t` on are read: [`WalFile::hop`] skips records `0..t`, and
+/// the landing is accepted if it is the end of the file or an intact
+/// record carrying timestamp `t`. A hop past the end of the file, or a
+/// failed landing check, falls back to reading the prefix, and to a full
+/// replay from the header if the prefix does not reach `t`.
+fn restore_and_replay<E: StreamingEngine + ?Sized>(
+    engine: &mut E,
+    wal: &mut WalFile,
+    sidecar: &Path,
+) -> Result<(Recovery, u64), WalError> {
     let mut checkpoint = CheckpointUse::None;
-    let ckpt_path = Checkpointer::sidecar(wal_path);
-    match load_checkpoint(&ckpt_path, fingerprint) {
+    // Set when the WAL could not be followed to the checkpoint's
+    // timestamp; the reason names the valid length once replay knows it.
+    let mut unreached = None;
+    match load_checkpoint(sidecar, engine.fingerprint()) {
         Ok(None) => {}
-        Ok(Some((t, payload))) => {
-            if t > wal.batches.len() as u64 {
-                checkpoint = CheckpointUse::Ignored {
-                    reason: format!(
-                        "checkpoint covers t={t} but the WAL only has {} valid timestamps",
-                        wal.batches.len()
-                    ),
-                };
-            } else {
-                match engine.restore_checkpoint(&payload) {
-                    Ok(()) => {
-                        debug_assert_eq!(engine.next_timestamp(), t);
-                        resumed_from = t;
-                        checkpoint = CheckpointUse::Restored { at: t };
-                    }
-                    Err(reason) => {
-                        // A partial restore may have touched state: start
-                        // over from a clean reset and replay everything.
-                        engine.reset();
-                        checkpoint = CheckpointUse::Ignored { reason };
-                    }
+        Err(e) => checkpoint = CheckpointUse::Ignored { reason: e.to_string() },
+        Ok(Some((t, payload))) => match wal.hop(t)? {
+            None => unreached = Some(t),
+            Some(at) => match engine.restore_checkpoint(&payload) {
+                // A partial restore may have touched state: start over
+                // from a clean reset and replay everything.
+                Err(reason) => {
+                    engine.reset();
+                    checkpoint = CheckpointUse::Ignored { reason };
                 }
-            }
-        }
-        Err(e) => {
-            checkpoint = CheckpointUse::Ignored { reason: e.to_string() };
-        }
+                Ok(()) => {
+                    debug_assert_eq!(engine.next_timestamp(), t);
+                    drop(payload);
+                    let mut tail = Records::new(&mut wal.src, at, wal.len, t);
+                    let replayed = replay(engine, &mut tail)?;
+                    let (truncated, valid_len) = (tail.truncated, tail.valid_len);
+                    // Nothing replayed and a bad record at the landing:
+                    // either record `t` is torn, or a damaged length
+                    // prefix sent the hop astray. Only the prefix tells.
+                    if replayed > 0 || !truncated || reaches(wal, t, engine.topology())? {
+                        let recovery = Recovery {
+                            resumed_from: t,
+                            replayed,
+                            truncated,
+                            checkpoint: CheckpointUse::Restored { at: t },
+                        };
+                        return Ok((recovery, valid_len));
+                    }
+                    engine.reset();
+                    unreached = Some(t);
+                }
+            },
+        },
     }
 
-    for (i, batch) in wal.batches.iter().enumerate().skip(resumed_from as usize) {
-        engine.step(i as u64, batch);
+    let mut records = wal.records()?;
+    let replayed = replay(engine, &mut records)?;
+    if let Some(t) = unreached {
+        checkpoint = CheckpointUse::Ignored {
+            reason: format!(
+                "checkpoint covers t={t} but the WAL only has {replayed} valid timestamps"
+            ),
+        };
     }
-    Ok(Recovery {
-        resumed_from,
-        replayed: wal.batches.len() as u64 - resumed_from,
-        truncated: wal.truncated,
-        checkpoint,
-    })
+    let recovery = Recovery { resumed_from: 0, replayed, truncated: records.truncated, checkpoint };
+    Ok((recovery, records.valid_len))
 }
 
 #[cfg(test)]
