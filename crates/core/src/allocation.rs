@@ -157,6 +157,12 @@ impl Allocator {
         }
     }
 
+    /// Byte length of [`Self::encode_into`] output.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let snaps: usize = self.freq_history.iter().map(|s| 8 + 8 * s.len()).sum();
+        8 + snaps + 8 + 8 * self.sig_history.len()
+    }
+
     /// Restore the histories from [`Self::encode_into`] output.
     pub(crate) fn decode_from(&mut self, dec: &mut Dec) -> Result<(), String> {
         self.reset();
@@ -166,7 +172,7 @@ impl Allocator {
         }
         for _ in 0..snaps {
             let dims = dec.usize()?;
-            let mut snap = Vec::with_capacity(dims);
+            let mut snap = Vec::with_capacity(dims.min(dec.remaining() / 8));
             for _ in 0..dims {
                 snap.push(dec.f64()?);
             }

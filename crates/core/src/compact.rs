@@ -22,6 +22,16 @@
 //! or not compaction ever ran (the release path merges regions by stream
 //! id, which is unique).
 //!
+//! Frozen epochs are also persisted once. A checkpoint carries only the
+//! epoch marks; each epoch's streams travel as one CRC-framed block
+//! (`FrozenStore::encode_block`, the one block codec), which a
+//! [`Checkpointer`](crate::wal::Checkpointer) appends to the WAL's
+//! `<wal>.frozen` file the first time it sees the epoch and references from
+//! every later sidecar, and which
+//! [`checkpoint_bytes`](crate::StreamingEngine::checkpoint_bytes) appends
+//! inline. A checkpoint's cost thus follows the live state and the new
+//! epochs, not the compacted history (see [`crate::wal`]).
+//!
 //! The engine triggers compaction from a [`CompactionPolicy`] high-water
 //! mark on resident cells, checked after each step. If the *live*
 //! population alone exceeds the mark, compaction cannot get below it; the
@@ -29,7 +39,7 @@
 //! (graceful degradation — log and compact, never abort).
 
 use crate::store::{SnapshotStream, StreamStore, TailArena, TailNode, NO_LINK};
-use crate::wal::{Dec, Enc};
+use crate::wal::{crc32, le_u32, le_u64, Dec, Enc};
 use retrasyn_geo::CellId;
 
 /// When to run epoch compaction: once the store's resident cells (arena
@@ -137,20 +147,11 @@ impl FrozenStore {
         self.offsets.push(self.cells.len());
     }
 
-    /// Serialize the frozen region (checkpoint format): per-stream header
-    /// columns with lengths, the flat cell column, the epoch marks.
+    /// Serialize the epoch marks (checkpoint format). The marks are the
+    /// part of the frozen region a checkpoint always carries; the epochs'
+    /// cells travel as blocks ([`Self::encode_block`]), inline after the
+    /// rest of the checkpoint or once each in the WAL's frozen file.
     pub(crate) fn encode_into(&self, enc: &mut Enc) {
-        let n = self.num_streams();
-        enc.usize(n);
-        for i in 0..n {
-            enc.u64(self.ids[i]);
-            enc.u64(self.starts[i]);
-            enc.usize(self.cells_of(i).len());
-        }
-        enc.usize(self.cells.len());
-        for &c in &self.cells {
-            enc.u32(c.0);
-        }
         enc.usize(self.epochs.len());
         for m in &self.epochs {
             enc.u64(m.epoch);
@@ -159,63 +160,219 @@ impl FrozenStore {
         }
     }
 
-    /// Rebuild from [`Self::encode_into`] output, reusing allocations. All
-    /// structural invariants (offset consistency, epoch-mark bounds) are
-    /// re-derived or checked — an inconsistent payload is an `Err`, never a
-    /// panic.
+    /// Byte length of [`Self::encode_into`] output.
+    pub(crate) fn encoded_len(&self) -> usize {
+        8 + 24 * self.epochs.len()
+    }
+
+    /// Restore the epoch marks from [`Self::encode_into`] output and drop
+    /// every frozen stream; [`Self::decode_blocks`] then fills the columns.
+    /// Marks out of order are an `Err`.
     pub(crate) fn decode_from(&mut self, dec: &mut Dec) -> Result<(), String> {
         self.clear();
-        let n = dec.usize()?;
-        for i in 0..n {
-            if self.offsets.is_empty() {
-                self.offsets.push(0);
-            }
-            self.ids.push(dec.u64()?);
-            self.starts.push(dec.u64()?);
-            let len = dec.usize()?;
-            if len == 0 {
-                return Err(format!("frozen stream {i} has length 0"));
-            }
-            let last = *self.offsets.last().expect("seeded above");
-            self.offsets
-                .push(last.checked_add(len).ok_or_else(|| "frozen offsets overflow".to_string())?);
-        }
-        let total = dec.usize()?;
-        if n > 0 && total != self.offsets[n] {
-            return Err(format!(
-                "frozen cell count {total} disagrees with stream lengths ({})",
-                self.offsets[n]
-            ));
-        }
-        if n == 0 && total != 0 {
-            return Err(format!("frozen region has {total} cells but no streams"));
-        }
-        self.cells.reserve(total.min(dec.remaining() / 4));
-        for _ in 0..total {
-            self.cells.push(CellId(dec.u32()?));
-        }
         let marks = dec.usize()?;
+        self.epochs.reserve(marks.min(dec.remaining() / 24));
         let mut prev = EpochMark { epoch: 0, streams_end: 0, cells_end: 0 };
         for i in 0..marks {
             let mark =
                 EpochMark { epoch: dec.u64()?, streams_end: dec.usize()?, cells_end: dec.usize()? };
+            // Every epoch freezes at least one stream of at least one cell.
             let monotone = mark.streams_end > prev.streams_end
                 && mark.cells_end >= prev.cells_end
-                && mark.streams_end <= n
-                && mark.cells_end <= total;
+                && mark.cells_end - prev.cells_end >= mark.streams_end - prev.streams_end;
             if !monotone {
-                return Err(format!("epoch mark {i} out of order or out of bounds"));
+                return Err(format!("epoch mark {i} out of order"));
             }
             self.epochs.push(mark);
             prev = mark;
         }
-        if marks > 0 && (prev.streams_end != n || prev.cells_end != total) {
-            return Err("last epoch mark does not cover the frozen region".to_string());
+        Ok(())
+    }
+
+    /// The fixed fields of epoch `i`'s block.
+    pub(crate) fn block_header(&self, i: usize) -> BlockHeader {
+        let (streams_start, cells_start) = self.epoch_start(i);
+        let m = self.epochs[i];
+        BlockHeader {
+            epoch: m.epoch,
+            streams: (m.streams_end - streams_start) as u64,
+            cells: (m.cells_end - cells_start) as u64,
         }
-        if marks == 0 && n > 0 {
-            return Err("frozen streams present without an epoch mark".to_string());
+    }
+
+    /// First stream and first cell of epoch `i`.
+    fn epoch_start(&self, i: usize) -> (usize, usize) {
+        i.checked_sub(1).map_or((0, 0), |p| (self.epochs[p].streams_end, self.epochs[p].cells_end))
+    }
+
+    /// Byte length of every epoch block together.
+    pub(crate) fn blocks_len(&self) -> usize {
+        let (streams, cells) = (self.num_streams(), self.total_cells());
+        self.epochs.len() * (BLOCK_HEADER_LEN + 4) + 20 * streams + 4 * cells
+    }
+
+    /// Append epoch `i` as one CRC-framed block to `out`: the header, the
+    /// id, start and length columns of its streams, its flat cell column,
+    /// and the CRC32 of all of that, which is returned.
+    pub(crate) fn encode_block(&self, i: usize, out: &mut Vec<u8>) -> u32 {
+        let (s0, c0) = self.epoch_start(i);
+        let (s1, c1) = (self.epochs[i].streams_end, self.epochs[i].cells_end);
+        let header = self.block_header(i);
+        let start = out.len();
+        out.reserve(
+            header.block_len().expect("an in-memory epoch has a representable size") as usize
+        );
+        for v in [header.epoch, header.streams, header.cells] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        for &id in &self.ids[s0..s1] {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+        for &start in &self.starts[s0..s1] {
+            out.extend_from_slice(&start.to_le_bytes());
+        }
+        for w in self.offsets[s0..=s1].windows(2) {
+            let len = u32::try_from(w[1] - w[0]).expect("stream lengths come from a u32 column");
+            out.extend_from_slice(&len.to_le_bytes());
+        }
+        for &c in &self.cells[c0..c1] {
+            out.extend_from_slice(&c.0.to_le_bytes());
+        }
+        let crc = crc32(&out[start..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        crc
+    }
+
+    /// Fill the frozen columns from `bytes`, which must hold exactly one
+    /// block per epoch mark (as [`Self::encode_block`] writes them), in
+    /// order. Each block must pass its CRC and carry the stamp and counts
+    /// its mark implies. Every reservation is checked against the bytes
+    /// present first, so a crafted mark cannot over-allocate; any
+    /// inconsistency is an `Err`, never a panic.
+    pub(crate) fn decode_blocks(&mut self, bytes: &[u8]) -> Result<(), String> {
+        let (streams, cells) = self.epochs.last().map_or((0, 0), |m| (m.streams_end, m.cells_end));
+        let fits = streams
+            .checked_mul(20)
+            .zip(cells.checked_mul(4))
+            .and_then(|(a, b)| a.checked_add(b))
+            .is_some_and(|need| need <= bytes.len());
+        if !fits {
+            return Err(format!(
+                "{streams} frozen streams of {cells} cells do not fit in {} bytes",
+                bytes.len()
+            ));
+        }
+        self.ids.reserve(streams);
+        self.starts.reserve(streams);
+        self.offsets.reserve(streams + 1);
+        self.cells.reserve(cells);
+        if streams > 0 {
+            self.offsets.push(0);
+        }
+        let mut rest = bytes;
+        for i in 0..self.epochs.len() {
+            let want = self.block_header(i);
+            let Some(head) = rest.first_chunk::<BLOCK_HEADER_LEN>() else {
+                return Err(format!("epoch block {i} is truncated"));
+            };
+            let got = BlockHeader::parse(head);
+            if got != want {
+                return Err(format!("epoch block {i} is {got:?}, its mark says {want:?}"));
+            }
+            let len = want.block_len().and_then(|l| usize::try_from(l).ok());
+            let Some(block) = len.and_then(|len| rest.get(..len)) else {
+                return Err(format!("epoch block {i} is truncated"));
+            };
+            rest = &rest[block.len()..];
+            let (body, crc) = block.split_at(block.len() - 4);
+            if crc32(body) != le_u32(crc, 0) {
+                return Err(format!("epoch block {i} checksum mismatch"));
+            }
+            let n = want.streams as usize;
+            let (ids, body) = body[BLOCK_HEADER_LEN..].split_at(8 * n);
+            let (starts, body) = body.split_at(8 * n);
+            let (lens, cell_bytes) = body.split_at(4 * n);
+            self.ids.extend(ids.chunks_exact(8).map(|c| le_u64(c, 0)));
+            self.starts.extend(starts.chunks_exact(8).map(|c| le_u64(c, 0)));
+            let mut end = *self.offsets.last().expect("seeded above");
+            for len in lens.chunks_exact(4) {
+                let len = le_u32(len, 0) as usize;
+                if len == 0 {
+                    return Err(format!("epoch block {i} holds a stream of length 0"));
+                }
+                end = end.saturating_add(len);
+                self.offsets.push(end);
+            }
+            if end != self.epochs[i].cells_end {
+                return Err(format!(
+                    "stream lengths of epoch block {i} disagree with its cell count"
+                ));
+            }
+            self.cells.extend(cell_bytes.chunks_exact(4).map(|c| CellId(le_u32(c, 0))));
+        }
+        if !rest.is_empty() {
+            return Err(format!("{} trailing bytes after the last epoch block", rest.len()));
         }
         Ok(())
+    }
+}
+
+/// Bytes of the fixed fields opening every epoch block.
+pub(crate) const BLOCK_HEADER_LEN: usize = 24;
+
+/// The fixed fields opening an epoch block: the compaction's timestamp
+/// and how many streams and cells it froze.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockHeader {
+    pub(crate) epoch: u64,
+    pub(crate) streams: u64,
+    pub(crate) cells: u64,
+}
+
+impl BlockHeader {
+    /// Read the fields from a block's first bytes.
+    pub(crate) fn parse(bytes: &[u8; BLOCK_HEADER_LEN]) -> Self {
+        BlockHeader { epoch: le_u64(bytes, 0), streams: le_u64(bytes, 8), cells: le_u64(bytes, 16) }
+    }
+
+    /// Byte length of the whole block — fixed fields, columns and CRC —
+    /// or `None` if the counts overflow it.
+    pub(crate) fn block_len(&self) -> Option<u64> {
+        self.streams
+            .checked_mul(20)?
+            .checked_add(self.cells.checked_mul(4)?)?
+            .checked_add(BLOCK_HEADER_LEN as u64 + 4)
+    }
+}
+
+/// The frozen epochs of an engine's synthetic store, borrowed for a
+/// [`Checkpointer`](crate::wal::Checkpointer), which writes each epoch
+/// once to the WAL's frozen file instead of into every checkpoint (see
+/// [`StreamingEngine::checkpoint_by_ref`](crate::StreamingEngine::checkpoint_by_ref)).
+/// The default holds no epochs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FrozenEpochs<'a> {
+    store: Option<&'a FrozenStore>,
+}
+
+impl<'a> FrozenEpochs<'a> {
+    pub(crate) fn new(store: &'a FrozenStore) -> Self {
+        FrozenEpochs { store: Some(store) }
+    }
+
+    /// Number of epochs.
+    pub(crate) fn len(&self) -> usize {
+        self.store.map_or(0, |s| s.epochs.len())
+    }
+
+    /// The fixed fields of epoch `i`'s block.
+    pub(crate) fn header(&self, i: usize) -> BlockHeader {
+        self.store.expect("index within len()").block_header(i)
+    }
+
+    /// Append epoch `i`'s block to `out` and return its CRC.
+    pub(crate) fn encode_block(&self, i: usize, out: &mut Vec<u8>) -> u32 {
+        self.store.expect("index within len()").encode_block(i, out)
     }
 }
 
@@ -399,13 +556,60 @@ mod tests {
     fn huge_cell_count_is_an_error_not_an_abort() {
         let huge = 1usize << 62;
         let mut enc = Enc::default();
+        enc.usize(1); // one epoch mark
+        enc.u64(7); // its stamp
         enc.usize(1); // one frozen stream
-        enc.u64(7); // id
-        enc.u64(0); // start
-        enc.usize(huge); // its length
-        enc.usize(huge); // total cells, consistent with the length
+        enc.usize(huge); // of `huge` cells
         let mut frozen = FrozenStore::default();
-        let err = frozen.decode_from(&mut Dec::new(&enc.buf)).unwrap_err();
-        assert!(err.contains("unexpected end of data"), "{err}");
+        frozen.decode_from(&mut Dec::new(&enc.buf)).expect("the marks alone are consistent");
+        let err = frozen.decode_blocks(&[0u8; 64]).unwrap_err();
+        assert!(err.contains("do not fit"), "{err}");
+    }
+
+    /// Blocks round-trip through the one codec, and the decoder rejects
+    /// a block whose header disagrees with its mark or whose bytes were
+    /// flipped.
+    #[test]
+    fn epoch_blocks_round_trip_and_reject_damage() {
+        let grid = Grid::unit(4);
+        let mut store = build_store(&grid);
+        let mut spare = TailArena::default();
+        let mut scratch = Vec::new();
+        store.compact(4, &mut spare, &mut scratch);
+        let StreamStore { live, finished, tail, .. } = &mut store;
+        live.extend_row(0, grid.cell_at(1, 1), tail);
+        live.swap_remove_into(0, finished);
+        store.compact(5, &mut spare, &mut scratch);
+        let frozen = &store.frozen;
+        assert_eq!(frozen.epochs.len(), 2);
+
+        let mut marks = Enc::default();
+        frozen.encode_into(&mut marks);
+        assert_eq!(marks.buf.len(), frozen.encoded_len());
+        let mut blocks = Vec::new();
+        for i in 0..frozen.epochs.len() {
+            frozen.encode_block(i, &mut blocks);
+        }
+        assert_eq!(blocks.len(), frozen.blocks_len());
+
+        let decode = |blocks: &[u8]| {
+            let mut back = FrozenStore::default();
+            back.decode_from(&mut Dec::new(&marks.buf))?;
+            back.decode_blocks(blocks).map(|()| back)
+        };
+        let back = decode(&blocks).expect("round trip");
+        assert_eq!((&back.ids, &back.starts), (&frozen.ids, &frozen.starts));
+        assert_eq!((&back.offsets, &back.cells), (&frozen.offsets, &frozen.cells));
+        assert_eq!(back.epochs, frozen.epochs);
+
+        for offset in 0..blocks.len() {
+            let mut bad = blocks.clone();
+            bad[offset] ^= 0x04;
+            assert!(decode(&bad).is_err(), "flip at {offset} accepted");
+        }
+        assert!(decode(&blocks[..blocks.len() - 1]).is_err());
+        let mut longer = blocks.clone();
+        longer.push(0);
+        assert!(decode(&longer).is_err());
     }
 }

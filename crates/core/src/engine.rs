@@ -29,7 +29,7 @@
 use crate::allocation::{AllocationKind, Allocator};
 use crate::collect::CollectError;
 use crate::collect::CollectionPool;
-use crate::compact::CompactionStats;
+use crate::compact::{CompactionStats, FrozenEpochs};
 use crate::config::{Division, RetraSynConfig};
 use crate::dmu;
 use crate::model::GlobalMobilityModel;
@@ -315,14 +315,38 @@ impl RetraSyn {
         self.synthetic.resident_cells()
     }
 
-    /// Serialize the full mid-stream session state. Returns `None` once
-    /// the session has released (there is nothing left to checkpoint — a
-    /// recovery would have no streams to resume).
-    fn encode_checkpoint(&self) -> Option<Vec<u8>> {
+    /// Serialize the full mid-stream session state. With `inline_frozen`
+    /// the frozen epochs follow as blocks and the bytes stand alone;
+    /// without, the blocks are left out for the caller to persist apart
+    /// ([`StreamingEngine::checkpoint_by_ref`]). The buffer is sized once,
+    /// exactly. Returns `None` once the session has released (there is
+    /// nothing left to checkpoint — a recovery would have no streams to
+    /// resume).
+    fn encode_checkpoint(&self, inline_frozen: bool) -> Option<Vec<u8>> {
         if self.released {
             return None;
         }
-        let mut enc = Enc::default();
+        let freqs = self.model.freqs();
+        let (spends, reports) = (self.ledger.budget_spends(), self.ledger.user_reports());
+        let frozen = self.synthetic.frozen();
+        let len = 8
+            + 8
+            + 1
+            + 8
+            + 32
+            + 8
+            + 16 * self.report_slots.len()
+            + 8
+            + 8 * freqs.len()
+            + self.registry.encoded_len()
+            + self.allocator.encoded_len()
+            + 8
+            + 8 * spends.len()
+            + 8
+            + 16 * reports.len()
+            + self.synthetic.encoded_len()
+            + if inline_frozen { frozen.blocks_len() } else { 0 };
+        let mut enc = Enc { buf: Vec::with_capacity(len) };
         enc.u64(self.next_t);
         enc.u64(self.steps);
         match self.fixed_size {
@@ -338,39 +362,45 @@ impl RetraSyn {
         for word in self.rng.state() {
             enc.u64(word);
         }
-        let mut slots: Vec<(u64, u64)> = self.report_slots.iter().map(|(&u, &s)| (u, s)).collect();
-        slots.sort_unstable();
-        enc.usize(slots.len());
-        for (user, slot) in slots {
+        // A BTreeMap iterates in user order.
+        enc.usize(self.report_slots.len());
+        for (&user, &slot) in &self.report_slots {
             enc.u64(user);
             enc.u64(slot);
         }
-        let freqs = self.model.freqs();
         enc.usize(freqs.len());
         for &f in freqs {
             enc.f64(f);
         }
         self.registry.encode_into(&mut enc);
         self.allocator.encode_into(&mut enc);
-        let (per_ts_eps, reports) = self.ledger.export_state();
-        enc.usize(per_ts_eps.len());
-        for &e in &per_ts_eps {
+        enc.usize(spends.len());
+        for &e in spends {
             enc.f64(e);
         }
         enc.usize(reports.len());
-        for (user, t) in reports {
+        for &(user, t) in reports {
             enc.u64(user);
             enc.u64(t);
         }
         self.synthetic.encode_into(&mut enc);
+        if inline_frozen {
+            for i in 0..frozen.epochs.len() {
+                frozen.encode_block(i, &mut enc.buf);
+            }
+        }
+        debug_assert_eq!(enc.buf.len(), len, "checkpoint length is computed exactly");
         Some(enc.buf)
     }
 
-    /// Restore a session from [`Self::encode_checkpoint`] output. Every
-    /// structural invariant is validated; on `Err` the engine may hold
-    /// partially-restored state and the caller must [`StreamingEngine::reset`] before
-    /// reuse (recovery does).
-    fn decode_checkpoint(&mut self, payload: &[u8]) -> Result<(), String> {
+    /// Restore a session from [`Self::encode_checkpoint`] output: `blocks`
+    /// holds the frozen epoch blocks a by-reference checkpoint left out,
+    /// `None` reads them inline after the state. Every structural
+    /// invariant is validated and no reservation exceeds the bytes
+    /// present; on `Err` the engine may hold partially-restored state and
+    /// the caller must [`StreamingEngine::reset`] before reuse (recovery
+    /// does).
+    fn decode_checkpoint(&mut self, payload: &[u8], blocks: Option<&[u8]>) -> Result<(), String> {
         let mut dec = Dec::new(payload);
         let next_t = dec.u64()?;
         let steps = dec.u64()?;
@@ -382,7 +412,7 @@ impl RetraSyn {
         let fixed = dec.u64()?;
         let rng_state = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
         let slot_count = dec.usize()?;
-        let mut slots = Vec::with_capacity(slot_count.min(1 << 20));
+        let mut slots = Vec::with_capacity(slot_count.min(dec.remaining() / 16));
         for _ in 0..slot_count {
             let user = dec.u64()?;
             let slot = dec.u64()?;
@@ -403,19 +433,26 @@ impl RetraSyn {
         self.registry.decode_from(&mut dec)?;
         self.allocator.decode_from(&mut dec)?;
         let eps_count = dec.usize()?;
-        let mut per_ts_eps = Vec::with_capacity(eps_count.min(1 << 20));
+        let mut per_ts_eps = Vec::with_capacity(eps_count.min(dec.remaining() / 8));
         for _ in 0..eps_count {
             per_ts_eps.push(dec.f64()?);
         }
         let report_count = dec.usize()?;
-        let mut reports = Vec::with_capacity(report_count.min(1 << 20));
+        let mut reports = Vec::with_capacity(report_count.min(dec.remaining() / 16));
         for _ in 0..report_count {
             let user = dec.u64()?;
             let t = dec.u64()?;
             reports.push((user, t));
         }
         self.synthetic.decode_from(&mut dec)?;
-        dec.finish()?;
+        let blocks = match blocks {
+            Some(blocks) => {
+                dec.finish()?;
+                blocks
+            }
+            None => dec.rest(),
+        };
+        self.synthetic.frozen_mut().decode_blocks(blocks)?;
 
         self.next_t = next_t;
         self.steps = steps;
@@ -837,11 +874,20 @@ impl StreamingEngine for RetraSyn {
     }
 
     fn checkpoint_bytes(&self) -> Option<Vec<u8>> {
-        self.encode_checkpoint()
+        self.encode_checkpoint(true)
     }
 
     fn restore_checkpoint(&mut self, payload: &[u8]) -> Result<(), String> {
-        self.decode_checkpoint(payload)
+        self.decode_checkpoint(payload, None)
+    }
+
+    fn checkpoint_by_ref(&self) -> Option<(Vec<u8>, FrozenEpochs<'_>)> {
+        let state = self.encode_checkpoint(false)?;
+        Some((state, FrozenEpochs::new(self.synthetic.frozen())))
+    }
+
+    fn restore_checkpoint_by_ref(&mut self, state: &[u8], blocks: &[u8]) -> Result<(), String> {
+        self.decode_checkpoint(state, Some(blocks))
     }
 }
 

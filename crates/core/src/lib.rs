@@ -100,7 +100,7 @@ pub mod wal;
 pub use allocation::AllocationKind;
 pub use baselines::{BaselineKind, LdpIds, LdpIdsConfig};
 pub use collect::{CollectError, CollectionPool};
-pub use compact::{CompactionPolicy, CompactionStats};
+pub use compact::{CompactionPolicy, CompactionStats, FrozenEpochs};
 pub use config::{Division, RetraSynConfig};
 pub use engine::{RetraSyn, StepTimings, TimingReport};
 pub use ingest::{IngestPolicy, IngestStats, QuarantinedEvent, ValidatedSource};

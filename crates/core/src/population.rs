@@ -233,6 +233,12 @@ impl UserRegistry {
         }
     }
 
+    /// Byte length of [`Self::encode_into`] output.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let ring: usize = self.ring.iter().map(|r| 16 + 8 * r.users.len()).sum();
+        8 + 9 * self.seen + 8 + ring
+    }
+
     /// Restore from [`Self::encode_into`] output. Slots are reassigned in
     /// decode order; they are internal, so only ids reach the bytes.
     /// Untrusted counts never size an allocation beyond the bytes left,

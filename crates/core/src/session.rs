@@ -46,6 +46,7 @@
 //! assert_eq!(released.horizon(), gridded.horizon());
 //! ```
 
+use crate::compact::FrozenEpochs;
 use crate::pool::PoolError;
 use crate::store::SnapshotView;
 use crate::wal::{Recovery, WalError};
@@ -682,6 +683,28 @@ pub trait StreamingEngine {
     /// [`reset`](Self::reset) before relying on it (recovery does).
     fn restore_checkpoint(&mut self, _payload: &[u8]) -> Result<(), String> {
         Err("this engine does not support checkpoints".to_string())
+    }
+
+    /// [`checkpoint_bytes`](Self::checkpoint_bytes) with the frozen
+    /// compaction epochs held apart: the state without them, and the
+    /// epochs, which a [`Checkpointer`](crate::wal::Checkpointer) writes
+    /// once each to the WAL's frozen file and references from every later
+    /// sidecar. The default holds nothing apart: it returns
+    /// `checkpoint_bytes()` and no epochs.
+    fn checkpoint_by_ref(&self) -> Option<(Vec<u8>, FrozenEpochs<'_>)> {
+        self.checkpoint_bytes().map(|state| (state, FrozenEpochs::default()))
+    }
+
+    /// Restore state serialized by
+    /// [`checkpoint_by_ref`](Self::checkpoint_by_ref): `state`, and
+    /// `blocks`, the epoch blocks it held apart, in order. Same error
+    /// contract as [`restore_checkpoint`](Self::restore_checkpoint). The
+    /// default forwards to it and accepts no blocks.
+    fn restore_checkpoint_by_ref(&mut self, state: &[u8], blocks: &[u8]) -> Result<(), String> {
+        if !blocks.is_empty() {
+            return Err("this engine holds no frozen epochs apart".to_string());
+        }
+        self.restore_checkpoint(state)
     }
 
     /// Reconstruct the session recorded in the WAL at `wal_path`:

@@ -172,6 +172,11 @@ impl TailArena {
         }
     }
 
+    /// Byte length of [`Self::encode_into`] output.
+    pub(crate) fn encoded_len(&self) -> usize {
+        8 + 12 * self.len
+    }
+
     /// Rebuild from [`Self::encode_into`] output. Re-pushing in address
     /// order reproduces identical addresses. Each node's `prev` must point
     /// strictly backward (or be `NO_LINK`) — the invariant append-only
@@ -278,6 +283,11 @@ impl Columns {
         }
     }
 
+    /// Byte length of [`Self::encode_into`] output.
+    pub(crate) fn encoded_len(&self) -> usize {
+        8 + 32 * self.len()
+    }
+
     /// Rebuild from [`Self::encode_into`] output. Links are bounds-checked
     /// against `arena_len` so a decoded store can never walk outside its
     /// arena; lengths must be >= 1 (streams are never empty).
@@ -352,8 +362,10 @@ impl StreamStore {
         self.tail.len() + self.live.len() + self.finished.len()
     }
 
-    /// Serialize the whole store (checkpoint format): arena first so the
-    /// column decoders can bounds-check their links against it.
+    /// Serialize the store (checkpoint format): arena first so the
+    /// column decoders can bounds-check their links against it, then the
+    /// frozen region's epoch marks. The frozen cells are not written here:
+    /// they travel as epoch blocks (see [`FrozenStore::encode_block`]).
     pub(crate) fn encode_into(&self, enc: &mut Enc) {
         self.tail.encode_into(enc);
         self.live.encode_into(enc);
@@ -361,9 +373,18 @@ impl StreamStore {
         self.frozen.encode_into(enc);
     }
 
+    /// Byte length of [`Self::encode_into`] output.
+    pub(crate) fn encoded_len(&self) -> usize {
+        self.tail.encoded_len()
+            + self.live.encoded_len()
+            + self.finished.encoded_len()
+            + self.frozen.encoded_len()
+    }
+
     /// Rebuild from [`Self::encode_into`] output, reusing this store's
-    /// allocations. Any structural inconsistency is an `Err`, never a
-    /// panic.
+    /// allocations; the frozen region is left with its marks and no
+    /// streams until [`FrozenStore::decode_blocks`] fills it. Any
+    /// structural inconsistency is an `Err`, never a panic.
     pub(crate) fn decode_from(&mut self, dec: &mut Dec) -> Result<(), String> {
         self.tail.decode_from(dec)?;
         let arena_len = self.tail.len();

@@ -27,6 +27,7 @@
 //! and the Table-IV ablation: a fixed-size database initialized at random
 //! whose streams never terminate.
 
+use crate::compact::FrozenStore;
 use crate::model::GlobalMobilityModel;
 use crate::sampler::{sample_weighted, SamplerCache};
 use crate::store::{Columns, SnapshotView, StreamStore, TailArena};
@@ -147,20 +148,37 @@ impl SyntheticDb {
         self.initialized = false;
     }
 
-    /// Serialize the synthesis state for a checkpoint (counters + the full
-    /// stream store).
+    /// Serialize the synthesis state for a checkpoint: the counters and
+    /// the stream store, whose frozen epochs go out separately as blocks
+    /// (see [`Self::frozen`]).
     pub(crate) fn encode_into(&self, enc: &mut Enc) {
         enc.u64(self.next_id);
         enc.u8(self.initialized as u8);
         self.store.encode_into(enc);
     }
 
+    /// Byte length of [`Self::encode_into`] output.
+    pub(crate) fn encoded_len(&self) -> usize {
+        8 + 1 + self.store.encoded_len()
+    }
+
     /// Restore from [`Self::encode_into`] output, keeping the scratch
-    /// buffers.
+    /// buffers. The frozen region then needs its blocks
+    /// ([`FrozenStore::decode_blocks`] through [`Self::frozen_mut`]).
     pub(crate) fn decode_from(&mut self, dec: &mut Dec) -> Result<(), String> {
         self.next_id = dec.u64()?;
         self.initialized = dec.u8()? != 0;
         self.store.decode_from(dec)
+    }
+
+    /// The epoch-compacted region of the store.
+    pub(crate) fn frozen(&self) -> &FrozenStore {
+        &self.store.frozen
+    }
+
+    /// Mutable access to the epoch-compacted region, for a restore.
+    pub(crate) fn frozen_mut(&mut self) -> &mut FrozenStore {
+        &mut self.store.frozen
     }
 
     /// Per-cell occupancy of the live synthetic population (the real-time

@@ -22,6 +22,35 @@
 //! (Format 002 widened the cell operands from u16 to u32 so adaptive
 //! discretizations can exceed 65 535 cells; 001 logs are not readable.)
 //!
+//! Two files sit beside the log: the checkpoint sidecar `<wal>.ckpt` and
+//! the frozen-epoch file `<wal>.frozen` (see [Checkpoints](#checkpoints)):
+//!
+//! ```text
+//! sidecar: magic "RSCKPT02" (8) | fingerprint u64 | t u64 | len u64
+//!          | payload (len bytes) | crc32 u32
+//! payload: blocks u64 | frozen_len u64 | frozen_crc u32 | engine state
+//! frozen:  magic "RSFRZ001" (8) | fingerprint u64 | block*
+//! block:   epoch u64 | streams u64 | cells u64 | streams × id u64
+//!          | streams × start u64 | streams × length u32
+//!          | cells × cell u32 | crc32 u32
+//! ```
+//!
+//! The sidecar CRC covers every byte before it. The engine state is
+//! [`StreamingEngine::checkpoint_by_ref`]: the engine's whole mutable
+//! state, with the frozen region's epoch marks but without its cells. One
+//! block holds one compaction epoch (the streams it froze, oldest cell
+//! first) and its CRC covers the block. `blocks` and `frozen_len`
+//! reference the frozen file's first `frozen_len` bytes: the header and
+//! the first `blocks` blocks. `frozen_crc` is the CRC32 of that prefix
+//! with each block's CRC field left out. (Over the whole prefix it would
+//! bind nothing: a CRC appended to its data cancels the data out of the
+//! running register, so swapping a block for any other well-formed one
+//! of the same length would keep it.) All three are 0 when the checkpoint
+//! holds no epoch apart. The self-contained
+//! [`StreamingEngine::checkpoint_bytes`] are the same engine state with
+//! every block appended inline. Sidecars of format 01, which held the
+//! frozen cells themselves, are ignored by recovery (a full replay).
+//!
 //! The header CRC covers the magic and both fields; each record CRC covers
 //! the length prefix *and* the payload, so any single-bit corruption —
 //! including in the framing — is detected. The `fingerprint` is the
@@ -54,7 +83,8 @@
 //! Replay from t=0 is O(session length). A [`Checkpointer`] serializes
 //! the engine's full mutable state (store columns, model, ledger,
 //! registry, allocator, RNG) to an atomically replaced sidecar file every
-//! `k` timestamps. [`StreamingEngine::recover`] then reads only the
+//! `k` timestamps; the frozen compaction epochs go to the frozen file,
+//! once each. [`StreamingEngine::recover`] then reads only the
 //! 28-byte header, the checkpoint and the records after it: it hops over
 //! the 4-byte length prefixes of the records the checkpoint covers
 //! (no payload read, no CRC) and accepts the landing if it is the end of
@@ -74,22 +104,56 @@
 //! detected once a usable checkpoint covers it. The CRC-checked checkpoint
 //! *is* the session state for that prefix, so the recovered session is
 //! still the uninterrupted one; [`Recovery::truncated`] describes only the
-//! replayed records. [`WalWriter::create`] deletes any sidecar left by an
-//! earlier session at the same path, so a checkpoint always belongs to the
-//! log beside it.
+//! replayed records. [`WalWriter::create`] deletes any sidecar and frozen
+//! file left by an earlier session at the same path, so a checkpoint
+//! always belongs to the log beside it.
+//!
+//! Compacted history is written once, not into every checkpoint. Each
+//! [`Checkpointer::save`] first brings `<wal>.frozen` in line with the
+//! engine's epochs: it hops the blocks already there by their fixed
+//! fields (reading no columns), keeps them up to the first whose stamp
+//! and counts differ from the engine's epoch, cuts the file there, appends
+//! the engine's remaining epochs and syncs the file. Only then is the
+//! sidecar written to a temporary file, synced and renamed over the old
+//! one. Everything the save needs is read from the file itself, so no
+//! state goes stale across [`reset`](StreamingEngine::reset), a crash, a
+//! resumed session or a reused `Checkpointer`.
+//!
+//! Recovery reads exactly the referenced prefix of the frozen file. The
+//! checkpoint is rejected — `Ignored`, full replay, as for a corrupt
+//! sidecar — if the file is missing or shorter than the prefix, if its
+//! header names another session, if the prefix does not frame exactly
+//! `blocks` blocks or fails its CRC, or if a block fails its own CRC or
+//! disagrees with the epoch mark the engine state carries for it. Bytes
+//! past the prefix are ignored: a crash between the append and the rename
+//! leaves them, and the next save cuts or reuses them.
+//! [`WalWriter::reopen`] (and so [`Supervisor::resume`](crate::Supervisor::resume))
+//! keeps only the blocks stamped before the timestamp the log continues
+//! at: a later block may stem from records a host crash took from the log
+//! under a relaxed [`FsyncPolicy`].
 
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
+use crate::compact::{BlockHeader, FrozenEpochs, BLOCK_HEADER_LEN};
 use crate::session::{EventSource, StreamingEngine};
 use retrasyn_geo::{CellId, SpaceDescriptor, Topology, TransitionState, UserEvent};
 
 /// Magic bytes opening every WAL file.
 const WAL_MAGIC: &[u8; 8] = b"RSWAL002";
 /// Magic bytes opening every checkpoint sidecar.
-const CKPT_MAGIC: &[u8; 8] = b"RSCKPT01";
+const CKPT_MAGIC: &[u8; 8] = b"RSCKPT02";
+/// Sidecar fixed fields: magic + fingerprint + t + payload length.
+const CKPT_HEAD_LEN: usize = 8 + 8 + 8 + 8;
+/// Magic bytes opening every frozen-epoch file.
+const FROZEN_MAGIC: &[u8; 8] = b"RSFRZ001";
+/// Frozen-epoch file header: magic + fingerprint.
+const FROZEN_HEADER_LEN: usize = 8 + 8;
+/// A sidecar's reference to the frozen file: blocks u64 + length u64 +
+/// crc32 u32.
+const FROZEN_REF_LEN: usize = 8 + 8 + 4;
 /// Header: magic + seed + fingerprint + crc32.
 const HEADER_LEN: usize = 8 + 8 + 8 + 4;
 /// Fixed per-event encoding size: user u64 + tag u8 + two u32 operands.
@@ -160,16 +224,58 @@ fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
     !c
 }
 
+/// CRC32 of `a ‖ b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and
+/// `len_b = b.len()`, without reading either (zlib's `crc32_combine`).
+/// Running `crc_a` over `len_b` zero bytes is a linear map over GF(2); its
+/// 32×32 matrix for one zero byte is squared once per bit of `len_b`, so a
+/// file's checksum can chain the stored checksums of blocks it never
+/// reads.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    /// `mat` (column `i` is the image of bit `i`) applied to `vec`.
+    fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
+        let mut sum = 0;
+        let mut i = 0;
+        while vec != 0 {
+            if vec & 1 != 0 {
+                sum ^= mat[i];
+            }
+            vec >>= 1;
+            i += 1;
+        }
+        sum
+    }
+    fn square(mat: &[u32; 32]) -> [u32; 32] {
+        std::array::from_fn(|i| times(mat, mat[i]))
+    }
+    // One zero bit: shift right, folding the polynomial in on a carry.
+    let mut op: [u32; 32] =
+        std::array::from_fn(|i| if i == 0 { 0xEDB8_8320 } else { 1 << (i - 1) });
+    for _ in 0..3 {
+        op = square(&op);
+    }
+    let (mut crc, mut len) = (crc_a, len_b);
+    while len != 0 {
+        if len & 1 != 0 {
+            crc = times(&op, crc);
+        }
+        len >>= 1;
+        if len != 0 {
+            op = square(&op);
+        }
+    }
+    crc ^ crc_b
+}
+
 /// Little-endian `u32` at `off`. Callers bounds-check the enclosing
 /// region before decoding fixed fields, so this centralizes the
 /// fixed-width reads that would otherwise each carry a
 /// `try_into().expect(…)` on the recovery path.
-fn le_u32(bytes: &[u8], off: usize) -> u32 {
+pub(crate) fn le_u32(bytes: &[u8], off: usize) -> u32 {
     u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]])
 }
 
 /// Little-endian `u64` at `off`; same contract as [`le_u32`].
-fn le_u64(bytes: &[u8], off: usize) -> u64 {
+pub(crate) fn le_u64(bytes: &[u8], off: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&bytes[off..off + 8]);
     u64::from_le_bytes(b)
@@ -366,6 +472,13 @@ impl<'a> Dec<'a> {
         self.bytes.len() - self.pos
     }
 
+    /// Take every byte left.
+    pub(crate) fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.bytes[self.pos..];
+        self.pos = self.bytes.len();
+        rest
+    }
+
     /// Assert the payload was consumed exactly.
     pub(crate) fn finish(&self) -> Result<(), String> {
         if self.pos == self.bytes.len() {
@@ -451,10 +564,10 @@ pub struct WalWriter {
 impl WalWriter {
     /// Create (truncating) a WAL at `path` for a session identified by
     /// `(seed, fingerprint)`. The header is written and synced
-    /// immediately. A checkpoint sidecar (and its temporary file) left at
-    /// `path` by an earlier session is deleted first: recovery would
-    /// otherwise restore that session's state into this one whenever the
-    /// two fingerprints agree.
+    /// immediately. A checkpoint sidecar, its temporary file and the
+    /// frozen-epoch file left at `path` by an earlier session are deleted
+    /// first: recovery would otherwise restore that session's state into
+    /// this one whenever the two fingerprints agree.
     pub fn create(
         path: impl AsRef<Path>,
         seed: u64,
@@ -467,7 +580,7 @@ impl WalWriter {
         let path = path.as_ref().to_path_buf();
         let sidecar = Checkpointer::sidecar(&path);
         let mut removed = false;
-        for stale in [Checkpointer::temp(&sidecar), sidecar] {
+        for stale in [Checkpointer::temp(&sidecar), sidecar, Checkpointer::frozen_file(&path)] {
             match fs::remove_file(&stale) {
                 Ok(()) => removed = true,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -504,7 +617,9 @@ impl WalWriter {
     /// Reopen an existing WAL to continue appending after recovery. The
     /// torn/corrupt tail (everything past `contents.valid_len`) is
     /// truncated away and the writer positions at the end of the valid
-    /// prefix, expecting timestamp `contents.batches.len()` next.
+    /// prefix, expecting timestamp `contents.batches.len()` next. The
+    /// frozen-epoch file keeps only the epochs compacted before that
+    /// timestamp (see the [module docs](self)).
     pub fn reopen(
         contents: &WalContents,
         path: impl AsRef<Path>,
@@ -526,6 +641,7 @@ impl WalWriter {
         }
         let file = fs::OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(valid_len)?;
+        trim_frozen(&Checkpointer::frozen_file(path), next_t)?;
         let mut file = io::BufWriter::new(file);
         file.seek(SeekFrom::End(0))?;
         Ok(WalWriter {
@@ -976,10 +1092,13 @@ impl<S: EventSource> EventSource for WalSource<S> {
 
 /// Writes the engine's serialized state to an atomically replaced sidecar
 /// file (`<wal>.ckpt`) every `every` timestamps, bounding recovery replay
-/// to the last checkpoint interval.
+/// to the last checkpoint interval. Frozen compaction epochs are written
+/// once each to `<wal>.frozen` and referenced from the sidecar (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     path: PathBuf,
+    frozen: PathBuf,
     every: u64,
 }
 
@@ -988,13 +1107,21 @@ impl Checkpointer {
     /// timestamps (`every ≥ 1`) into the conventional sidecar path.
     pub fn new(wal_path: impl AsRef<Path>, every: u64) -> Self {
         assert!(every >= 1, "checkpoint interval must be >= 1");
-        Checkpointer { path: Self::sidecar(wal_path), every }
+        let wal_path = wal_path.as_ref();
+        Checkpointer { path: Self::sidecar(wal_path), frozen: Self::frozen_file(wal_path), every }
     }
 
     /// The conventional checkpoint sidecar path for a WAL: `<wal>.ckpt`.
     pub fn sidecar(wal_path: impl AsRef<Path>) -> PathBuf {
         let mut os = wal_path.as_ref().as_os_str().to_os_string();
         os.push(".ckpt");
+        PathBuf::from(os)
+    }
+
+    /// The frozen-epoch file beside a WAL: `<wal>.frozen`.
+    pub fn frozen_file(wal_path: impl AsRef<Path>) -> PathBuf {
+        let mut os = wal_path.as_ref().as_os_str().to_os_string();
+        os.push(".frozen");
         PathBuf::from(os)
     }
 
@@ -1023,31 +1150,293 @@ impl Checkpointer {
     }
 
     /// Save a checkpoint unconditionally (`false` only for engines
-    /// without checkpoint support). The sidecar is written to a temporary
-    /// file, synced, then renamed over the old checkpoint — a crash
-    /// mid-write leaves the previous checkpoint intact.
+    /// without checkpoint support). Epochs not yet in the frozen file are
+    /// appended to it and synced first. The sidecar is then written to a
+    /// temporary file, synced, and renamed over the old checkpoint — a
+    /// crash mid-write leaves the previous checkpoint intact.
     pub fn save<E: StreamingEngine + ?Sized>(&self, engine: &E) -> Result<bool, WalError> {
-        let Some(payload) = engine.checkpoint_bytes() else {
+        let Some((state, frozen)) = engine.checkpoint_by_ref() else {
             return Ok(false);
         };
-        let mut bytes = Vec::with_capacity(HEADER_LEN + 8 + payload.len() + 4);
-        bytes.extend_from_slice(CKPT_MAGIC);
-        bytes.extend_from_slice(&engine.fingerprint().to_le_bytes());
-        bytes.extend_from_slice(&engine.next_timestamp().to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        let fingerprint = engine.fingerprint();
+        let reference = self.persist_frozen(fingerprint, &frozen)?;
+        let mut head = [0u8; CKPT_HEAD_LEN + FROZEN_REF_LEN];
+        head[..8].copy_from_slice(CKPT_MAGIC);
+        head[8..16].copy_from_slice(&fingerprint.to_le_bytes());
+        head[16..24].copy_from_slice(&engine.next_timestamp().to_le_bytes());
+        head[24..32].copy_from_slice(&((FROZEN_REF_LEN + state.len()) as u64).to_le_bytes());
+        head[32..].copy_from_slice(&reference.to_bytes());
+        let crc = crc32_extend(crc32(&head), &state);
 
         let tmp = Self::temp(&self.path);
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
+            f.write_all(&head)?;
+            f.write_all(&state)?;
+            f.write_all(&crc.to_le_bytes())?;
             f.sync_data()?;
         }
         fs::rename(&tmp, &self.path)?;
         Ok(true)
     }
+
+    /// Bring the frozen file in line with the engine's epochs and return
+    /// the reference to it. The blocks already there are found by hopping
+    /// their fixed fields; the file is kept up to the first block that
+    /// disagrees with the engine's epoch, cut there (which also drops
+    /// unreferenced bytes a crash left after the last save), and the
+    /// engine's remaining epochs are appended and synced.
+    fn persist_frozen(
+        &self,
+        fingerprint: u64,
+        frozen: &FrozenEpochs<'_>,
+    ) -> Result<FrozenRef, WalError> {
+        let epochs = frozen.len();
+        if epochs == 0 {
+            return Ok(FrozenRef::default());
+        }
+        let mut file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&self.frozen)?;
+        let size = file.metadata()?.len();
+        let header = frozen_header(fingerprint);
+        let mut head = [0u8; FROZEN_HEADER_LEN];
+        let intact = size >= FROZEN_HEADER_LEN as u64 && {
+            file.read_exact(&mut head)?;
+            head == header
+        };
+        let (kept, mut end, mut crc) = if intact {
+            let start = (FROZEN_HEADER_LEN as u64, crc32(&header));
+            hop_blocks(&mut file, start, size, epochs, |i, h| *h == frozen.header(i))?
+        } else {
+            (0, 0, 0)
+        };
+        let dirty = end < size || kept < epochs;
+        if end < size {
+            file.set_len(end)?;
+        }
+        file.seek(SeekFrom::Start(end))?;
+        let created = end == 0;
+        if created {
+            file.write_all(&header)?;
+            (end, crc) = (FROZEN_HEADER_LEN as u64, crc32(&header));
+        }
+        let mut block = Vec::new();
+        for i in kept..epochs {
+            block.clear();
+            let stored = frozen.encode_block(i, &mut block);
+            file.write_all(&block)?;
+            let len = block.len() as u64;
+            crc = crc32_combine(crc, stored, len - 4);
+            end += len;
+        }
+        if dirty {
+            file.sync_data()?;
+        }
+        if created {
+            sync_parent_dir(&self.frozen)?;
+        }
+        Ok(FrozenRef { blocks: epochs as u64, len: end, crc })
+    }
+}
+
+/// The header of a frozen-epoch file for session `fingerprint`.
+fn frozen_header(fingerprint: u64) -> [u8; FROZEN_HEADER_LEN] {
+    let mut header = [0u8; FROZEN_HEADER_LEN];
+    header[..8].copy_from_slice(FROZEN_MAGIC);
+    header[8..].copy_from_slice(&fingerprint.to_le_bytes());
+    header
+}
+
+/// What a checkpoint stands on in the frozen file: its first `len` bytes,
+/// the header and `blocks` epoch blocks, and `crc`, the CRC32 of those
+/// bytes without the blocks' CRC fields (see the [module docs](self)).
+/// All zero when the checkpoint holds no epoch apart.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct FrozenRef {
+    blocks: u64,
+    len: u64,
+    crc: u32,
+}
+
+impl FrozenRef {
+    fn to_bytes(self) -> [u8; FROZEN_REF_LEN] {
+        let mut out = [0u8; FROZEN_REF_LEN];
+        out[..8].copy_from_slice(&self.blocks.to_le_bytes());
+        out[8..16].copy_from_slice(&self.len.to_le_bytes());
+        out[16..].copy_from_slice(&self.crc.to_le_bytes());
+        out
+    }
+
+    /// Split a sidecar payload into the reference and the engine state.
+    fn split(payload: &[u8]) -> Result<(FrozenRef, &[u8]), String> {
+        if payload.len() < FROZEN_REF_LEN {
+            return Err(format!(
+                "checkpoint payload of {} bytes has no frozen reference",
+                payload.len()
+            ));
+        }
+        let (head, state) = payload.split_at(FROZEN_REF_LEN);
+        let reference =
+            FrozenRef { blocks: le_u64(head, 0), len: le_u64(head, 8), crc: le_u32(head, 16) };
+        Ok((reference, state))
+    }
+}
+
+/// Walk the epoch blocks of a frozen file by their fixed fields alone,
+/// from `start = (offset, crc)`: the offset just past what is already
+/// walked and the reference CRC of the bytes before it. For each block
+/// the fixed fields and the stored CRC are read and the columns skipped;
+/// the stored CRC extends the reference CRC by [`crc32_combine`]. Stops
+/// after `max` blocks, before the first block `keep` rejects, or before
+/// one that runs past `end`; returns the blocks walked, the offset after
+/// them and the reference CRC up to it (see [`FrozenRef`]).
+fn hop_blocks<R: Read + Seek>(
+    src: &mut R,
+    start: (u64, u32),
+    end: u64,
+    max: usize,
+    mut keep: impl FnMut(usize, &BlockHeader) -> bool,
+) -> io::Result<(usize, u64, u32)> {
+    let (mut offset, mut crc) = start;
+    let mut fixed = [0u8; BLOCK_HEADER_LEN];
+    let mut stored = [0u8; 4];
+    src.seek(SeekFrom::Start(offset))?;
+    for i in 0..max {
+        if end - offset < BLOCK_HEADER_LEN as u64 {
+            return Ok((i, offset, crc));
+        }
+        src.read_exact(&mut fixed)?;
+        let header = BlockHeader::parse(&fixed);
+        let len = header.block_len().filter(|&len| len <= end - offset);
+        let Some(len) = len.filter(|_| keep(i, &header)) else {
+            return Ok((i, offset, crc));
+        };
+        src.seek(SeekFrom::Start(offset + len - 4))?;
+        src.read_exact(&mut stored)?;
+        crc = crc32_combine(crc, u32::from_le_bytes(stored), len - 4);
+        offset += len;
+    }
+    Ok((max, offset, crc))
+}
+
+/// Check `prefix`, a frozen file's first bytes in memory, against the
+/// `reference` a checkpoint of session `fingerprint` made to it and return
+/// its epoch blocks: the header must name the session, `reference.blocks`
+/// whole blocks must end exactly at the end of the prefix, and the CRC
+/// chained from their stored CRCs must match. The engine then decodes
+/// each block, checking its stored CRC against its bytes and its fixed
+/// fields against its epoch mark.
+fn frozen_blocks(prefix: &[u8], fingerprint: u64, reference: FrozenRef) -> Result<&[u8], String> {
+    if reference.blocks == 0 {
+        return match reference == FrozenRef::default() && prefix.is_empty() {
+            true => Ok(&[]),
+            false => Err("a reference to no epoch block must be empty".to_string()),
+        };
+    }
+    if prefix.len() as u64 != reference.len {
+        return Err(format!(
+            "prefix is {} bytes, the checkpoint references {}",
+            prefix.len(),
+            reference.len
+        ));
+    }
+    let header = frozen_header(fingerprint);
+    match prefix.get(..FROZEN_HEADER_LEN) {
+        Some(head) if head == header => {}
+        Some(head) if head[..8] == FROZEN_MAGIC[..] => {
+            return Err(format!(
+                "fingerprint {:#018x} does not match session {fingerprint:#018x}",
+                le_u64(head, 8)
+            ));
+        }
+        _ => return Err("bad magic".to_string()),
+    }
+    let blocks = usize::try_from(reference.blocks).unwrap_or(usize::MAX);
+    let start = (FROZEN_HEADER_LEN as u64, crc32(&header));
+    let (walked, end, crc) =
+        hop_blocks(&mut io::Cursor::new(prefix), start, reference.len, blocks, |_, _| true)
+            .map_err(|e| e.to_string())?;
+    if walked != blocks || end != reference.len {
+        return Err(format!(
+            "the checkpoint references {} blocks in {} bytes, the file frames {walked} in {end}",
+            reference.blocks, reference.len
+        ));
+    }
+    if crc != reference.crc {
+        return Err("checksum of the referenced prefix mismatch".to_string());
+    }
+    Ok(&prefix[FROZEN_HEADER_LEN..])
+}
+
+/// The first `reference.len` bytes of the frozen file at `path`, or
+/// nothing when the reference names no block. A missing or shorter file
+/// is an `Err`; the length read is bounded by the file's size.
+fn load_frozen(path: &Path, reference: FrozenRef) -> Result<Vec<u8>, String> {
+    if reference.blocks == 0 {
+        return Ok(Vec::new());
+    }
+    let file = fs::File::open(path).map_err(|e| e.to_string())?;
+    let size = file.metadata().map_err(|e| e.to_string())?.len();
+    if size < reference.len {
+        return Err(format!("file is {size} bytes, the checkpoint references {}", reference.len));
+    }
+    let mut prefix = Vec::with_capacity(usize::try_from(reference.len).map_err(|e| e.to_string())?);
+    file.take(reference.len).read_to_end(&mut prefix).map_err(|e| e.to_string())?;
+    if prefix.len() as u64 != reference.len {
+        return Err("file shrank while being read".to_string());
+    }
+    Ok(prefix)
+}
+
+/// Restore `engine` from a sidecar `payload`: the frozen reference, then
+/// the engine state with the epoch blocks the reference names, read from
+/// the frozen file at `frozen`.
+fn restore_sidecar<E: StreamingEngine + ?Sized>(
+    engine: &mut E,
+    payload: &[u8],
+    frozen: &Path,
+) -> Result<(), String> {
+    let (reference, state) = FrozenRef::split(payload)?;
+    let in_file = |e: String| format!("frozen epochs {}: {e}", frozen.display());
+    let prefix = load_frozen(frozen, reference).map_err(in_file)?;
+    let blocks = frozen_blocks(&prefix, engine.fingerprint(), reference).map_err(in_file)?;
+    engine.restore_checkpoint_by_ref(state, blocks)
+}
+
+/// Cut the frozen file at `path` back to the epoch blocks stamped before
+/// `next_t`, the timestamp a reopened WAL continues at. Those blocks were
+/// compacted from records the log still holds. A later one may come from
+/// records a host crash took from the log, and the continued session
+/// could freeze different streams under the same stamp and counts. A file
+/// whose magic is wrong is emptied.
+fn trim_frozen(path: &Path, next_t: u64) -> Result<(), WalError> {
+    let mut file = match fs::OpenOptions::new().read(true).write(true).open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e.into()),
+    };
+    let size = file.metadata()?.len();
+    let mut head = [0u8; FROZEN_HEADER_LEN];
+    let intact = size >= FROZEN_HEADER_LEN as u64 && {
+        file.read_exact(&mut head)?;
+        head[..8] == FROZEN_MAGIC[..]
+    };
+    let end = match intact {
+        true => {
+            let start = (FROZEN_HEADER_LEN as u64, 0);
+            hop_blocks(&mut file, start, size, usize::MAX, |_, h| h.epoch < next_t)?.1
+        }
+        false => 0,
+    };
+    if end < size {
+        file.set_len(end)?;
+        file.sync_data()?;
+    }
+    Ok(())
 }
 
 /// Load and validate a checkpoint sidecar. `Ok(None)` if the file does
@@ -1068,16 +1457,16 @@ pub(crate) fn load_checkpoint(
         detail: format!("checkpoint {}: {detail}", path.display()),
     };
     let size = file.metadata()?.len();
-    if size < 32 + 4 {
+    if size < CKPT_HEAD_LEN as u64 + 4 {
         return Err(corrupt(size, "file shorter than fixed fields".to_string()));
     }
-    let mut head = [0u8; 32];
+    let mut head = [0u8; CKPT_HEAD_LEN];
     file.read_exact(&mut head)?;
     if &head[..8] != CKPT_MAGIC {
         return Err(corrupt(0, format!("bad magic {:02x?}", &head[..8])));
     }
     let payload_len = le_u64(&head, 24);
-    if size - 32 - 4 != payload_len {
+    if size - CKPT_HEAD_LEN as u64 - 4 != payload_len {
         return Err(corrupt(
             24,
             format!("payload length field {payload_len} disagrees with file size"),
@@ -1244,7 +1633,8 @@ pub(crate) fn recover_wal<E: StreamingEngine + ?Sized>(
         });
     }
     engine.reset();
-    let result = restore_and_replay(engine, &mut wal, &Checkpointer::sidecar(wal_path));
+    let files = (Checkpointer::sidecar(wal_path), Checkpointer::frozen_file(wal_path));
+    let result = restore_and_replay(engine, &mut wal, &files);
     if result.is_err() {
         engine.reset();
     }
@@ -1262,7 +1652,7 @@ pub(crate) fn recover_wal<E: StreamingEngine + ?Sized>(
 fn restore_and_replay<E: StreamingEngine + ?Sized>(
     engine: &mut E,
     wal: &mut WalFile,
-    sidecar: &Path,
+    (sidecar, frozen): &(PathBuf, PathBuf),
 ) -> Result<(Recovery, u64), WalError> {
     let mut checkpoint = CheckpointUse::None;
     // Set when the WAL could not be followed to the checkpoint's
@@ -1273,7 +1663,7 @@ fn restore_and_replay<E: StreamingEngine + ?Sized>(
         Err(e) => checkpoint = CheckpointUse::Ignored { reason: e.to_string() },
         Ok(Some((t, payload))) => match wal.hop(t)? {
             None => unreached = Some(t),
-            Some(at) => match engine.restore_checkpoint(&payload) {
+            Some(at) => match restore_sidecar(engine, &payload, frozen) {
                 // A partial restore may have touched state: start over
                 // from a clean reset and replay everything.
                 Err(reason) => {
@@ -1381,6 +1771,16 @@ mod tests {
             for end in start..data.len() {
                 assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]), "{start}..{end}");
             }
+        }
+    }
+
+    #[test]
+    fn crc32_combine_matches_crc_of_concatenation() {
+        let data: Vec<u8> =
+            (0..600u32).map(|i| (i.wrapping_mul(2_246_822_519) >> 11) as u8).collect();
+        for split in [0, 1, 7, 8, 9, 255, 256, 300, 599, 600] {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), crc32(&data), "{split}");
         }
     }
 
@@ -1558,5 +1958,93 @@ mod tests {
             assert!(load_checkpoint(&ckpt, 9).is_err(), "flip at {offset} accepted");
         }
         let _ = fs::remove_file(&ckpt);
+    }
+
+    /// A small compacting session's engine, stepped `steps` times.
+    fn compacted_engine(steps: u64) -> crate::RetraSyn {
+        use rand::SeedableRng;
+        let grid = retrasyn_geo::Grid::unit(4);
+        let gridded = retrasyn_datagen::RandomWalkConfig {
+            users: 30,
+            timestamps: steps,
+            churn: 0.15,
+            ..Default::default()
+        }
+        .generate(&mut rand::rngs::StdRng::seed_from_u64(3))
+        .discretize(&grid);
+        let config = crate::RetraSynConfig::new(1.0, 4).with_lambda(6.0).with_compaction(120);
+        let mut engine = crate::RetraSyn::population_division(config, grid, 5);
+        let mut source = crate::TimelineSource::from_gridded(&gridded);
+        while let Some(batch) = source.next_batch() {
+            engine.step(engine.next_timestamp(), batch);
+        }
+        assert!(steps < 20 || engine.compaction_stats().runs >= 2, "the session compacts");
+        engine
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes inside valid CRC framing — an epoch block whose
+        /// fixed fields match its mark, a frozen-file prefix whose CRC the
+        /// reference vouches for, a sidecar payload, and a real checkpoint
+        /// with an arbitrary tail — are always an `Err`: never a panic,
+        /// never an allocation the bytes cannot back.
+        #[test]
+        fn decoders_reject_arbitrary_payloads_in_valid_framing(
+            body in proptest::prop::collection::vec(0u8..=255, 0..160),
+            shape in (0u64..4, 0u64..12, 0u64..1000),
+            exact in 0u8..2,
+            cut in 0usize..100_000,
+        ) {
+            use crate::compact::{FrozenStore, BLOCK_HEADER_LEN};
+            let (streams, extra, epoch) = shape;
+            let cells = streams + extra;
+
+            // The block decoder, behind a matching mark.
+            let mut marks = Enc::default();
+            marks.usize(1);
+            marks.u64(epoch);
+            marks.usize(streams as usize);
+            marks.usize(cells as usize);
+            let mut block = Vec::new();
+            for v in [epoch, streams, cells] {
+                block.extend_from_slice(&v.to_le_bytes());
+            }
+            block.extend_from_slice(&body);
+            if exact == 1 {
+                block.resize(BLOCK_HEADER_LEN + (20 * streams + 4 * cells) as usize, 0x5A);
+            }
+            let crc = crc32(&block);
+            block.extend_from_slice(&crc.to_le_bytes());
+            let mut store = FrozenStore::default();
+            let decoded = store
+                .decode_from(&mut Dec::new(&marks.buf))
+                .and_then(|()| store.decode_blocks(&block));
+            proptest::prop_assert!(decoded.is_err());
+
+            // The frozen-file prefix reader.
+            let mut prefix = frozen_header(9).to_vec();
+            prefix.extend_from_slice(&body);
+            let reference = FrozenRef {
+                blocks: 1 + u64::from(exact),
+                len: prefix.len() as u64,
+                crc: crc32(&prefix),
+            };
+            proptest::prop_assert!(frozen_blocks(&prefix, 9, reference).is_err());
+
+            // The checkpoint decoder: an arbitrary sidecar payload (no
+            // frozen reference), and a real checkpoint cut at `cut` with
+            // `body` as its tail.
+            let mut engine = compacted_engine(1);
+            let mut payload = FrozenRef::default().to_bytes().to_vec();
+            payload.extend_from_slice(&body);
+            proptest::prop_assert!(restore_sidecar(&mut engine, &payload, Path::new("")).is_err());
+            let real = compacted_engine(24).checkpoint_bytes().expect("engine checkpoints");
+            let mut spliced = real[..cut % real.len()].to_vec();
+            spliced.extend_from_slice(&body);
+            proptest::prop_assume!(spliced != real);
+            proptest::prop_assert!(engine.restore_checkpoint(&spliced).is_err());
+            let (state, blocks) = spliced.split_at(spliced.len().min(cut % 997));
+            proptest::prop_assert!(engine.restore_checkpoint_by_ref(state, blocks).is_err());
+        }
     }
 }

@@ -67,7 +67,8 @@ const EPS_TOLERANCE: f64 = 1e-9;
 /// structure to look up or grow on the engine's hot path. The log is
 /// sorted by `(user, t)` only where order matters — in [`Self::verify`]
 /// and [`Self::export_state`], which sort a copy — so reported violations
-/// and exported state never depend on recording order.
+/// and exported state never depend on recording order. Checkpoints borrow
+/// the log in recording order instead ([`Self::user_reports`]).
 #[derive(Debug, Clone)]
 pub struct WEventLedger {
     eps_total: f64,
@@ -196,6 +197,18 @@ impl WEventLedger {
         let mut reports = self.user_reports.clone();
         reports.sort_unstable();
         (self.per_ts_eps.clone(), reports)
+    }
+
+    /// The budget-division spend column (index = timestamp), borrowed.
+    pub fn budget_spends(&self) -> &[f64] {
+        &self.per_ts_eps
+    }
+
+    /// Every population-division `(user, t)` report, borrowed, in
+    /// recording order — deterministic for a deterministic session, and
+    /// restored as is by [`Self::import_state`].
+    pub fn user_reports(&self) -> &[(u64, u64)] {
+        &self.user_reports
     }
 
     /// Replace the recorded state with a previously exported one

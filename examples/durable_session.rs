@@ -13,6 +13,10 @@
 //! cargo run --release --example durable_session -- --recover /tmp/demo.wal
 //! # release-hash printed by --recover equals the uninterrupted run's.
 //! ```
+//!
+//! The session compacts (a 4 000-cell mark), so its checkpoints reference
+//! frozen epochs in `<wal>.frozen`; damaging that file makes `--recover`
+//! ignore the checkpoint and replay the whole log to the same hash.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +37,7 @@ fn dataset() -> GriddedDataset {
 }
 
 fn engine() -> RetraSyn {
-    let config = RetraSynConfig::new(1.0, 10).with_lambda(12.0).with_compaction(50_000);
+    let config = RetraSynConfig::new(1.0, 10).with_lambda(12.0).with_compaction(4_000);
     RetraSyn::population_division(config, Grid::unit(6), SEED)
 }
 
@@ -182,6 +186,7 @@ fn demo() {
 
     let _ = std::fs::remove_file(&wal);
     let _ = std::fs::remove_file(Checkpointer::sidecar(&wal));
+    let _ = std::fs::remove_file(Checkpointer::frozen_file(&wal));
 }
 
 fn main() {
