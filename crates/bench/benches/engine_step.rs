@@ -6,14 +6,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_core::{Division, RetraSyn, RetraSynConfig, StreamingEngine};
 use retrasyn_datagen::RandomWalkConfig;
-use retrasyn_geo::{EventTimeline, Grid};
+use retrasyn_geo::{EventTimeline, UniformGrid};
 use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_engine_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_full_run_per_ts");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
-    let grid = Grid::unit(6);
+    let grid = UniformGrid::unit(6);
     for users in [500usize, 2000] {
         let ds = RandomWalkConfig { users, timestamps: 30, ..Default::default() }
             .generate(&mut StdRng::seed_from_u64(1));

@@ -5,13 +5,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_datagen::RandomWalkConfig;
-use retrasyn_geo::{Grid, GriddedDataset, TransitionTable};
+use retrasyn_geo::{GriddedDataset, TransitionTable, UniformGrid};
 use retrasyn_metrics::{divergence, MetricSuite, SuiteConfig};
 use std::hint::black_box;
 use std::time::Duration;
 
 fn fixtures() -> (GriddedDataset, GriddedDataset) {
-    let grid = Grid::unit(6);
+    let grid = UniformGrid::unit(6);
     let a = RandomWalkConfig { users: 800, timestamps: 60, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(1))
         .discretize(&grid);

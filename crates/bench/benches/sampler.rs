@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_core::sampler::{sample_weighted, AliasTable, SamplerCache};
 use retrasyn_core::GlobalMobilityModel;
-use retrasyn_geo::{Grid, TransitionTable};
+use retrasyn_geo::{TransitionTable, UniformGrid};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -42,13 +42,13 @@ fn bench_cached_model_draw(c: &mut Criterion) {
     // alias path vs the allocating scan path the seed used.
     let mut group = c.benchmark_group("model_move_draw_grid32");
     group.sample_size(20).measurement_time(Duration::from_millis(700));
-    let grid = Grid::unit(32);
+    let grid = UniformGrid::unit(32);
     let table = TransitionTable::new(&grid);
     let mut model = GlobalMobilityModel::new(table.len());
     model.replace_all(&informed_freqs(&table));
     model.rebuild_samplers(&table);
     let cache = model.sampler().unwrap().clone();
-    let cells: Vec<_> = grid.cells().collect();
+    let cells: Vec<_> = table.topology().cells().collect();
     {
         let mut rng = StdRng::seed_from_u64(2);
         let mut i = 0usize;
@@ -79,7 +79,7 @@ fn bench_rebuild(c: &mut Criterion) {
     // that touched ~3% of the transitions.
     let mut group = c.benchmark_group("sampler_rebuild_grid32");
     group.sample_size(15).measurement_time(Duration::from_millis(700));
-    let grid = Grid::unit(32);
+    let grid = UniformGrid::unit(32);
     let table = TransitionTable::new(&grid);
     let freqs = informed_freqs(&table);
     group.bench_function("full_build", |b| {

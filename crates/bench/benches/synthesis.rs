@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_core::{GlobalMobilityModel, SyntheticDb};
-use retrasyn_geo::{Grid, TransitionTable};
+use retrasyn_geo::{TransitionTable, UniformGrid};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -29,7 +29,7 @@ fn informed_model_uncached(table: &TransitionTable) -> GlobalMobilityModel {
 fn bench_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("synthesis_step");
     group.sample_size(10).measurement_time(Duration::from_millis(900));
-    let grid = Grid::unit(6);
+    let grid = UniformGrid::unit(6);
     let table = TransitionTable::new(&grid);
     let model = informed_model(&table);
     for population in [1000usize, 5000, 20_000] {
@@ -215,7 +215,7 @@ fn bench_step_100k_grid32(c: &mut Criterion) {
     // step isolates sampling cost from the amortized growth reallocation.
     let mut group = c.benchmark_group("synthesis_step_100k_grid32");
     group.sample_size(10).measurement_time(Duration::from_millis(1500));
-    let grid = Grid::unit(32);
+    let grid = UniformGrid::unit(32);
     let table = TransitionTable::new(&grid);
     let population = 100_000usize;
     // Warm five steps (trajectory length 6, capacity 8), then measure two
@@ -353,7 +353,7 @@ fn bench_size_adjustment(c: &mut Criterion) {
     // the Efraimidis–Spirakis victim cut, then extension).
     let mut group = c.benchmark_group("synthesis_size_swing_5000");
     group.sample_size(10).measurement_time(Duration::from_millis(900));
-    let grid = Grid::unit(6);
+    let grid = UniformGrid::unit(6);
     let table = TransitionTable::new(&grid);
     let model = informed_model(&table);
     group.bench_function("shrink_20pct", |b| {

@@ -14,12 +14,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retrasyn_core::sampler::SamplerCache;
 use retrasyn_core::GlobalMobilityModel;
-use retrasyn_geo::{BoundingBox, CellId, Grid, Point, QuadGrid, Space, Topology, TransitionTable};
+use retrasyn_geo::{
+    BoundingBox, CellId, Point, QuadGrid, Space, Topology, TransitionTable, UniformGrid,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
 /// Grid side; 32×32 = 1024 cells, the paper's default granularity.
-const K: u16 = 32;
+const K: u32 = 32;
 
 fn informed_freqs(len: usize) -> Vec<f64> {
     (0..len).map(|i| ((i % 13) as f64 + 1.0) * 1e-3).collect()
@@ -30,7 +32,7 @@ fn cached_sampler(topology: &Topology) -> (TransitionTable, SamplerCache) {
     let mut model = GlobalMobilityModel::new(table.len());
     model.replace_all(&informed_freqs(table.len()));
     model.rebuild_samplers(&table);
-    let cache = model.sampler().expect("cache built").as_ref().clone();
+    let cache = model.sampler().expect("cache built").clone();
     (table, cache)
 }
 
@@ -164,7 +166,7 @@ fn bench_sampler_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("topology_sampler_step");
     group.sample_size(20).measurement_time(Duration::from_millis(700));
 
-    let uniform = Grid::unit(K).compile();
+    let uniform = UniformGrid::unit(K).compile();
     let (table, cache) = cached_sampler(&uniform);
     let heads = head_column(&uniform, 4096);
     {
@@ -213,7 +215,7 @@ fn bench_point_lookup(c: &mut Criterion) {
     let points: Vec<Point> = (0..4096)
         .map(|_| Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
         .collect();
-    let uniform = Grid::unit(K).compile();
+    let uniform = UniformGrid::unit(K).compile();
     {
         let mut i = 0usize;
         group.bench_function("uniform", |b| {

@@ -6,7 +6,7 @@
 
 use retrasyn_bench::{output, runner, Args, Cell, DatasetKind, MethodSpec, Params};
 use retrasyn_core::{AllocationKind, Division};
-use retrasyn_geo::Grid;
+use retrasyn_geo::UniformGrid;
 use retrasyn_metrics::SuiteConfig;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     ];
     for kind in [DatasetKind::TDrive, DatasetKind::Oldenburg] {
         let ds = kind.generate(params.scale, params.seed);
-        let orig = ds.discretize(&Grid::unit(params.k));
+        let orig = ds.discretize(&UniformGrid::unit(params.k));
         let suite = SuiteConfig {
             phi: params.phi,
             num_queries: params.workload,

@@ -4,7 +4,7 @@
 //! Usage: `cargo run -p retrasyn-bench --release --bin fig4 -- --scale 0.05`
 
 use retrasyn_bench::{output, runner, Args, Cell, DatasetKind, MethodSpec, Params};
-use retrasyn_geo::Grid;
+use retrasyn_geo::UniformGrid;
 use retrasyn_metrics::SuiteConfig;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
     let points: Vec<String> = Params::W_RANGE.iter().map(|w| w.to_string()).collect();
     for kind in [DatasetKind::TDrive, DatasetKind::Oldenburg] {
         let ds = kind.generate(params.scale, params.seed);
-        let orig = ds.discretize(&Grid::unit(params.k));
+        let orig = ds.discretize(&UniformGrid::unit(params.k));
         let suite = SuiteConfig {
             phi: params.phi,
             num_queries: params.workload,

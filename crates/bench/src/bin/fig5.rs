@@ -4,7 +4,7 @@
 //! Usage: `cargo run -p retrasyn-bench --release --bin fig5 -- --scale 0.05`
 
 use retrasyn_bench::{output, runner, Args, DatasetKind, MethodSpec, Params};
-use retrasyn_geo::Grid;
+use retrasyn_geo::UniformGrid;
 use retrasyn_metrics::SuiteConfig;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     let points: Vec<String> = Params::PHI_RANGE.iter().map(|p| p.to_string()).collect();
     for kind in [DatasetKind::TDrive, DatasetKind::Oldenburg] {
         let ds = kind.generate(params.scale, params.seed);
-        let orig = ds.discretize(&Grid::unit(params.k));
+        let orig = ds.discretize(&UniformGrid::unit(params.k));
         // The synthetic databases do not depend on φ, so run each method
         // once and evaluate under every φ.
         let runs: Vec<(String, retrasyn_geo::GriddedDataset)> = methods

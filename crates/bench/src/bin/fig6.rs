@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_bench::{output, Args, DatasetKind, MethodSpec, Params};
 use retrasyn_core::Division;
-use retrasyn_geo::{BoundingBox, Grid};
+use retrasyn_geo::{BoundingBox, UniformGrid};
 use retrasyn_metrics::query;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
             let mut runtime_row = Vec::with_capacity(points.len());
             for &k in &Params::K_RANGE {
                 // Re-discretize the same raw data at each granularity.
-                let orig = ds.discretize(&Grid::unit(k));
+                let orig = ds.discretize(&UniformGrid::unit(k));
                 let start = std::time::Instant::now();
                 let (syn, _) = spec.run(&orig, params.eps, params.w, params.seed);
                 let elapsed = start.elapsed().as_secs_f64();

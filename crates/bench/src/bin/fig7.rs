@@ -6,7 +6,7 @@
 
 use retrasyn_bench::{output, Args, DatasetKind, MethodSpec, Params};
 use retrasyn_core::Division;
-use retrasyn_geo::Grid;
+use retrasyn_geo::UniformGrid;
 
 fn main() {
     let args = Args::from_env();
@@ -19,7 +19,7 @@ fn main() {
         Params::SIZE_RANGE.iter().map(|f| format!("{:.0}%", f * 100.0)).collect();
     for kind in DatasetKind::ALL {
         let ds = kind.generate(params.scale, params.seed);
-        let grid = Grid::unit(params.k);
+        let grid = UniformGrid::unit(params.k);
         let mut rows: Vec<Vec<f64>> = Vec::new();
         let mut series: Vec<String> = Vec::new();
         for division in [Division::Budget, Division::Population] {

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_bench::Args;
-use retrasyn_geo::{Grid, TransitionTable};
+use retrasyn_geo::{TransitionTable, UniformGrid};
 use retrasyn_ldp::{FrequencyOracle, Grr, Oue, ReportMode};
 
 fn mean_abs_error<O: FrequencyOracle>(
@@ -38,8 +38,8 @@ fn main() {
     println!();
     println!("| K | domain | eps | OUE mean abs err | GRR mean abs err | GRR/OUE |");
     println!("|---:|---:|---:|---:|---:|---:|");
-    for k in [2u16, 6, 10, 18] {
-        let table = TransitionTable::new(&Grid::unit(k));
+    for k in [2u32, 6, 10, 18] {
+        let table = TransitionTable::new(&UniformGrid::unit(k));
         let domain = table.len();
         // Skewed truth: Zipf-like over the domain.
         let values: Vec<usize> = (0..n).map(|i| (i * i + 3 * i) % domain).collect();

@@ -4,7 +4,6 @@
 //! Usage: `cargo run -p retrasyn-bench --release --bin table1 -- --scale 0.05`
 
 use retrasyn_bench::{Args, DatasetKind, Params};
-use retrasyn_geo::Grid;
 
 fn main() {
     let args = Args::from_env();
@@ -15,7 +14,7 @@ fn main() {
     println!("|---|---:|---:|---:|---:|");
     for kind in DatasetKind::ALL {
         let ds = kind.generate(params.scale, params.seed);
-        let stats = ds.stats(&Grid::unit(params.k));
+        let stats = ds.stats();
         println!(
             "| {} | {} | {} | {:.2} | {} |",
             kind.name(),

@@ -8,7 +8,7 @@
 //! single dataset can be selected with `--dataset`.
 
 use retrasyn_bench::{output, runner, Args, Cell, DatasetKind, MethodSpec, Params};
-use retrasyn_geo::Grid;
+use retrasyn_geo::UniformGrid;
 use retrasyn_metrics::SuiteConfig;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     );
     for kind in datasets {
         let ds = kind.generate(params.scale, params.seed);
-        let grid = Grid::unit(params.k);
+        let grid = UniformGrid::unit(params.k);
         let orig = ds.discretize(&grid);
         let suite = SuiteConfig {
             phi: params.phi,

@@ -7,7 +7,7 @@
 use retrasyn_bench::output::micros;
 use retrasyn_bench::{Args, DatasetKind, MethodSpec, Params};
 use retrasyn_core::Division;
-use retrasyn_geo::Grid;
+use retrasyn_geo::UniformGrid;
 
 fn main() {
     let args = Args::from_env();
@@ -22,7 +22,7 @@ fn main() {
     let mut rows: Vec<[f64; 3]> = vec![[0.0; 3]; 5];
     for (col, kind) in DatasetKind::ALL.iter().enumerate() {
         let ds = kind.generate(params.scale, params.seed);
-        let orig = ds.discretize(&Grid::unit(params.k));
+        let orig = ds.discretize(&UniformGrid::unit(params.k));
         let spec = MethodSpec::retrasyn(Division::Population);
         let (_syn, timings) = spec.run(&orig, params.eps, params.w, params.seed);
         let t = timings.expect("RetraSyn reports timings");

@@ -68,7 +68,6 @@ impl DatasetKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::Grid;
 
     #[test]
     fn parse_names() {
@@ -82,7 +81,7 @@ mod tests {
     fn tiny_generation_works_for_all() {
         for kind in DatasetKind::ALL {
             let ds = kind.generate(0.002, 1);
-            let stats = ds.stats(&Grid::unit(6));
+            let stats = ds.stats();
             assert!(stats.streams > 0, "{}", kind.name());
             assert!(stats.points > 0, "{}", kind.name());
         }

@@ -149,7 +149,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use retrasyn_datagen::RandomWalkConfig;
-    use retrasyn_geo::Grid;
+    use retrasyn_geo::UniformGrid;
 
     #[test]
     fn registry_contents() {
@@ -174,7 +174,7 @@ mod tests {
     fn every_method_runs_on_a_tiny_dataset() {
         let ds = RandomWalkConfig { users: 80, timestamps: 15, ..Default::default() }
             .generate(&mut StdRng::seed_from_u64(1));
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let gridded = ds.discretize(&grid);
         for spec in MethodSpec::table3().into_iter().chain(MethodSpec::table4()) {
             let (syn, timings) = spec.run(&gridded, 1.0, 5, 3);

@@ -10,8 +10,9 @@ pub struct Params {
     pub w: usize,
     /// Evaluation time range size φ (default 10; range 5–100).
     pub phi: u64,
-    /// Discretization granularity K (default 6; range 2–18).
-    pub k: u16,
+    /// Discretization granularity K (default 6; range 2–18). Not checked
+    /// here: `UniformGrid::new` rejects a K outside `[1, 65535]`, naming it.
+    pub k: u32,
     /// Dataset scale relative to Table I (harness default 0.05 — see
     /// EXPERIMENTS.md; the paper's 100% needs a large server).
     pub scale: f64,
@@ -35,18 +36,20 @@ impl Params {
     /// Table II sweep values for φ.
     pub const PHI_RANGE: [u64; 5] = [5, 10, 20, 50, 100];
     /// Table II sweep values for K.
-    pub const K_RANGE: [u16; 5] = [2, 6, 10, 14, 18];
+    pub const K_RANGE: [u32; 5] = [2, 6, 10, 14, 18];
     /// Table II dataset-size sweep (fractions of the configured scale).
     pub const SIZE_RANGE: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
 
     /// Build from CLI flags, starting at the defaults.
     pub fn from_args(args: &crate::cli::Args) -> Self {
         let d = Params::default();
+        let k = args.get_u64("k", d.k as u64);
         Params {
             eps: args.get_f64("eps", d.eps),
             w: args.get_usize("w", d.w),
             phi: args.get_u64("phi", d.phi),
-            k: args.get_u64("k", d.k as u64) as u16,
+            k: u32::try_from(k)
+                .unwrap_or_else(|_| panic!("grid granularity k={k} out of range [1, 65535]")),
             scale: args.get_f64("scale", d.scale),
             seed: args.get_u64("seed", d.seed),
             workload: args.get_usize("queries", d.workload),
@@ -78,6 +81,14 @@ mod tests {
         assert_eq!(p.k, 10);
         assert_eq!(p.scale, 0.2);
         assert_eq!(p.phi, 10); // untouched default
+    }
+
+    #[test]
+    #[should_panic(expected = "k=70000 out of range")]
+    fn out_of_range_k_is_named_not_truncated() {
+        // K reaches the grid range check as given, not truncated to fit.
+        let args = Args::parse(["--k", "70000"].map(String::from));
+        let _ = retrasyn_geo::UniformGrid::unit(Params::from_args(&args).k);
     }
 
     #[test]

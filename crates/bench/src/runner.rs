@@ -93,12 +93,12 @@ mod tests {
     use rand::SeedableRng;
     use retrasyn_core::Division;
     use retrasyn_datagen::RandomWalkConfig;
-    use retrasyn_geo::Grid;
+    use retrasyn_geo::UniformGrid;
 
     fn tiny() -> GriddedDataset {
         let ds = RandomWalkConfig { users: 60, timestamps: 12, ..Default::default() }
             .generate(&mut StdRng::seed_from_u64(2));
-        ds.discretize(&Grid::unit(4))
+        ds.discretize(&UniformGrid::unit(4))
     }
 
     fn suite() -> SuiteConfig {

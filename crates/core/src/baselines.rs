@@ -482,7 +482,7 @@ impl StreamingEngine for LdpIds {
 mod tests {
     use super::*;
     use retrasyn_datagen::RandomWalkConfig;
-    use retrasyn_geo::{Grid, StreamDataset};
+    use retrasyn_geo::{StreamDataset, UniformGrid};
 
     fn dataset(seed: u64) -> StreamDataset {
         RandomWalkConfig { users: 300, timestamps: 25, churn: 0.05, ..Default::default() }
@@ -504,7 +504,7 @@ mod tests {
         let ds = dataset(1);
         for kind in BaselineKind::ALL {
             let config = LdpIdsConfig::new(1.0, 5);
-            let mut engine = LdpIds::new(kind, config, Grid::unit(5), 3);
+            let mut engine = LdpIds::new(kind, config, UniformGrid::unit(5), 3);
             let syn = engine.run(&ds);
             assert_eq!(syn.horizon(), 25, "{}", kind.name());
             assert!(!syn.is_empty(), "{}", kind.name());
@@ -516,7 +516,7 @@ mod tests {
     fn baseline_streams_never_terminate() {
         let ds = dataset(2);
         let config = LdpIdsConfig::new(1.0, 5);
-        let mut engine = LdpIds::new(BaselineKind::Lbd, config, Grid::unit(5), 3);
+        let mut engine = LdpIds::new(BaselineKind::Lbd, config, UniformGrid::unit(5), 3);
         let syn = engine.run(&ds);
         // Fixed-size DB: every stream spans the whole horizon.
         for s in syn.iter() {
@@ -530,7 +530,7 @@ mod tests {
         let ds = dataset(3);
         for kind in [BaselineKind::Lbd, BaselineKind::Lba] {
             let config = LdpIdsConfig::new(2.0, 5);
-            let mut engine = LdpIds::new(kind, config, Grid::unit(4), 3);
+            let mut engine = LdpIds::new(kind, config, UniformGrid::unit(4), 3);
             let _ = engine.run(&ds);
             assert!(engine.has_release, "{} never published", kind.name());
         }
@@ -541,7 +541,7 @@ mod tests {
         let ds = dataset(4);
         for kind in [BaselineKind::Lpd, BaselineKind::Lpa] {
             let config = LdpIdsConfig::new(1.0, 5);
-            let mut engine = LdpIds::new(kind, config, Grid::unit(4), 3);
+            let mut engine = LdpIds::new(kind, config, UniformGrid::unit(4), 3);
             let _ = engine.run(&ds);
             assert!(engine.ledger().total_user_reports() > 0, "{}", kind.name());
             engine.ledger().verify().expect("population ledger");
@@ -553,7 +553,7 @@ mod tests {
         // Construct a stable stream so LBA publishes early, then rarely.
         let ds = dataset(5);
         let config = LdpIdsConfig::new(1.0, 6);
-        let mut engine = LdpIds::new(BaselineKind::Lba, config, Grid::unit(4), 7);
+        let mut engine = LdpIds::new(BaselineKind::Lba, config, UniformGrid::unit(4), 7);
         let _ = engine.run(&ds);
         engine.ledger().verify().expect("LBA ledger");
     }
@@ -563,7 +563,7 @@ mod tests {
         let ds = dataset(6);
         let run = |seed| {
             let config = LdpIdsConfig::new(1.0, 5);
-            let mut engine = LdpIds::new(BaselineKind::Lpd, config, Grid::unit(5), seed);
+            let mut engine = LdpIds::new(BaselineKind::Lpd, config, UniformGrid::unit(5), seed);
             engine.run(&ds)
         };
         let a = run(9);
@@ -576,14 +576,14 @@ mod tests {
     #[should_panic(expected = "consecutive")]
     fn out_of_order_step_panics() {
         let config = LdpIdsConfig::new(1.0, 5);
-        let mut engine = LdpIds::new(BaselineKind::Lbd, config, Grid::unit(4), 0);
+        let mut engine = LdpIds::new(BaselineKind::Lbd, config, UniformGrid::unit(4), 0);
         engine.step(3, &[]);
     }
 
     #[test]
     fn absorbable_slots_bounds() {
         let config = LdpIdsConfig::new(1.0, 5);
-        let mut engine = LdpIds::new(BaselineKind::Lba, config, Grid::unit(4), 0);
+        let mut engine = LdpIds::new(BaselineKind::Lba, config, UniformGrid::unit(4), 0);
         // No history: everything inside the window is absorbable.
         assert_eq!(engine.absorbable_slots(0), 0);
         assert_eq!(engine.absorbable_slots(3), 3);

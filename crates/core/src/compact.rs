@@ -445,22 +445,22 @@ impl StreamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::Grid;
+    use retrasyn_geo::UniformGrid;
 
     /// Build a store with a mix of finished and live streams, extended
     /// enough to have real chains. Cells stay inside a 2×2 sub-grid where
     /// every pair is adjacent, so releases satisfy the reachability
     /// invariant regardless of row reordering.
-    fn build_store(grid: &Grid) -> StreamStore {
+    fn build_store(grid: &UniformGrid) -> StreamStore {
         let mut store = StreamStore::default();
         for id in 0..6u64 {
-            store.spawn(id, id % 3, grid.cell_at((id % 2) as u16, 0));
+            store.spawn(id, id % 3, grid.cell_at((id % 2) as u32, 0));
         }
-        for round in 1..5u16 {
+        for round in 1..5u32 {
             let n = store.live.len();
             for row in 0..n {
                 let StreamStore { live, tail, .. } = &mut store;
-                live.extend_row(row, grid.cell_at(round % 2, (row % 2) as u16), tail);
+                live.extend_row(row, grid.cell_at(round % 2, (row % 2) as u32), tail);
             }
             // Retire one stream per round.
             let StreamStore { live, finished, .. } = &mut store;
@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_snapshot_and_release() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let plain = build_store(&grid);
         let mut compacted = build_store(&grid);
 
@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn repeated_compaction_is_idempotent_when_nothing_finished() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let mut store = build_store(&grid);
         let mut spare = TailArena::default();
         let mut scratch = Vec::new();
@@ -538,7 +538,7 @@ mod tests {
 
     #[test]
     fn reset_clears_frozen_region() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let mut store = build_store(&grid);
         let mut spare = TailArena::default();
         let mut scratch = Vec::new();
@@ -571,7 +571,7 @@ mod tests {
     /// flipped.
     #[test]
     fn epoch_blocks_round_trip_and_reject_damage() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let mut store = build_store(&grid);
         let mut spare = TailArena::default();
         let mut scratch = Vec::new();

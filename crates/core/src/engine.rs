@@ -172,8 +172,8 @@ pub struct RetraSyn {
 }
 
 impl RetraSyn {
-    /// Create an engine over any discretization — a legacy [`retrasyn_geo::Grid`],
-    /// a [`retrasyn_geo::UniformGrid`], a [`retrasyn_geo::QuadGrid`], or an
+    /// Create an engine over any discretization — a
+    /// [`retrasyn_geo::UniformGrid`], a [`retrasyn_geo::QuadGrid`], or an
     /// already-compiled [`Topology`].
     pub fn new<S: Space>(config: RetraSynConfig, space: S, division: Division, seed: u64) -> Self {
         let table = TransitionTable::new(&space);
@@ -895,7 +895,7 @@ impl StreamingEngine for RetraSyn {
 mod tests {
     use super::*;
     use retrasyn_datagen::{RandomWalkConfig, RegimeShiftConfig};
-    use retrasyn_geo::{EventTimeline, Grid, StreamDataset};
+    use retrasyn_geo::{EventTimeline, StreamDataset, UniformGrid};
 
     fn walk_dataset(seed: u64) -> StreamDataset {
         RandomWalkConfig { users: 300, timestamps: 30, churn: 0.05, ..Default::default() }
@@ -906,7 +906,7 @@ mod tests {
     fn population_engine_runs_and_ledger_verifies() {
         let ds = walk_dataset(1);
         let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0);
-        let mut engine = RetraSyn::population_division(config, Grid::unit(5), 7);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 7);
         let syn = engine.run(&ds);
         assert_eq!(syn.horizon(), 30);
         assert!(!syn.is_empty());
@@ -918,7 +918,7 @@ mod tests {
     fn budget_engine_runs_and_ledger_verifies() {
         let ds = walk_dataset(2);
         let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0);
-        let mut engine = RetraSyn::budget_division(config, Grid::unit(5), 7);
+        let mut engine = RetraSyn::budget_division(config, UniformGrid::unit(5), 7);
         let syn = engine.run(&ds);
         assert_eq!(syn.horizon(), 30);
         engine.ledger().verify().expect("w-event invariant");
@@ -930,7 +930,7 @@ mod tests {
         for kind in [AllocationKind::Adaptive, AllocationKind::Uniform, AllocationKind::Sample] {
             for division in [Division::Budget, Division::Population] {
                 let config = RetraSynConfig::new(1.5, 4).with_lambda(10.0).with_allocation(kind);
-                let mut engine = RetraSyn::new(config, Grid::unit(4), division, 11);
+                let mut engine = RetraSyn::new(config, UniformGrid::unit(4), division, 11);
                 let _ = engine.run(&ds);
                 engine.ledger().verify().unwrap_or_else(|e| panic!("{kind:?}/{division:?}: {e}"));
             }
@@ -939,7 +939,7 @@ mod tests {
         let config = RetraSynConfig::new(1.5, 4)
             .with_lambda(10.0)
             .with_allocation(AllocationKind::RandomReport);
-        let mut engine = RetraSyn::population_division(config, Grid::unit(4), 11);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(4), 11);
         let _ = engine.run(&ds);
         engine.ledger().verify().expect("random-report invariant");
     }
@@ -954,7 +954,7 @@ mod tests {
         let config = RetraSynConfig::new(1.0, 4)
             .with_lambda(10.0)
             .with_allocation(AllocationKind::RandomReport);
-        let mut engine = RetraSyn::population_division(config, Grid::unit(4), 9);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(4), 9);
         let _ = engine.run(&ds);
         // No quitted user retains a slot…
         for &u in engine.report_slots.keys() {
@@ -980,15 +980,15 @@ mod tests {
     #[should_panic(expected = "population-division strategy")]
     fn random_report_rejected_for_budget_division() {
         let config = RetraSynConfig::new(1.0, 4).with_allocation(AllocationKind::RandomReport);
-        let _ = RetraSyn::budget_division(config, Grid::unit(4), 0);
+        let _ = RetraSyn::budget_division(config, UniformGrid::unit(4), 0);
     }
 
     #[test]
     fn synthetic_size_tracks_real_population() {
         let ds = walk_dataset(4);
-        let gridded = ds.discretize(&Grid::unit(5));
+        let gridded = ds.discretize(&UniformGrid::unit(5));
         let config = RetraSynConfig::new(2.0, 5).with_lambda(10.0);
-        let mut engine = RetraSyn::population_division(config, Grid::unit(5), 3);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 3);
         let timeline = EventTimeline::build(&gridded);
         for t in 0..gridded.horizon() {
             engine.step(t, timeline.at(t));
@@ -1003,9 +1003,9 @@ mod tests {
     #[test]
     fn noeq_keeps_fixed_size() {
         let ds = walk_dataset(5);
-        let gridded = ds.discretize(&Grid::unit(5));
+        let gridded = ds.discretize(&UniformGrid::unit(5));
         let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0).no_eq();
-        let mut engine = RetraSyn::population_division(config, Grid::unit(5), 3);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 3);
         let timeline = EventTimeline::build(&gridded);
         let init = gridded.active_count(0);
         for t in 0..gridded.horizon() {
@@ -1024,7 +1024,7 @@ mod tests {
     fn all_update_refreshes_whole_model() {
         let ds = walk_dataset(6);
         let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0).all_update();
-        let mut engine = RetraSyn::population_division(config, Grid::unit(4), 3);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(4), 3);
         let _ = engine.run(&ds);
         engine.ledger().verify().expect("ledger");
     }
@@ -1034,7 +1034,7 @@ mod tests {
         let ds = walk_dataset(7);
         let run = |seed| {
             let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0);
-            let mut engine = RetraSyn::population_division(config, Grid::unit(5), seed);
+            let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), seed);
             engine.run(&ds)
         };
         let a = run(42);
@@ -1051,7 +1051,7 @@ mod tests {
     fn timing_report_accumulates() {
         let ds = walk_dataset(8);
         let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0);
-        let mut engine = RetraSyn::population_division(config, Grid::unit(5), 3);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 3);
         let _ = engine.run(&ds);
         let report = engine.timing_report();
         assert_eq!(report.steps, 30);
@@ -1064,7 +1064,7 @@ mod tests {
     #[should_panic(expected = "consecutive")]
     fn out_of_order_steps_panic() {
         let config = RetraSynConfig::new(1.0, 5);
-        let mut engine = RetraSyn::population_division(config, Grid::unit(4), 0);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(4), 0);
         engine.step(1, &[]);
     }
 
@@ -1074,7 +1074,7 @@ mod tests {
         // learned by t=15 should put most movement mass on rightward moves.
         let ds = RegimeShiftConfig { users: 800, timestamps: 16, shift_at: 99, step: 0.05 }
             .generate(&mut StdRng::seed_from_u64(9));
-        let grid = Grid::unit(6);
+        let grid = UniformGrid::unit(6);
         let gridded = ds.discretize(&grid);
         let config = RetraSynConfig::new(2.0, 4).with_lambda(16.0);
         let mut engine = RetraSyn::population_division(config, grid.clone(), 5);
@@ -1083,16 +1083,18 @@ mod tests {
             engine.step(t, timeline.at(t));
         }
         let table = TransitionTable::new(&grid);
+        let topo = table.topology();
         let model = engine.model();
         let mut right = 0.0;
         let mut other = 0.0;
-        for from in grid.cells() {
-            let (fx, fy) = grid.cell_xy(from);
+        for from in topo.cells() {
+            let a = topo.center(from);
             let block = table.move_block(from);
             for (i, &to) in table.move_targets(from).iter().enumerate() {
-                let (tx, ty) = grid.cell_xy(to);
+                // Move targets are adjacent: same row, larger x is one step east.
+                let b = topo.center(to);
                 let f = model.freqs()[block.start + i];
-                if ty == fy && tx == fx + 1 {
+                if b.y == a.y && b.x > a.x {
                     right += f;
                 } else if to != from {
                     other += f;

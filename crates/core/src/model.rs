@@ -16,7 +16,6 @@
 
 use crate::sampler::SamplerCache;
 use retrasyn_geo::{CellId, TransitionTable};
-use std::sync::Arc;
 
 /// Past this fraction of dirty states an incremental sampler rebuild stops
 /// paying for itself and the model schedules a full rebuild instead.
@@ -39,8 +38,8 @@ const DIRTY_FULL_REBUILD_FRACTION: usize = 4;
 pub struct GlobalMobilityModel {
     /// Estimated (signed) frequency per dense transition index.
     freqs: Vec<f64>,
-    /// Alias-table sampler snapshot, shared with synthesis workers.
-    cache: Option<Arc<SamplerCache>>,
+    /// Alias-table sampler snapshot.
+    cache: Option<SamplerCache>,
     /// Every state changed since the last rebuild (initialization,
     /// `replace_all`, or dirty overflow).
     dirty_all: bool,
@@ -130,7 +129,7 @@ impl GlobalMobilityModel {
     /// `None` until [`Self::rebuild_samplers`] has run after the last
     /// mutation — callers then fall back to the O(k) scan paths.
     #[inline]
-    pub fn sampler(&self) -> Option<&Arc<SamplerCache>> {
+    pub fn sampler(&self) -> Option<&SamplerCache> {
         if self.dirty_all || !self.dirty.is_empty() {
             return None;
         }
@@ -146,7 +145,7 @@ impl GlobalMobilityModel {
         let cells = table.num_cells();
         let needs_full = self.dirty_all || self.cache.is_none();
         if needs_full {
-            self.cache = Some(Arc::new(SamplerCache::build(&self.freqs, table)));
+            self.cache = Some(SamplerCache::build(&self.freqs, table));
             self.dirty_all = false;
             self.dirty.clear();
             return cells;
@@ -176,7 +175,7 @@ impl GlobalMobilityModel {
         });
         dirty.sort_unstable();
         dirty.dedup();
-        let cache = Arc::make_mut(self.cache.as_mut().expect("cache exists on this path"));
+        let cache = self.cache.as_mut().expect("cache exists on this path");
         let small = &mut self.scratch_small;
         let large = &mut self.scratch_large;
         for &row in &dirty {
@@ -277,10 +276,10 @@ impl GlobalMobilityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, TransitionState};
+    use retrasyn_geo::{TransitionState, UniformGrid};
 
-    fn setup() -> (Grid, TransitionTable, GlobalMobilityModel) {
-        let grid = Grid::unit(3);
+    fn setup() -> (UniformGrid, TransitionTable, GlobalMobilityModel) {
+        let grid = UniformGrid::unit(3);
         let table = TransitionTable::new(&grid);
         let model = GlobalMobilityModel::new(table.len());
         (grid, table, model)
@@ -417,7 +416,7 @@ mod tests {
 
         // The cached sampler agrees with the scan distributions.
         let cache = model.sampler().unwrap().clone();
-        for c in grid.cells() {
+        for c in table.topology().cells() {
             assert!(
                 (cache.base_quit_prob(c) - model.base_quit_prob(&table, c)).abs() < 1e-12,
                 "quit prob mismatch at {c:?}"

@@ -18,8 +18,8 @@
 //! - [`sample_weighted`]: the reference O(n) scan sampler, kept for the
 //!   cold paths, the cache-miss fallback, and distributional tests.
 //!
-//! The cache is shared with the persistent synthesis worker pool through an
-//! `Arc`, so a step hands workers an immutable snapshot without copying.
+//! The model owns the cache outright and rebuilds its rows in place; a
+//! synthesis step borrows it.
 
 use rand::Rng;
 use retrasyn_geo::{CellId, TransitionTable};
@@ -383,7 +383,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrasyn_geo::Grid;
+    use retrasyn_geo::UniformGrid;
 
     /// Pearson chi-square statistic of `counts` against `probs`.
     fn chi_square(counts: &[u64], probs: &[f64], n: u64) -> f64 {
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn cache_rows_match_move_distributions() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let table = TransitionTable::new(&grid);
         // Deterministic pseudo-random, partly negative frequencies.
         let freqs: Vec<f64> =
@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn cache_quit_probs_match_model_formula() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let table = TransitionTable::new(&grid);
         let mut freqs = vec![0.0; table.len()];
         let c = grid.cell_at(1, 1);
@@ -496,7 +496,7 @@ mod tests {
 
     #[test]
     fn incremental_row_rebuild_matches_full_build() {
-        let grid = Grid::unit(5);
+        let grid = UniformGrid::unit(5);
         let table = TransitionTable::new(&grid);
         let mut freqs: Vec<f64> = (0..table.len()).map(|i| (i % 7) as f64 * 0.01).collect();
         let mut cache = SamplerCache::build(&freqs, &table);
@@ -525,7 +525,7 @@ mod tests {
     #[test]
     fn cached_quit_dist_matches_model_distribution() {
         use crate::model::GlobalMobilityModel;
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let table = TransitionTable::new(&grid);
         let freqs: Vec<f64> =
             (0..table.len()).map(|i| ((i * 13 % 7) as f64 - 1.0) * 0.01).collect();
@@ -533,12 +533,12 @@ mod tests {
         let mut model = GlobalMobilityModel::new(table.len());
         model.replace_all(&freqs);
         let dist = model.quit_distribution(&table);
-        for c in grid.cells() {
+        for c in table.topology().cells() {
             assert!((cache.quit_weight(c) - dist[c.index()]).abs() < 1e-12, "{c:?}");
         }
         // All-zero quit mass: both degrade to the uniform distribution.
         let cache = SamplerCache::build(&vec![0.0; table.len()], &table);
-        for c in grid.cells() {
+        for c in table.topology().cells() {
             assert!((cache.quit_weight(c) - 1.0 / 16.0).abs() < 1e-12);
         }
     }

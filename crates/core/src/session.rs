@@ -25,12 +25,12 @@
 //!
 //! ```
 //! use retrasyn_core::{RetraSyn, RetraSynConfig, StreamingEngine, TimelineSource};
-//! use retrasyn_geo::Grid;
+//! use retrasyn_geo::UniformGrid;
 //! use rand::{rngs::StdRng, SeedableRng};
 //! # use retrasyn_datagen::RandomWalkConfig;
 //! # let dataset = RandomWalkConfig { users: 50, timestamps: 10, ..Default::default() }
 //! #     .generate(&mut StdRng::seed_from_u64(1));
-//! let grid = Grid::unit(4);
+//! let grid = UniformGrid::unit(4);
 //! let gridded = dataset.discretize(&grid);
 //! let mut engine =
 //!     RetraSyn::population_division(RetraSynConfig::new(1.0, 5), grid, 7);
@@ -825,7 +825,7 @@ mod tests {
     /// it, and the first malformed event is the reported fault.
     #[test]
     fn resolve_matches_index_of_and_reports_the_first_fault() {
-        let table = TransitionTable::new(&retrasyn_geo::Grid::unit(4));
+        let table = TransitionTable::new(&retrasyn_geo::UniformGrid::unit(4));
         let events: Vec<UserEvent> = (0..table.len())
             .map(|i| UserEvent { user: i as u64, state: table.state_of(i) })
             .collect();

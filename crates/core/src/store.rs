@@ -713,7 +713,7 @@ impl ExactSizeIterator for CellsRev<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::Grid;
+    use retrasyn_geo::UniformGrid;
 
     #[test]
     fn arena_chunks_do_not_move_nodes() {
@@ -754,7 +754,7 @@ mod tests {
 
     #[test]
     fn store_extends_retires_and_releases() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let mut store = StreamStore::default();
         store.spawn(1, 0, grid.cell_at(0, 0));
         store.spawn(0, 0, grid.cell_at(3, 3));
@@ -781,7 +781,7 @@ mod tests {
 
     #[test]
     fn snapshot_views_live_and_finished_without_copying() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let mut store = StreamStore::default();
         store.spawn(1, 0, grid.cell_at(0, 0));
         store.spawn(0, 1, grid.cell_at(3, 3));
@@ -823,10 +823,11 @@ mod tests {
 
         // Live-only occupancy through a reused buffer.
         let mut counts = vec![99u64; 1];
-        snap.occupancy_into(grid.num_cells(), &mut counts);
+        let num_cells = 4 * 4;
+        snap.occupancy_into(num_cells, &mut counts);
         assert_eq!(counts.iter().sum::<u64>(), 1);
         assert_eq!(counts[grid.cell_at(2, 3).index()], 1);
-        assert_eq!(snap.occupancy(grid.num_cells()), counts);
+        assert_eq!(snap.occupancy(num_cells), counts);
 
         // The view is read-only: releasing afterwards still works and
         // matches what the snapshot showed.
@@ -839,7 +840,7 @@ mod tests {
 
     #[test]
     fn cells_rev_is_exact_size() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let mut store = StreamStore::default();
         store.spawn(7, 2, grid.cell_at(0, 0));
         let snap = store.snapshot(3);

@@ -35,7 +35,6 @@ use crate::wal::{Dec, Enc};
 use rand::Rng;
 use retrasyn_geo::{CellId, GriddedDataset, Space, TransitionTable};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// Floor for Efraimidis–Spirakis weights so zero-mass cells keep a strict
 /// ordering.
@@ -204,7 +203,7 @@ impl SyntheticDb {
         lambda: f64,
         rng: &mut R,
     ) {
-        let cache = model.sampler().map(Arc::as_ref);
+        let cache = model.sampler();
         if !self.initialized {
             // Initialization of T_syn (Alg. 1 line 5): spawn `target`
             // streams from the entering distribution.
@@ -414,7 +413,7 @@ impl SyntheticDb {
             self.initialized = true;
             return;
         }
-        self.extend_all(model, table, model.sampler().map(Arc::as_ref), rng);
+        self.extend_all(model, table, model.sampler(), rng);
     }
 
     fn spawn<R: Rng + ?Sized>(
@@ -475,10 +474,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrasyn_geo::{Grid, TransitionState};
+    use retrasyn_geo::{TransitionState, UniformGrid};
 
-    fn setup() -> (Grid, TransitionTable, GlobalMobilityModel) {
-        let grid = Grid::unit(4);
+    fn setup() -> (UniformGrid, TransitionTable, GlobalMobilityModel) {
+        let grid = UniformGrid::unit(4);
         let table = TransitionTable::new(&grid);
         let model = GlobalMobilityModel::new(table.len());
         (grid, table, model)
@@ -486,7 +485,7 @@ mod tests {
 
     /// Model where everyone enters at (0,0), marches right, and quits at
     /// the east edge.
-    fn eastward_model(grid: &Grid, table: &TransitionTable) -> GlobalMobilityModel {
+    fn eastward_model(grid: &UniformGrid, table: &TransitionTable) -> GlobalMobilityModel {
         let mut est = vec![0.0; table.len()];
         est[table.enter_index(grid.cell_at(0, 0))] = 1.0;
         for y in 0..4 {
@@ -507,7 +506,7 @@ mod tests {
     }
 
     /// Same model with the alias sampler cache built.
-    fn eastward_model_cached(grid: &Grid, table: &TransitionTable) -> GlobalMobilityModel {
+    fn eastward_model_cached(grid: &UniformGrid, table: &TransitionTable) -> GlobalMobilityModel {
         let mut model = eastward_model(grid, table);
         model.rebuild_samplers(table);
         model
@@ -577,13 +576,14 @@ mod tests {
             }
             let released = db.release(&grid, 4);
             // Every move in every stream is rightward (the only nonzero
-            // moves).
+            // moves): one hop, same row, larger x.
+            let topo = table.topology();
             for s in released.iter() {
                 for w in s.cells.windows(2) {
-                    let (ax, ay) = grid.cell_xy(w[0]);
-                    let (bx, by) = grid.cell_xy(w[1]);
-                    assert_eq!(by, ay, "cached={cached}");
-                    assert_eq!(bx, ax + 1, "cached={cached}");
+                    let (a, b) = (topo.center(w[0]), topo.center(w[1]));
+                    assert_eq!(topo.hop_distance(w[0], w[1]), 1, "cached={cached}");
+                    assert_eq!(b.y, a.y, "cached={cached}");
+                    assert!(b.x > a.x, "cached={cached}");
                 }
             }
         }
@@ -647,7 +647,7 @@ mod tests {
         let released = db.release(&grid, 6);
         for s in released.iter() {
             for w in s.cells.windows(2) {
-                assert!(grid.are_adjacent(w[0], w[1]));
+                assert!(table.topology().are_adjacent(w[0], w[1]));
             }
         }
     }
@@ -679,7 +679,7 @@ mod tests {
         // (victims taken from position 0 upward). With log-domain keys the
         // selection stays weighted-random, so every id quarter keeps roughly
         // its proportional share of survivors.
-        let grid = Grid::unit(32);
+        let grid = UniformGrid::unit(32);
         let table = TransitionTable::new(&grid);
         let mut model = GlobalMobilityModel::new(table.len());
         model.rebuild_samplers(&table); // uninformed: uniform fallbacks

@@ -1963,7 +1963,7 @@ mod tests {
     /// A small compacting session's engine, stepped `steps` times.
     fn compacted_engine(steps: u64) -> crate::RetraSyn {
         use rand::SeedableRng;
-        let grid = retrasyn_geo::Grid::unit(4);
+        let grid = retrasyn_geo::UniformGrid::unit(4);
         let gridded = retrasyn_datagen::RandomWalkConfig {
             users: 30,
             timestamps: steps,

@@ -12,7 +12,7 @@ use retrasyn_core::{
     Division, EventSource, RetraSyn, RetraSynConfig, StreamingEngine, Supervisor, TimelineSource,
 };
 use retrasyn_datagen::RandomWalkConfig;
-use retrasyn_geo::{Grid, GriddedDataset};
+use retrasyn_geo::{GriddedDataset, UniformGrid};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,12 +38,12 @@ fn cleanup(path: &Path) {
 fn dataset(seed: u64) -> GriddedDataset {
     RandomWalkConfig { users: 60, timestamps: HORIZON as u64, churn: 0.08, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(seed))
-        .discretize(&Grid::unit(5))
+        .discretize(&UniformGrid::unit(5))
 }
 
 fn engine(division: Division) -> RetraSyn {
     let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0).with_compaction(MARK);
-    RetraSyn::new(config, Grid::unit(5), division, 7)
+    RetraSyn::new(config, UniformGrid::unit(5), division, 7)
 }
 
 /// Log the first `upto` timestamps of `gridded` into a fresh WAL at

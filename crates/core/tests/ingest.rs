@@ -12,14 +12,14 @@ use retrasyn_core::{
     ChannelSource, EventSource, IngestPolicy, RetraSyn, RetraSynConfig, SessionError, StallPolicy,
     StreamingEngine, ValidatedSource,
 };
-use retrasyn_geo::{CellId, Grid, Space, Topology, TransitionState, UserEvent};
+use retrasyn_geo::{CellId, Space, Topology, TransitionState, UniformGrid, UserEvent};
 
 fn enter(user: u64, cell: u32) -> UserEvent {
     UserEvent { user, state: TransitionState::Enter(CellId(cell)) }
 }
 
 fn topo() -> Arc<Topology> {
-    Grid::unit(4).compile_shared()
+    UniformGrid::unit(4).compile_shared()
 }
 
 // ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ fn decode(((user, tag), (a, b)): ((u64, u8), (u32, u32))) -> UserEvent {
 }
 
 fn small_engine(seed: u64) -> RetraSyn {
-    RetraSyn::population_division(RetraSynConfig::new(1.0, 4), Grid::unit(4), seed)
+    RetraSyn::population_division(RetraSynConfig::new(1.0, 4), UniformGrid::unit(4), seed)
 }
 
 proptest! {

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_core::allocation::Allocator;
 use retrasyn_core::{dmu, AllocationKind, GlobalMobilityModel, SyntheticDb};
-use retrasyn_geo::{Grid, TransitionTable};
+use retrasyn_geo::{TransitionTable, UniformGrid};
 
 proptest! {
     /// DMU's per-transition rule is globally optimal for Eq. 7: no other
@@ -33,11 +33,11 @@ proptest! {
     /// 1 per source cell; enter/quit distributions are probability vectors.
     #[test]
     fn model_distributions_are_valid(
-        k in 1u16..6,
+        k in 1u32..6,
         raw in prop::collection::vec(-0.05f64..0.1, 1..400),
         seed in 0u64..50,
     ) {
-        let grid = Grid::unit(k);
+        let grid = UniformGrid::unit(k);
         let table = TransitionTable::new(&grid);
         let len = table.len();
         let mut est = vec![0.0; len];
@@ -47,7 +47,7 @@ proptest! {
         let mut model = GlobalMobilityModel::new(table.len());
         model.replace_all(&est);
         let _ = seed;
-        for c in grid.cells() {
+        for c in table.topology().cells() {
             let probs = model.move_probs(&table, c);
             let quit = model.base_quit_prob(&table, c);
             prop_assert!(probs.iter().all(|&p| (0.0..=1.0 + 1e-12).contains(&p)));
@@ -109,7 +109,7 @@ proptest! {
         targets in prop::collection::vec(0usize..60, 1..25),
         seed in 0u64..100,
     ) {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let table = TransitionTable::new(&grid);
         let mut model = GlobalMobilityModel::new(table.len());
         // Mildly informative model.
@@ -127,7 +127,7 @@ proptest! {
             prop_assert!(!s.cells.is_empty());
             prop_assert!(s.end() < horizon);
             for w in s.cells.windows(2) {
-                prop_assert!(grid.are_adjacent(w[0], w[1]));
+                prop_assert!(table.topology().are_adjacent(w[0], w[1]));
             }
         }
     }
@@ -135,14 +135,14 @@ proptest! {
     /// Per-timestamp synthetic occupancy always sums to the live count.
     #[test]
     fn occupancy_sums_to_active(targets in prop::collection::vec(0usize..40, 1..15)) {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let table = TransitionTable::new(&grid);
         let model = GlobalMobilityModel::new(table.len());
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(5);
         for (t, &target) in targets.iter().enumerate() {
             db.step(t as u64, &model, &table, target, 8.0, &mut rng);
-            let occ = db.occupancy(grid.num_cells());
+            let occ = db.occupancy(table.num_cells());
             prop_assert_eq!(occ.iter().sum::<u64>() as usize, db.active_count());
         }
     }

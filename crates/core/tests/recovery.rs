@@ -13,7 +13,7 @@ use retrasyn_core::{
     StreamingEngine, TimelineSource,
 };
 use retrasyn_datagen::RandomWalkConfig;
-use retrasyn_geo::{Grid, GriddedDataset};
+use retrasyn_geo::{GriddedDataset, UniformGrid};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,12 +32,12 @@ fn cleanup(path: &PathBuf) {
 fn dataset(seed: u64, users: usize, timestamps: u64) -> GriddedDataset {
     RandomWalkConfig { users, timestamps, churn: 0.08, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(seed))
-        .discretize(&Grid::unit(5))
+        .discretize(&UniformGrid::unit(5))
 }
 
 fn engine(division: Division, threads: usize, seed: u64) -> RetraSyn {
     let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0).with_collection_threads(threads);
-    RetraSyn::new(config, Grid::unit(5), division, seed)
+    RetraSyn::new(config, UniformGrid::unit(5), division, seed)
 }
 
 /// Drive `engine` through the first `upto` timestamps of `gridded`,
@@ -161,7 +161,7 @@ fn recover_parallel_session_bit_identical() {
             .with_lambda(10.0)
             .per_user_reports()
             .with_collection_threads(4);
-        RetraSyn::new(config, Grid::unit(5), Division::Population, 7)
+        RetraSyn::new(config, UniformGrid::unit(5), Division::Population, 7)
     };
     let path = temp_path("parallel");
     let mut original = pooled();
@@ -187,7 +187,7 @@ fn per_user_wal_recovers_across_collection_threads() {
             .with_lambda(10.0)
             .per_user_reports()
             .with_collection_threads(threads);
-        RetraSyn::new(config, Grid::unit(5), Division::Population, 7)
+        RetraSyn::new(config, UniformGrid::unit(5), Division::Population, 7)
     };
     let path = temp_path("collection-threads");
     let mut original = per_user(4);
@@ -224,7 +224,7 @@ fn recover_rejects_mismatched_sessions() {
     for mut other in [
         engine(Division::Budget, 1, 8),
         engine(Division::Population, 1, 7),
-        RetraSyn::new(other_lambda, Grid::unit(5), Division::Budget, 7),
+        RetraSyn::new(other_lambda, UniformGrid::unit(5), Division::Budget, 7),
     ] {
         match other.recover(&path) {
             Err(WalError::Mismatch { detail }) => {
@@ -262,7 +262,7 @@ fn baseline_recover_is_bit_identical() {
     let gridded = dataset(6, 100, 20);
     for kind in [BaselineKind::Lbd, BaselineKind::Lpa] {
         let path = temp_path("baseline");
-        let mut original = LdpIds::new(kind, LdpIdsConfig::new(1.0, 5), Grid::unit(5), 11);
+        let mut original = LdpIds::new(kind, LdpIdsConfig::new(1.0, 5), UniformGrid::unit(5), 11);
         let writer = WalWriter::create(&path, 11, original.fingerprint(), FsyncPolicy::EveryBatch)
             .expect("create WAL");
         let mut source = WalSource::tee(TimelineSource::from_gridded(&gridded), writer);
@@ -272,7 +272,7 @@ fn baseline_recover_is_bit_identical() {
         let expected = original.release();
 
         // Baselines have no checkpoint support: recovery is a full replay.
-        let mut recovered = LdpIds::new(kind, LdpIdsConfig::new(1.0, 5), Grid::unit(5), 11);
+        let mut recovered = LdpIds::new(kind, LdpIdsConfig::new(1.0, 5), UniformGrid::unit(5), 11);
         let recovery = recovered.recover(&path).expect("recover baseline");
         assert_eq!(recovery.checkpoint, CheckpointUse::None);
         assert_eq!(recovery.resumed_from, 0);

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_core::sampler::{sample_weighted, AliasTable};
 use retrasyn_core::GlobalMobilityModel;
-use retrasyn_geo::{Grid, TransitionTable};
+use retrasyn_geo::{TransitionTable, UniformGrid};
 
 /// Pearson chi-square statistic of observed counts against expected
 /// probabilities (categories with zero expected mass must be unobserved).
@@ -66,7 +66,7 @@ fn alias_and_scan_agree_on_fixed_weights() {
 
 #[test]
 fn cached_model_draws_match_scan_distribution_per_cell() {
-    let grid = Grid::unit(6);
+    let grid = UniformGrid::unit(6);
     let table = TransitionTable::new(&grid);
     // Pseudo-random signed frequencies over the whole domain.
     let freqs: Vec<f64> =
@@ -78,7 +78,7 @@ fn cached_model_draws_match_scan_distribution_per_cell() {
 
     let n = 60_000u64;
     let mut rng = StdRng::seed_from_u64(2002);
-    for cell in grid.cells() {
+    for cell in table.topology().cells() {
         let probs_raw = model.move_probs(&table, cell);
         // The alias row is conditioned on not quitting: renormalize.
         let total: f64 = probs_raw.iter().sum();
@@ -101,10 +101,10 @@ fn cached_model_draws_match_scan_distribution_per_cell() {
 
 #[test]
 fn cached_enter_draws_match_enter_distribution() {
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let table = TransitionTable::new(&grid);
     let mut freqs = vec![0.0; table.len()];
-    for (i, c) in grid.cells().enumerate() {
+    for (i, c) in table.topology().cells().enumerate() {
         freqs[table.enter_index(c)] = (i % 4) as f64 * 0.1;
     }
     let mut model = GlobalMobilityModel::new(table.len());
@@ -115,7 +115,7 @@ fn cached_enter_draws_match_enter_distribution() {
     let probs = model.enter_distribution(&table);
     let n = 150_000u64;
     let mut rng = StdRng::seed_from_u64(3003);
-    let mut counts = vec![0u64; grid.num_cells()];
+    let mut counts = vec![0u64; table.num_cells()];
     for _ in 0..n {
         counts[cache.sample_enter(&mut rng).index()] += 1;
     }
@@ -132,7 +132,7 @@ fn cached_and_uncached_synthesis_produce_similar_occupancy() {
     // End-to-end: run the same synthesis schedule with and without the
     // sampler cache; per-cell occupancy distributions of the final state
     // must agree within statistical noise (they share expected dynamics).
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     let table = TransitionTable::new(&grid);
     let freqs: Vec<f64> = (0..table.len()).map(|i| ((i % 13) as f64 + 1.0) * 1e-3).collect();
 
@@ -147,7 +147,7 @@ fn cached_and_uncached_synthesis_produce_similar_occupancy() {
         for t in 0..30 {
             db.step(t, &model, &table, 8000, 25.0, &mut rng);
         }
-        db.occupancy(grid.num_cells())
+        db.occupancy(table.num_cells())
     };
     let occ_cached = run(true);
     let occ_scan = run(false);

@@ -22,13 +22,13 @@ use retrasyn_core::{
     RetraSynConfig, StreamingEngine, TimelineSource,
 };
 use retrasyn_datagen::RandomWalkConfig;
-use retrasyn_geo::{CellId, EventTimeline, Grid, GriddedDataset, UserEvent};
+use retrasyn_geo::{CellId, EventTimeline, GriddedDataset, UniformGrid, UserEvent};
 use std::collections::BTreeMap;
 
 fn dataset(users: usize, timestamps: u64, seed: u64) -> GriddedDataset {
     let ds = RandomWalkConfig { users, timestamps, churn: 0.06, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(seed));
-    ds.discretize(&Grid::unit(5))
+    ds.discretize(&UniformGrid::unit(5))
 }
 
 /// Materialized snapshot content: (id, start, cells) per stream.
@@ -88,14 +88,14 @@ fn check_prefix_property(mut engine: RetraSyn, gridded: &GriddedDataset) {
 fn snapshots_are_prefixes_of_release_population() {
     let gridded = dataset(400, 25, 1);
     let config = RetraSynConfig::new(1.0, 5).with_lambda(gridded.avg_length());
-    check_prefix_property(RetraSyn::population_division(config, Grid::unit(5), 7), &gridded);
+    check_prefix_property(RetraSyn::population_division(config, UniformGrid::unit(5), 7), &gridded);
 }
 
 #[test]
 fn snapshots_are_prefixes_of_release_budget() {
     let gridded = dataset(400, 25, 2);
     let config = RetraSynConfig::new(1.0, 5).with_lambda(gridded.avg_length());
-    check_prefix_property(RetraSyn::budget_division(config, Grid::unit(5), 7), &gridded);
+    check_prefix_property(RetraSyn::budget_division(config, UniformGrid::unit(5), 7), &gridded);
 }
 
 #[test]
@@ -108,7 +108,10 @@ fn snapshots_are_prefixes_of_release_pooled() {
             .with_lambda(gridded.avg_length())
             .per_user_reports()
             .with_collection_threads(threads);
-        check_prefix_property(RetraSyn::population_division(config, Grid::unit(5), 9), &gridded);
+        check_prefix_property(
+            RetraSyn::population_division(config, UniformGrid::unit(5), 9),
+            &gridded,
+        );
     }
 }
 
@@ -116,7 +119,10 @@ fn snapshots_are_prefixes_of_release_pooled() {
 fn snapshots_are_prefixes_of_release_noeq() {
     let gridded = dataset(300, 20, 4);
     let config = RetraSynConfig::new(1.0, 5).with_lambda(gridded.avg_length()).no_eq();
-    check_prefix_property(RetraSyn::population_division(config, Grid::unit(5), 11), &gridded);
+    check_prefix_property(
+        RetraSyn::population_division(config, UniformGrid::unit(5), 11),
+        &gridded,
+    );
 }
 
 #[test]
@@ -130,7 +136,7 @@ fn generic_driver_reproduces_manual_loop() {
 
     let mk_retra = || {
         let config = RetraSynConfig::new(1.0, 5).with_lambda(gridded.avg_length());
-        RetraSyn::population_division(config, Grid::unit(5), 13)
+        RetraSyn::population_division(config, UniformGrid::unit(5), 13)
     };
     let mut manual_engine = mk_retra();
     let timeline = EventTimeline::build(&gridded);
@@ -141,7 +147,7 @@ fn generic_driver_reproduces_manual_loop() {
     assert_eq!(generic(&mut mk_retra(), &gridded), manual);
 
     for kind in BaselineKind::ALL {
-        let mk = || LdpIds::new(kind, LdpIdsConfig::new(1.0, 5), Grid::unit(5), 13);
+        let mk = || LdpIds::new(kind, LdpIdsConfig::new(1.0, 5), UniformGrid::unit(5), 13);
         let mut manual_engine = mk();
         for t in 0..gridded.horizon() {
             manual_engine.step(t, timeline.at(t));
@@ -159,7 +165,7 @@ fn all_sources_feed_identically() {
         (0..timeline.horizon()).map(|t| timeline.at(t).to_vec()).collect();
     let run = |src: &mut dyn FnMut(&mut RetraSyn) -> GriddedDataset| {
         let config = RetraSynConfig::new(1.0, 5).with_lambda(gridded.avg_length());
-        let mut engine = RetraSyn::population_division(config, Grid::unit(5), 17);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 17);
         src(&mut engine)
     };
     let via_timeline = run(&mut |e| e.drive(TimelineSource::from_gridded(&gridded)));
@@ -176,10 +182,10 @@ fn drive_resumes_a_partially_consumed_source() {
     // drive() — same release as driving it whole.
     let gridded = dataset(250, 16, 7);
     let config = RetraSynConfig::new(1.0, 5).with_lambda(gridded.avg_length());
-    let mut whole = RetraSyn::population_division(config.clone(), Grid::unit(5), 19);
+    let mut whole = RetraSyn::population_division(config.clone(), UniformGrid::unit(5), 19);
     let expected = whole.run_gridded(&gridded);
 
-    let mut engine = RetraSyn::population_division(config, Grid::unit(5), 19);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 19);
     let mut source = TimelineSource::from_gridded(&gridded);
     for _ in 0..8 {
         let batch = source.next_batch().expect("first half");
@@ -196,14 +202,14 @@ fn mid_stream_release_is_a_prefix_run() {
     let config = RetraSynConfig::new(1.0, 5).with_lambda(gridded.avg_length());
     let timeline = EventTimeline::build(&gridded);
 
-    let mut engine = RetraSyn::population_division(config.clone(), Grid::unit(5), 21);
+    let mut engine = RetraSyn::population_division(config.clone(), UniformGrid::unit(5), 21);
     for t in 0..12 {
         engine.step(t, timeline.at(t));
     }
     let mid = engine.release();
     assert_eq!(mid.horizon(), 12);
 
-    let mut control = RetraSyn::population_division(config, Grid::unit(5), 21);
+    let mut control = RetraSyn::population_division(config, UniformGrid::unit(5), 21);
     for t in 0..12 {
         control.step(t, timeline.at(t));
     }
@@ -214,14 +220,15 @@ fn mid_stream_release_is_a_prefix_run() {
 fn reset_replays_bit_identically() {
     let gridded = dataset(250, 15, 9);
     let config = RetraSynConfig::new(1.0, 5).with_lambda(gridded.avg_length());
-    let mut engine = RetraSyn::population_division(config, Grid::unit(5), 23);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 23);
     let first = engine.run_gridded(&gridded);
     engine.reset();
     assert_eq!(engine.next_timestamp(), 0);
     let second = engine.run_gridded(&gridded);
     assert_eq!(first, second, "reset must re-seed with the construction seed");
 
-    let mut baseline = LdpIds::new(BaselineKind::Lbd, LdpIdsConfig::new(1.0, 5), Grid::unit(5), 3);
+    let mut baseline =
+        LdpIds::new(BaselineKind::Lbd, LdpIdsConfig::new(1.0, 5), UniformGrid::unit(5), 3);
     let first = baseline.run_gridded(&gridded);
     baseline.reset();
     assert_eq!(first, baseline.run_gridded(&gridded));
@@ -234,7 +241,7 @@ fn reset_replays_bit_identically() {
 fn step_after_release_panics_descriptively() {
     let gridded = dataset(100, 8, 10);
     let config = RetraSynConfig::new(1.0, 4).with_lambda(5.0);
-    let mut engine = RetraSyn::population_division(config, Grid::unit(5), 1);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 1);
     let _ = engine.run_gridded(&gridded);
     engine.step(engine.next_timestamp(), &[]);
 }
@@ -246,7 +253,7 @@ fn run_twice_panics_descriptively() {
     // (a `next_t` assert on an engine whose synthetic DB had been taken).
     let gridded = dataset(100, 8, 11);
     let config = RetraSynConfig::new(1.0, 4).with_lambda(5.0);
-    let mut engine = RetraSyn::population_division(config, Grid::unit(5), 1);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 1);
     let _ = engine.run_gridded(&gridded);
     let _ = engine.run_gridded(&gridded);
 }
@@ -259,7 +266,7 @@ fn run_on_a_mid_session_engine_panics_descriptively() {
     // current timestamp. The guard makes it loud instead.
     let gridded = dataset(100, 8, 15);
     let config = RetraSynConfig::new(1.0, 4).with_lambda(5.0);
-    let mut engine = RetraSyn::population_division(config, Grid::unit(5), 1);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 1);
     let timeline = EventTimeline::build(&gridded);
     engine.step(0, timeline.at(0));
     let _ = engine.run_gridded(&gridded);
@@ -272,9 +279,9 @@ fn occupancy_after_release_panics_descriptively() {
     // (now emptied) store.
     let gridded = dataset(100, 8, 17);
     let config = RetraSynConfig::new(1.0, 4).with_lambda(5.0);
-    let mut engine = RetraSyn::population_division(config, Grid::unit(5), 1);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 1);
     let _ = engine.run_gridded(&gridded);
-    let _ = engine.snapshot().occupancy(Grid::unit(5).num_cells());
+    let _ = engine.snapshot().occupancy(5 * 5);
 }
 
 #[test]
@@ -284,7 +291,7 @@ fn snapshot_after_release_panics_descriptively() {
     // as "population collapsed", so snapshot() refuses loudly instead.
     let gridded = dataset(100, 8, 16);
     let config = RetraSynConfig::new(1.0, 4).with_lambda(5.0);
-    let mut engine = RetraSyn::population_division(config, Grid::unit(5), 1);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 1);
     let _ = engine.run_gridded(&gridded);
     let _ = engine.snapshot();
 }
@@ -294,7 +301,7 @@ fn snapshot_after_release_panics_descriptively() {
 fn release_twice_panics_descriptively() {
     let gridded = dataset(100, 8, 12);
     let config = RetraSynConfig::new(1.0, 4).with_lambda(5.0);
-    let mut engine = RetraSyn::population_division(config, Grid::unit(5), 1);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 1);
     let _ = engine.run_gridded(&gridded);
     let _ = engine.release();
 }
@@ -303,7 +310,8 @@ fn release_twice_panics_descriptively() {
 #[should_panic(expected = "already released")]
 fn baseline_step_after_release_panics_descriptively() {
     let gridded = dataset(100, 8, 13);
-    let mut engine = LdpIds::new(BaselineKind::Lpa, LdpIdsConfig::new(1.0, 4), Grid::unit(5), 1);
+    let mut engine =
+        LdpIds::new(BaselineKind::Lpa, LdpIdsConfig::new(1.0, 4), UniformGrid::unit(5), 1);
     let _ = engine.run_gridded(&gridded);
     engine.step(engine.next_timestamp(), &[]);
 }
@@ -313,7 +321,7 @@ fn run_after_reset_is_supported() {
     // Engine reuse is explicit: release -> reset -> run works.
     let gridded = dataset(100, 8, 14);
     let config = RetraSynConfig::new(1.0, 4).with_lambda(5.0);
-    let mut engine = RetraSyn::population_division(config, Grid::unit(5), 1);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(5), 1);
     let a = engine.run_gridded(&gridded);
     engine.reset();
     let b = engine.run_gridded(&gridded);

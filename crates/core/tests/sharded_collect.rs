@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_core::{CollectionPool, Division, RetraSyn, RetraSynConfig, StreamingEngine};
 use retrasyn_datagen::RandomWalkConfig;
-use retrasyn_geo::Grid;
+use retrasyn_geo::{Space, UniformGrid};
 use retrasyn_ldp::{Oue, Philox};
 use std::sync::Arc;
 
@@ -94,7 +94,7 @@ fn walk_dataset(seed: u64) -> retrasyn_geo::StreamDataset {
 #[test]
 fn engine_bit_identical_per_seed_and_collection_threads() {
     let ds = walk_dataset(51);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let run = |threads: usize, per_user: bool, seed: u64| {
         let mut config =
             RetraSynConfig::new(1.0, 5).with_lambda(10.0).with_collection_threads(threads);
@@ -126,7 +126,7 @@ fn engine_bit_identical_per_seed_and_collection_threads() {
 fn random_report_engine_bit_identical_per_thread_count() {
     use retrasyn_core::AllocationKind;
     let ds = walk_dataset(55);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let run = |threads: usize| {
         let config = RetraSynConfig::new(1.0, 5)
             .with_lambda(10.0)
@@ -149,7 +149,7 @@ fn random_report_engine_bit_identical_per_thread_count() {
 #[test]
 fn budget_division_engine_deterministic_with_pooled_collection() {
     let ds = walk_dataset(52);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let run = |threads: usize| {
         let config = RetraSynConfig::new(1.0, 5)
             .with_lambda(10.0)
@@ -205,7 +205,7 @@ fn pooled_blocked_counts_match_sequential_kernel_distribution() {
 fn run_with_checkpoint(
     mut engine: RetraSyn,
     ds: &retrasyn_geo::StreamDataset,
-    grid: &Grid,
+    grid: &UniformGrid,
 ) -> (retrasyn_geo::GriddedDataset, Vec<u8>) {
     let gridded = ds.discretize(grid);
     let timeline = retrasyn_geo::EventTimeline::build(&gridded);
@@ -225,7 +225,7 @@ fn run_with_checkpoint(
 #[test]
 fn blocked_engine_bit_identical_across_collection_threads() {
     let ds = walk_dataset(54);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     for division in [Division::Budget, Division::Population] {
         let run = |threads: usize| {
             let config = RetraSynConfig::new(1.0, 5)
@@ -249,7 +249,7 @@ fn blocked_engine_bit_identical_across_collection_threads() {
 /// changes it.
 #[test]
 fn fingerprint_ignores_collection_threads() {
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     let fp = |config: RetraSynConfig| {
         RetraSyn::population_division(config, grid.clone(), 7).fingerprint()
     };
@@ -270,7 +270,7 @@ fn fingerprint_ignores_collection_threads() {
 #[test]
 fn pooled_engine_releases_similar_occupancy() {
     let ds = walk_dataset(53);
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4).compile();
     let occupancy = |per_user: bool, seed: u64| {
         let mut config = RetraSynConfig::new(2.0, 5).with_lambda(10.0);
         if per_user {

@@ -14,14 +14,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retrasyn_core::{GlobalMobilityModel, SyntheticDb};
-use retrasyn_geo::{Grid, GriddedDataset, TransitionTable};
+use retrasyn_geo::{GriddedDataset, TransitionTable, UniformGrid};
 use std::fmt::Write as _;
 
 const SNAPSHOT_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/snapshots/synthesis_snapshot.txt");
 
-fn informed_setup(cached: bool) -> (Grid, TransitionTable, GlobalMobilityModel) {
-    let grid = Grid::unit(8);
+fn informed_setup(cached: bool) -> (UniformGrid, TransitionTable, GlobalMobilityModel) {
+    let grid = UniformGrid::unit(8);
     let table = TransitionTable::new(&grid);
     let mut model = GlobalMobilityModel::new(table.len());
     let est: Vec<f64> = (0..table.len()).map(|i| ((i * 37 % 11) as f64 + 1.0) * 1e-3).collect();

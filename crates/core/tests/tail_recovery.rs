@@ -14,7 +14,7 @@ use retrasyn_core::{
     TimelineSource,
 };
 use retrasyn_datagen::RandomWalkConfig;
-use retrasyn_geo::{CellId, Grid, GriddedDataset, TransitionState, UserEvent};
+use retrasyn_geo::{CellId, GriddedDataset, TransitionState, UniformGrid, UserEvent};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,11 +37,11 @@ fn cleanup(path: &Path) {
 fn dataset(seed: u64, timestamps: u64) -> GriddedDataset {
     RandomWalkConfig { users: 60, timestamps, churn: 0.08, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(seed))
-        .discretize(&Grid::unit(5))
+        .discretize(&UniformGrid::unit(5))
 }
 
 fn engine(division: Division) -> RetraSyn {
-    RetraSyn::new(RetraSynConfig::new(1.0, 5).with_lambda(10.0), Grid::unit(5), division, 7)
+    RetraSyn::new(RetraSynConfig::new(1.0, 5).with_lambda(10.0), UniformGrid::unit(5), division, 7)
 }
 
 /// Log the first `upto` timestamps of `gridded` into a fresh WAL at

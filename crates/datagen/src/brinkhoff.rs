@@ -228,7 +228,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrasyn_geo::Grid;
+    use retrasyn_geo::UniformGrid;
 
     fn small() -> BrinkhoffConfig {
         BrinkhoffConfig {
@@ -272,7 +272,7 @@ mod tests {
             ..Default::default()
         };
         let ds = config.generate(&mut rng);
-        let stats = ds.stats(&Grid::unit(6));
+        let stats = ds.stats();
         // Lifetime is capped by arrival/continue churn and the horizon, so
         // the mean sits below 1/quit_prob but well above 1.
         assert!(
@@ -288,7 +288,7 @@ mod tests {
         // positions should almost always land in adjacent cells.
         let mut rng = StdRng::seed_from_u64(4);
         let ds = small().generate(&mut rng);
-        let grid = Grid::unit(10);
+        let grid = UniformGrid::unit(10);
         let gd = ds.discretize(&grid);
         let raw_streams = ds.trajectories().len();
         let split_streams = gd.num_streams();

@@ -128,7 +128,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrasyn_geo::Grid;
+    use retrasyn_geo::UniformGrid;
 
     #[test]
     fn random_walk_covers_horizon() {
@@ -173,18 +173,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let config = RegimeShiftConfig { users: 400, timestamps: 40, shift_at: 20, step: 0.05 };
         let ds = config.generate(&mut rng);
-        let grid = Grid::unit(8);
-        let gd = ds.discretize(&grid);
-        // Count horizontal vs vertical cell moves before and after the shift.
+        let gd = ds.discretize(&UniformGrid::unit(8));
+        let topo = gd.topology();
+        // Count horizontal vs vertical cell moves before and after the shift
+        // (cells in one column share their center's x, in one row its y).
         let mut before = (0u64, 0u64); // (horizontal, vertical)
         let mut after = (0u64, 0u64);
         for s in gd.iter() {
             for (i, w) in s.cells.windows(2).enumerate() {
                 let t = s.start + i as u64 + 1;
-                let (ax, ay) = grid.cell_xy(w[0]);
-                let (bx, by) = grid.cell_xy(w[1]);
-                let dx = ax != bx;
-                let dy = ay != by;
+                let (a, b) = (topo.center(w[0]), topo.center(w[1]));
+                let dx = a.x != b.x;
+                let dy = a.y != b.y;
                 let target = if t <= 20 { &mut before } else { &mut after };
                 if dx && !dy {
                     target.0 += 1;

@@ -257,7 +257,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrasyn_geo::Grid;
+    use retrasyn_geo::UniformGrid;
 
     fn small() -> TDriveConfig {
         TDriveConfig { taxis: 300, timestamps: 150, ..Default::default() }
@@ -267,7 +267,7 @@ mod tests {
     fn generates_fragmented_streams() {
         let mut rng = StdRng::seed_from_u64(1);
         let ds = small().generate(&mut rng);
-        let stats = ds.stats(&Grid::unit(6));
+        let stats = ds.stats();
         // Many more streams than taxis (fragmentation) with a short mean.
         assert!(stats.streams > 300, "streams={}", stats.streams);
         assert!(
@@ -293,7 +293,7 @@ mod tests {
     fn density_is_skewed_toward_hotspots() {
         let mut rng = StdRng::seed_from_u64(3);
         let ds = small().generate(&mut rng);
-        let grid = Grid::unit(6);
+        let grid = UniformGrid::unit(6);
         let gd = ds.discretize(&grid);
         let totals = gd.total_counts();
         let max = *totals.iter().max().unwrap() as f64;
@@ -336,7 +336,7 @@ mod tests {
     fn streams_mostly_adjacent_on_default_grid() {
         let mut rng = StdRng::seed_from_u64(5);
         let ds = small().generate(&mut rng);
-        let grid = Grid::unit(6);
+        let grid = UniformGrid::unit(6);
         let gd = ds.discretize(&grid);
         let split_ratio =
             (gd.num_streams() - ds.trajectories().len()) as f64 / ds.trajectories().len() as f64;

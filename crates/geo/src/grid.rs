@@ -1,13 +1,9 @@
-//! The uniform K×K grid discretization (§III-B, "Geospatial
-//! Discretization") and its reachability structure.
+//! Cell identifiers of a discretized space.
 //!
-//! Reachability follows the paper: between two consecutive timestamps a
-//! user can only move between *adjacent* cells (Chebyshev distance ≤ 1),
-//! including staying in place, so each cell has at most 9 reachable
-//! successors and the movement state space shrinks from `|C|²` to
-//! `O(9|C|)`.
-
-use crate::point::{BoundingBox, Point};
+//! The uniform K×K grid of §III-B ("Geospatial Discretization") is
+//! [`crate::space::UniformGrid`]; every query on it (point lookup,
+//! centers, the 3×3 reachability neighborhood, hop distance) goes
+//! through the compiled [`crate::space::Topology`].
 
 /// Identifier of a cell in a dense cell universe.
 ///
@@ -25,226 +21,71 @@ impl CellId {
     }
 }
 
-/// A uniform K×K grid over a bounding box.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Grid {
-    k: u16,
-    bbox: BoundingBox,
-}
-
-/// The (at most 9) cells adjacent to a cell, including itself, in ascending
-/// index order.
-#[derive(Debug, Clone, Copy)]
-pub struct Neighborhood {
-    cells: [CellId; 9],
-    len: u8,
-}
-
-impl Neighborhood {
-    /// Neighbor cells as a slice (ascending cell index).
-    pub fn as_slice(&self) -> &[CellId] {
-        &self.cells[..self.len as usize]
-    }
-
-    /// Number of neighbors (4 for corners, 6 for edges, 9 for interior —
-    /// self included).
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the neighborhood is empty (never, for a valid grid).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether `c` belongs to the neighborhood.
-    pub fn contains(&self, c: CellId) -> bool {
-        self.as_slice().contains(&c)
-    }
-}
-
-impl<'a> IntoIterator for &'a Neighborhood {
-    type Item = CellId;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, CellId>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter().copied()
-    }
-}
-
-impl Grid {
-    /// Grid with `k × k` cells over `bbox`. `k` must be at least 1 (any
-    /// `u16` granularity keeps the cell universe within `u32`).
-    pub fn new(k: u16, bbox: BoundingBox) -> Self {
-        assert!(k >= 1, "grid granularity k={k} out of range [1, 65535]");
-        Grid { k, bbox }
-    }
-
-    /// Grid over the unit square.
-    pub fn unit(k: u16) -> Self {
-        Grid::new(k, BoundingBox::unit())
-    }
-
-    /// Discretization granularity K.
-    #[inline]
-    pub fn k(&self) -> u16 {
-        self.k
-    }
-
-    /// The covered bounding box.
-    pub fn bbox(&self) -> &BoundingBox {
-        &self.bbox
-    }
-
-    /// Total number of cells `|C| = K²`.
-    #[inline]
-    pub fn num_cells(&self) -> usize {
-        self.k as usize * self.k as usize
-    }
-
-    /// Cell containing point `p` (points outside the box are clamped in).
-    pub fn cell_of(&self, p: &Point) -> CellId {
-        let p = self.bbox.clamp(*p);
-        let fx = (p.x - self.bbox.min.x) / self.bbox.width();
-        let fy = (p.y - self.bbox.min.y) / self.bbox.height();
-        let x = ((fx * self.k as f64) as u16).min(self.k - 1);
-        let y = ((fy * self.k as f64) as u16).min(self.k - 1);
-        self.cell_at(x, y)
-    }
-
-    /// Cell at grid coordinates `(x, y)`.
-    #[inline]
-    pub fn cell_at(&self, x: u16, y: u16) -> CellId {
-        debug_assert!(x < self.k && y < self.k);
-        CellId(y as u32 * self.k as u32 + x as u32)
-    }
-
-    /// Grid coordinates `(x, y)` of a cell.
-    #[inline]
-    pub fn cell_xy(&self, c: CellId) -> (u16, u16) {
-        debug_assert!(c.index() < self.num_cells());
-        ((c.0 % self.k as u32) as u16, (c.0 / self.k as u32) as u16)
-    }
-
-    /// Continuous center point of a cell.
-    pub fn center(&self, c: CellId) -> Point {
-        let (x, y) = self.cell_xy(c);
-        Point::new(
-            self.bbox.min.x + (x as f64 + 0.5) / self.k as f64 * self.bbox.width(),
-            self.bbox.min.y + (y as f64 + 0.5) / self.k as f64 * self.bbox.height(),
-        )
-    }
-
-    /// Uniformly random point inside a cell.
-    pub fn random_point_in<R: rand::Rng + ?Sized>(&self, c: CellId, rng: &mut R) -> Point {
-        let (x, y) = self.cell_xy(c);
-        let cw = self.bbox.width() / self.k as f64;
-        let ch = self.bbox.height() / self.k as f64;
-        Point::new(
-            self.bbox.min.x + (x as f64 + rng.random::<f64>()) * cw,
-            self.bbox.min.y + (y as f64 + rng.random::<f64>()) * ch,
-        )
-    }
-
-    /// The neighborhood `N(c)` (adjacent cells including `c` itself, the
-    /// paper's reachability constraint), in ascending index order.
-    pub fn neighbors(&self, c: CellId) -> Neighborhood {
-        let (cx, cy) = self.cell_xy(c);
-        let mut cells = [CellId(0); 9];
-        let mut len = 0u8;
-        // y-major ascending scan yields ascending indices.
-        for dy in -1i32..=1 {
-            let y = cy as i32 + dy;
-            if y < 0 || y >= self.k as i32 {
-                continue;
-            }
-            for dx in -1i32..=1 {
-                let x = cx as i32 + dx;
-                if x < 0 || x >= self.k as i32 {
-                    continue;
-                }
-                cells[len as usize] = self.cell_at(x as u16, y as u16);
-                len += 1;
-            }
-        }
-        Neighborhood { cells, len }
-    }
-
-    /// Whether two cells are adjacent (Chebyshev distance ≤ 1; a cell is
-    /// adjacent to itself).
-    pub fn are_adjacent(&self, a: CellId, b: CellId) -> bool {
-        let (ax, ay) = self.cell_xy(a);
-        let (bx, by) = self.cell_xy(b);
-        ax.abs_diff(bx) <= 1 && ay.abs_diff(by) <= 1
-    }
-
-    /// Iterator over all cells in index order.
-    pub fn cells(&self) -> impl Iterator<Item = CellId> {
-        (0..self.num_cells() as u32).map(CellId)
-    }
-
-    /// Chebyshev (grid-hop) distance between two cells.
-    pub fn chebyshev(&self, a: CellId, b: CellId) -> u16 {
-        let (ax, ay) = self.cell_xy(a);
-        let (bx, by) = self.cell_xy(b);
-        ax.abs_diff(bx).max(ay.abs_diff(by))
-    }
-}
-
+// The uniform grid's geometry and reachability, queried through its
+// compiled topology.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::{BoundingBox, Point};
+    use crate::space::{QuadGrid, Space, UniformGrid};
 
     #[test]
     fn cell_of_corners_and_interior() {
-        let g = Grid::unit(4);
-        assert_eq!(g.cell_of(&Point::new(0.0, 0.0)), CellId(0));
+        let grid = UniformGrid::unit(4);
+        let topo = grid.compile();
+        assert_eq!(topo.cell_of(&Point::new(0.0, 0.0)), CellId(0));
         // Max corner clamps into the last cell.
-        assert_eq!(g.cell_of(&Point::new(1.0, 1.0)), CellId(15));
-        assert_eq!(g.cell_of(&Point::new(0.3, 0.6)), g.cell_at(1, 2));
+        assert_eq!(topo.cell_of(&Point::new(1.0, 1.0)), CellId(15));
+        assert_eq!(topo.cell_of(&Point::new(0.3, 0.6)), grid.cell_at(1, 2));
         // Out-of-box points clamp.
-        assert_eq!(g.cell_of(&Point::new(-5.0, 9.0)), g.cell_at(0, 3));
+        assert_eq!(topo.cell_of(&Point::new(-5.0, 9.0)), grid.cell_at(0, 3));
     }
 
     #[test]
     fn xy_roundtrip() {
-        let g = Grid::unit(7);
-        for c in g.cells() {
-            let (x, y) = g.cell_xy(c);
-            assert_eq!(g.cell_at(x, y), c);
+        // `cell_at(x, y)` is the cell whose center sits in column x, row y.
+        let grid = UniformGrid::unit(7);
+        let topo = grid.compile();
+        for y in 0..7 {
+            for x in 0..7 {
+                let c = grid.cell_at(x, y);
+                assert_eq!(c, CellId(y * 7 + x));
+                let p = topo.center(c);
+                assert_eq!(((p.x * 7.0) as u32, (p.y * 7.0) as u32), (x, y));
+            }
         }
     }
 
     #[test]
     fn center_maps_back_to_cell() {
-        let g = Grid::new(9, BoundingBox::new(Point::new(-3.0, 2.0), Point::new(5.0, 10.0)));
-        for c in g.cells() {
-            assert_eq!(g.cell_of(&g.center(c)), c);
+        let bbox = BoundingBox::new(Point::new(-3.0, 2.0), Point::new(5.0, 10.0));
+        let topo = UniformGrid::new(9, bbox).compile();
+        for c in topo.cells() {
+            assert_eq!(topo.cell_of(&topo.center(c)), c);
         }
     }
 
     #[test]
     fn neighborhood_sizes() {
-        let g = Grid::unit(5);
+        let grid = UniformGrid::unit(5);
+        let topo = grid.compile();
         // Corner: 4 neighbors (itself + 3).
-        assert_eq!(g.neighbors(g.cell_at(0, 0)).len(), 4);
+        assert_eq!(topo.neighbors(grid.cell_at(0, 0)).len(), 4);
         // Edge: 6.
-        assert_eq!(g.neighbors(g.cell_at(2, 0)).len(), 6);
+        assert_eq!(topo.neighbors(grid.cell_at(2, 0)).len(), 6);
         // Interior: 9.
-        assert_eq!(g.neighbors(g.cell_at(2, 2)).len(), 9);
+        assert_eq!(topo.neighbors(grid.cell_at(2, 2)).len(), 9);
         // k = 1: single cell, neighborhood is itself.
-        let g1 = Grid::unit(1);
-        assert_eq!(g1.neighbors(CellId(0)).len(), 1);
+        assert_eq!(UniformGrid::unit(1).compile().neighbors(CellId(0)), &[CellId(0)]);
     }
 
     #[test]
     fn neighborhood_sorted_and_contains_self() {
-        let g = Grid::unit(6);
-        for c in g.cells() {
-            let n = g.neighbors(c);
-            assert!(n.contains(c));
-            assert!(!n.is_empty());
-            let s = n.as_slice();
-            for w in s.windows(2) {
+        let topo = UniformGrid::unit(6).compile();
+        for c in topo.cells() {
+            let n = topo.neighbors(c);
+            assert!(n.contains(&c));
+            for w in n.windows(2) {
                 assert!(w[0] < w[1], "not sorted at {c:?}");
             }
         }
@@ -252,49 +93,49 @@ mod tests {
 
     #[test]
     fn adjacency_symmetry_matches_neighborhood() {
-        let g = Grid::unit(4);
-        for a in g.cells() {
-            for b in g.cells() {
-                let adj = g.are_adjacent(a, b);
-                assert_eq!(adj, g.are_adjacent(b, a));
-                assert_eq!(adj, g.neighbors(a).contains(b));
+        let topo = UniformGrid::unit(4).compile();
+        for a in topo.cells() {
+            for b in topo.cells() {
+                let adj = topo.are_adjacent(a, b);
+                assert_eq!(adj, topo.are_adjacent(b, a));
+                assert_eq!(adj, topo.neighbors(a).contains(&b));
             }
         }
     }
 
     #[test]
     fn k2_all_cells_mutually_adjacent() {
-        let g = Grid::unit(2);
-        for a in g.cells() {
-            for b in g.cells() {
-                assert!(g.are_adjacent(a, b));
+        let topo = UniformGrid::unit(2).compile();
+        for a in topo.cells() {
+            for b in topo.cells() {
+                assert!(topo.are_adjacent(a, b));
             }
         }
     }
 
     #[test]
     fn chebyshev_distance() {
-        let g = Grid::unit(10);
-        assert_eq!(g.chebyshev(g.cell_at(0, 0), g.cell_at(3, 5)), 5);
-        assert_eq!(g.chebyshev(g.cell_at(4, 4), g.cell_at(4, 4)), 0);
+        let grid = UniformGrid::unit(10);
+        let topo = grid.compile();
+        assert_eq!(topo.hop_distance(grid.cell_at(0, 0), grid.cell_at(3, 5)), 5);
+        assert_eq!(topo.hop_distance(grid.cell_at(4, 4), grid.cell_at(4, 4)), 0);
     }
 
     #[test]
     fn random_point_lands_in_cell() {
         use rand::{rngs::StdRng, SeedableRng};
-        let g = Grid::unit(8);
+        let pts: Vec<Point> =
+            (0..300).map(|i| Point::new((i % 23) as f64 / 23.0, (i % 7) as f64 / 70.0)).collect();
+        let quad = QuadGrid::fit(BoundingBox::unit(), &pts, 20, 4).compile();
+        assert!(quad.uniform_k().is_none());
         let mut rng = StdRng::seed_from_u64(1);
-        for c in g.cells() {
-            for _ in 0..5 {
-                let p = g.random_point_in(c, &mut rng);
-                assert_eq!(g.cell_of(&p), c);
+        for topo in [UniformGrid::unit(8).compile(), quad] {
+            for c in topo.cells() {
+                for _ in 0..5 {
+                    let p = topo.random_point_in(c, &mut rng);
+                    assert_eq!(topo.cell_of(&p), c);
+                }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn k_zero_rejected() {
-        let _ = Grid::unit(0);
     }
 }

@@ -348,14 +348,14 @@ impl GriddedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid;
     use crate::point::{BoundingBox, Point};
     use crate::space::QuadGrid;
+    use crate::space::UniformGrid;
     use crate::trajectory::Trajectory;
 
     #[test]
     fn adjacent_stream_stays_whole() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         // 0.1 -> cell x=0; 0.3 -> x=1; 0.6 -> x=2 : adjacent steps.
         let ds = StreamDataset::new(vec![Trajectory::new(
             0,
@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn jump_splits_stream() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         // x jumps from cell 0 to cell 3: Chebyshev 3 -> split.
         let ds = StreamDataset::new(vec![Trajectory::new(
             0,
@@ -412,7 +412,7 @@ mod tests {
 
     #[test]
     fn snapshot_and_total_counts() {
-        let grid = Grid::unit(2);
+        let grid = UniformGrid::unit(2);
         let ds = StreamDataset::new(vec![
             Trajectory::new(0, 0, vec![Point::new(0.2, 0.2), Point::new(0.2, 0.2)]),
             Trajectory::new(1, 1, vec![Point::new(0.8, 0.8)]),
@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn hop_distance() {
-        let grid = Grid::unit(5);
+        let grid = UniformGrid::unit(5);
         let topo = crate::space::Space::compile(&grid);
         let s = GriddedStream {
             id: 0,
@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn stats_of_discretized() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let ds = StreamDataset::new(vec![Trajectory::new(
             0,
             0,
@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn from_streams_roundtrip() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let streams = vec![GriddedStream {
             id: 0,
             start: 1,
@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn from_columns_matches_from_streams() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let streams = vec![
             GriddedStream { id: 4, start: 0, cells: vec![grid.cell_at(0, 0), grid.cell_at(1, 1)] },
             GriddedStream { id: 7, start: 2, cells: vec![grid.cell_at(2, 2)] },
@@ -497,7 +497,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "offsets must end")]
     fn from_columns_rejects_ragged_offsets() {
-        let grid = Grid::unit(2);
+        let grid = UniformGrid::unit(2);
         let _ = GriddedDataset::from_columns(
             grid.clone(),
             vec![0],

@@ -28,9 +28,9 @@
 //! appended as lines arrive and validated inline, so loading never
 //! materializes one owned `Vec` per stream.
 
-use crate::grid::{CellId, Grid};
+use crate::grid::CellId;
 use crate::gridded::GriddedDataset;
-use crate::space::{QuadGrid, QuadLeaf, SpaceDescriptor, Topology};
+use crate::space::{QuadGrid, QuadLeaf, Space, SpaceDescriptor, Topology, UniformGrid};
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -84,7 +84,7 @@ pub fn read_gridded<R: BufRead>(reader: R) -> io::Result<GriddedDataset> {
     let mut parts = header.split_whitespace();
     match (parts.next(), parts.next()) {
         (Some("retrasyn-gridded"), Some("v1")) => {
-            let mut k: Option<u16> = None;
+            let mut k: Option<u32> = None;
             let mut horizon: Option<u64> = None;
             for field in parts {
                 if let Some(v) = field.strip_prefix("k=") {
@@ -94,8 +94,11 @@ pub fn read_gridded<R: BufRead>(reader: R) -> io::Result<GriddedDataset> {
                 }
             }
             let k = k.ok_or_else(|| parse_err("missing k"))?;
+            if !(1..=65535).contains(&k) {
+                return Err(parse_err(format!("k={k} out of range [1, 65535]")));
+            }
             let horizon = horizon.ok_or_else(|| parse_err("missing horizon"))?;
-            let topology = crate::space::Space::compile_shared(&Grid::unit(k));
+            let topology = UniformGrid::unit(k).compile_shared();
             read_streams_columnar(lines, topology, horizon, 2)
         }
         (Some("retrasyn-quad"), Some("v1")) => {
@@ -114,7 +117,8 @@ pub fn read_gridded<R: BufRead>(reader: R) -> io::Result<GriddedDataset> {
             let depth = depth.ok_or_else(|| parse_err("missing depth"))?;
             let leaves_n = leaves_n.ok_or_else(|| parse_err("missing leaves"))?;
             let horizon = horizon.ok_or_else(|| parse_err("missing horizon"))?;
-            let mut leaves = Vec::with_capacity(leaves_n);
+            // Grown line by line: the header's count is untrusted.
+            let mut leaves = Vec::new();
             for i in 0..leaves_n {
                 let line = lines
                     .next()
@@ -136,7 +140,7 @@ pub fn read_gridded<R: BufRead>(reader: R) -> io::Result<GriddedDataset> {
             }
             let quad = QuadGrid::try_from_leaves(crate::point::BoundingBox::unit(), depth, leaves)
                 .map_err(parse_err)?;
-            let topology = crate::space::Space::compile_shared(&quad);
+            let topology = quad.compile_shared();
             read_streams_columnar(lines, topology, horizon, leaves_n + 2)
         }
         _ => {
@@ -197,7 +201,7 @@ fn read_streams_columnar<B: Iterator<Item = io::Result<String>>>(
         if n == 0 {
             return Err(parse_err(format!("line {lineno}: stream with no cells")));
         }
-        if start + n as u64 > horizon {
+        if start.checked_add(n as u64).is_none_or(|end| end > horizon) {
             return Err(parse_err(format!("stream {id} exceeds horizon")));
         }
         ids.push(id);
@@ -219,7 +223,7 @@ mod tests {
     use crate::point::{BoundingBox, Point};
 
     fn sample() -> GriddedDataset {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         GriddedDataset::from_streams(
             grid.clone(),
             vec![
@@ -249,7 +253,7 @@ mod tests {
     fn quad_roundtrip() {
         let pts: Vec<Point> = (0..300).map(|i| Point::new((i % 30) as f64 / 30.0, 0.1)).collect();
         let quad = QuadGrid::fit(BoundingBox::unit(), &pts, 25, 3);
-        let topo = crate::space::Space::compile_shared(&quad);
+        let topo = quad.compile_shared();
         // A short stream hopping between two adjacent leaves.
         let c0 = topo.cell_of(&Point::new(0.1, 0.05));
         let pick = *topo.neighbors(c0).last().unwrap();
@@ -277,12 +281,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn invalid(text: &str) -> io::Error {
+        let err = read_gridded(io::BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}: {err}");
+        err
+    }
+
     #[test]
     fn rejects_bad_header() {
-        let bad = "nonsense v1 k=4 horizon=5\n";
-        assert!(read_gridded(io::BufReader::new(bad.as_bytes())).is_err());
-        let missing_k = "retrasyn-gridded v1 horizon=5\n";
-        assert!(read_gridded(io::BufReader::new(missing_k.as_bytes())).is_err());
+        invalid("nonsense v1 k=4 horizon=5\n");
+        invalid("retrasyn-gridded v1 horizon=5\n");
+        // K outside the grid's range [1, 65535].
+        assert!(invalid("retrasyn-gridded v1 k=0 horizon=5\n").to_string().contains("k=0"));
+        invalid("retrasyn-gridded v1 k=65536 horizon=5\n");
+        invalid("retrasyn-gridded v1 k=4294967296 horizon=5\n");
     }
 
     #[test]
@@ -302,17 +314,25 @@ mod tests {
 
     #[test]
     fn rejects_horizon_overflow() {
-        let bad = "retrasyn-gridded v1 k=4 horizon=1\n0 0 0 1\n";
-        let err = read_gridded(io::BufReader::new(bad.as_bytes())).unwrap_err();
+        let err = invalid("retrasyn-gridded v1 k=4 horizon=1\n0 0 0 1\n");
+        assert!(err.to_string().contains("horizon"));
+        // `start + len` past u64::MAX must not wrap back under the horizon.
+        let err = invalid("retrasyn-gridded v1 k=4 horizon=5\n1 18446744073709551615 0\n");
         assert!(err.to_string().contains("horizon"));
     }
 
     #[test]
     fn rejects_bad_quad_leaf_set() {
         // Three depth-1 leaves: a hole.
-        let bad = "retrasyn-quad v1 depth=1 leaves=3 horizon=2\n0 0 1\n1 0 1\n0 1 1\n0 0 0\n";
-        let err = read_gridded(io::BufReader::new(bad.as_bytes())).unwrap_err();
+        let err =
+            invalid("retrasyn-quad v1 depth=1 leaves=3 horizon=2\n0 0 1\n1 0 1\n0 1 1\n0 0 0\n");
         assert!(err.to_string().contains("quad"));
+        // A leaf count no input backs: nothing is reserved from it.
+        let err =
+            invalid("retrasyn-quad v1 depth=1 leaves=18446744073709551615 horizon=2\n0 0 1\n");
+        assert!(err.to_string().contains("missing leaf line"));
+        // A leaf anchored at the edge of u32 overflows no bounds check.
+        invalid("retrasyn-quad v1 depth=1 leaves=2 horizon=2\n4294967295 0 1\n0 0 1\n");
     }
 
     #[test]
@@ -320,5 +340,56 @@ mod tests {
         let ok = "retrasyn-gridded v1 k=2 horizon=2\n\n0 0 0 1\n\n";
         let ds = read_gridded(io::BufReader::new(ok.as_bytes())).unwrap();
         assert_eq!(ds.num_streams(), 1);
+    }
+
+    /// Header values: small valid ones, the edges of every field's type,
+    /// and malformed numbers. Valid K stay small (a K×K grid compiles
+    /// K² cells).
+    const TOKENS: [&str; 14] = [
+        "0",
+        "1",
+        "2",
+        "3",
+        "5",
+        "8",
+        "65536",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "x",
+        "",
+    ];
+    const FIELDS: [&str; 4] = ["k", "depth", "leaves", "horizon"];
+
+    proptest::proptest! {
+        /// Arbitrary header fields plus body lines: the reader returns
+        /// `Ok` or `Err`, never panics.
+        #[test]
+        fn parser_never_panics_on_arbitrary_input(
+            quad in 0u8..2,
+            header in proptest::prop::collection::vec(
+                (0usize..FIELDS.len(), 0usize..TOKENS.len()),
+                0..6,
+            ),
+            body in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0usize..TOKENS.len(), 0..5),
+                0..6,
+            ),
+        ) {
+            let mut text =
+                String::from(if quad == 1 { "retrasyn-quad v1" } else { "retrasyn-gridded v1" });
+            for (field, value) in header {
+                text += &format!(" {}={}", FIELDS[field], TOKENS[value]);
+            }
+            for line in body {
+                let tokens: Vec<&str> = line.iter().map(|&t| TOKENS[t]).collect();
+                text += &format!("\n{}", tokens.join(" "));
+            }
+            if let Ok(ds) = read_gridded(io::BufReader::new(text.as_bytes())) {
+                proptest::prop_assert!(ds.iter().all(|s| s.end() < ds.horizon()));
+            }
+        }
     }
 }

@@ -4,8 +4,10 @@
 //! the paper:
 //!
 //! - [`Point`] / [`BoundingBox`]: continuous two-dimensional locations.
-//! - [`Grid`]: the uniform K×K discretization with 8-adjacency (plus self)
-//!   reachability.
+//! - [`UniformGrid`]: the uniform K×K discretization with 8-adjacency
+//!   (plus self) reachability. Like any [`Space`] (e.g. the adaptive
+//!   [`QuadGrid`]) it compiles into a [`Topology`], the flat tables every
+//!   query and downstream consumer runs on.
 //! - [`Trajectory`] / [`StreamDataset`]: raw continuous trajectory streams,
 //!   each entering at its own timestamp (`a_i` in Definition 4).
 //! - [`GriddedStream`] / [`GriddedDataset`]: the discretized view on which
@@ -31,7 +33,7 @@ pub mod timeline;
 pub mod trajectory;
 pub mod transition;
 
-pub use grid::{CellId, Grid, Neighborhood};
+pub use grid::CellId;
 pub use gridded::{GriddedDataset, GriddedStream, StreamView};
 pub use point::{BoundingBox, Point};
 pub use space::{QuadGrid, QuadLeaf, Space, SpaceDescriptor, Topology, UniformGrid};

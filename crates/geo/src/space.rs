@@ -11,9 +11,8 @@
 //!
 //! Two compilers ship today:
 //!
-//! - [`UniformGrid`] (and [`Grid`] itself): the paper's K×K grid. The
-//!   compiled adjacency reproduces the legacy row-major indexing and
-//!   y-major ascending neighbor order bit for bit.
+//! - [`UniformGrid`]: the paper's K×K grid (row-major ids, 3×3
+//!   neighborhoods; the layout contract is stated on the type).
 //! - [`QuadGrid`]: a density-adaptive quad tree in the PrivTrace style —
 //!   cells split while their (public / first-round) population estimate
 //!   exceeds a threshold, so the space stays coarse where data is thin and
@@ -24,7 +23,7 @@
 //! A road network is just a third compiler: nodes or segments become
 //! cells, graph edges become the CSR rows.
 
-use crate::grid::{CellId, Grid};
+use crate::grid::CellId;
 use crate::point::{BoundingBox, Point};
 use std::sync::Arc;
 
@@ -74,12 +73,6 @@ impl Space for Arc<Topology> {
 
     fn compile_shared(&self) -> Arc<Topology> {
         Arc::clone(self)
-    }
-}
-
-impl Space for Grid {
-    fn compile(&self) -> Topology {
-        UniformGrid::new(self.k() as u32, *self.bbox()).compile()
     }
 }
 
@@ -134,7 +127,7 @@ impl QuadLeaf {
 /// Point→cell lookup strategy of a compiled topology.
 #[derive(Debug, Clone)]
 enum Locator {
-    /// Row-major arithmetic, identical to [`Grid::cell_of`].
+    /// Row-major arithmetic (see [`UniformGrid`]).
     Uniform { k: u32 },
     /// Bit-walk descent through the quad tree. `nodes[i][q]` is either a
     /// leaf id (`>= 0`) or the negated index of the child node (`< 0`);
@@ -343,11 +336,15 @@ fn unit_rect(bbox: &BoundingBox, lo: (u32, u32), hi: (u32, u32), total: u32) -> 
     )
 }
 
-/// The paper's uniform K×K grid as a [`Space`] compiler.
+/// The paper's uniform K×K grid (§III-B) as a [`Space`] compiler.
 ///
-/// Compiles to the exact legacy layout: row-major cell ids (`y·K + x`)
-/// and y-major ascending adjacency rows, so uniform topologies are
-/// drop-in bit-compatible with [`Grid`] arithmetic.
+/// Layout contract, relied on by every blessed snapshot and checkpoint:
+/// cell ids are row-major (`y·K + x`, see [`Self::cell_at`]); a point
+/// maps to column `min(⌊fx·K⌋, K−1)` and row `min(⌊fy·K⌋, K−1)`, where
+/// `fx`, `fy` are its fractional position after clamping into the box;
+/// and the adjacency row of a cell is its 3×3 window (Chebyshev distance
+/// ≤ 1, itself included) scanned y-major, so rows ascend. All other
+/// queries go through the compiled [`Topology`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct UniformGrid {
     k: u32,
@@ -377,6 +374,13 @@ impl UniformGrid {
     pub fn bbox(&self) -> &BoundingBox {
         &self.bbox
     }
+
+    /// Cell at grid column `x`, row `y`: the row-major id `y·K + x`.
+    #[inline]
+    pub fn cell_at(&self, x: u32, y: u32) -> CellId {
+        debug_assert!(x < self.k && y < self.k, "cell ({x}, {y}) outside a {0}×{0} grid", self.k);
+        CellId(y * self.k + x)
+    }
 }
 
 impl Space for UniformGrid {
@@ -390,8 +394,7 @@ impl Space for UniformGrid {
         for y in 0..k {
             for x in 0..k {
                 rects.push(unit_rect(&self.bbox, (x, y), (x + 1, y + 1), k));
-                // Same y-major ascending scan as the legacy
-                // `Grid::neighbors`: yields ascending dense indices.
+                // The 3×3 window, y-major: yields ascending dense indices.
                 for dy in -1i64..=1 {
                     let ny = y as i64 + dy;
                     if ny < 0 || ny >= k as i64 {
@@ -574,7 +577,7 @@ fn build_quad_nodes(depth: u8, leaves: &[QuadLeaf]) -> Result<Vec<[i64; 4]>, Str
             return Err(format!("quad leaf depth {} out of range [1, {depth}]", l.depth));
         }
         let side = l.side(depth);
-        if l.x % side != 0 || l.y % side != 0 || l.x + side > total || l.y + side > total {
+        if l.x % side != 0 || l.y % side != 0 || l.x > total - side || l.y > total - side {
             return Err(format!(
                 "quad leaf ({}, {}, d{}) misaligned for depth {depth}",
                 l.x, l.y, l.depth
@@ -659,14 +662,23 @@ impl Space for QuadGrid {
 mod tests {
     use super::*;
 
+    /// Brute-force reference for a uniform adjacency row: every cell
+    /// within Chebyshev distance 1 of `c`, in ascending id order.
+    fn chebyshev_row(k: u32, c: CellId) -> Vec<CellId> {
+        let (cx, cy) = (c.0 % k, c.0 / k);
+        (0..k * k)
+            .map(CellId)
+            .filter(|d| (d.0 % k).abs_diff(cx) <= 1 && (d.0 / k).abs_diff(cy) <= 1)
+            .collect()
+    }
+
     #[test]
     fn uniform_matches_legacy_grid() {
-        for k in [1u16, 2, 3, 5, 8] {
-            let grid = Grid::unit(k);
-            let topo = grid.compile();
-            assert_eq!(topo.num_cells(), grid.num_cells());
-            for c in grid.cells() {
-                assert_eq!(topo.neighbors(c), grid.neighbors(c).as_slice(), "k={k} cell {c:?}");
+        for k in [1u32, 2, 3, 5, 8] {
+            let topo = UniformGrid::unit(k).compile();
+            assert_eq!(topo.num_cells(), (k * k) as usize);
+            for c in topo.cells() {
+                assert_eq!(topo.neighbors(c), chebyshev_row(k, c), "k={k} cell {c:?}");
             }
         }
     }
@@ -674,11 +686,15 @@ mod tests {
     #[test]
     fn uniform_locator_matches_grid_cell_of() {
         let bbox = BoundingBox::new(Point::new(-2.0, 1.0), Point::new(3.0, 4.0));
-        let grid = Grid::new(7, bbox);
+        let grid = UniformGrid::new(7, bbox);
         let topo = grid.compile();
+        // Reference locator: clamp, then `min(⌊f·K⌋, K−1)` per axis.
+        let axis = |v: f64, lo: f64, hi: f64| ((v.clamp(lo, hi) - lo) / (hi - lo) * 7.0) as u32;
         for i in 0..200 {
             let p = Point::new(-2.5 + i as f64 * 0.03, 0.5 + i as f64 * 0.02);
-            assert_eq!(topo.cell_of(&p), grid.cell_of(&p), "point {p:?}");
+            let x = axis(p.x, -2.0, 3.0).min(6);
+            let y = axis(p.y, 1.0, 4.0).min(6);
+            assert_eq!(topo.cell_of(&p), grid.cell_at(x, y), "point {p:?}");
         }
     }
 

@@ -1,6 +1,5 @@
 //! Collections of raw trajectory streams (the original database `T_orig`).
 
-use crate::grid::Grid;
 use crate::gridded::GriddedDataset;
 use crate::point::Point;
 use crate::space::Space;
@@ -74,7 +73,7 @@ impl StreamDataset {
 
     /// Table-I style statistics. (`avg_length` counts raw stream lengths;
     /// gap/jump splitting is applied later by [`Self::discretize`].)
-    pub fn stats(&self, _grid: &Grid) -> DatasetStats {
+    pub fn stats(&self) -> DatasetStats {
         let points: usize = self.trajectories.iter().map(Trajectory::len).sum();
         let streams = self.trajectories.len();
         DatasetStats {
@@ -150,7 +149,7 @@ mod tests {
     #[test]
     fn stats_match_contents() {
         let ds = make();
-        let s = ds.stats(&Grid::unit(4));
+        let s = ds.stats();
         assert_eq!(s.streams, 3);
         assert_eq!(s.points, 5);
         assert!((s.avg_length - 5.0 / 3.0).abs() < 1e-12);
@@ -194,7 +193,7 @@ mod tests {
     fn empty_dataset() {
         let ds = StreamDataset::new(vec![]);
         assert_eq!(ds.horizon(), 0);
-        let s = ds.stats(&Grid::unit(2));
+        let s = ds.stats();
         assert_eq!(s.streams, 0);
         assert_eq!(s.avg_length, 0.0);
     }

@@ -98,11 +98,11 @@ impl EventTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid;
     use crate::gridded::{GriddedDataset, GriddedStream};
+    use crate::space::UniformGrid;
 
     fn dataset() -> GriddedDataset {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let streams = vec![
             // Active at t=1..3, quits -> farewell at t=4.
             GriddedStream {
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn enter_move_quit_sequence() {
         let ds = dataset();
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let tl = EventTimeline::build(&ds);
         assert_eq!(tl.horizon(), 5);
         assert!(tl.at(0).is_empty());

@@ -47,8 +47,9 @@ pub struct TransitionTable {
 }
 
 impl TransitionTable {
-    /// Build the table for any [`Space`] (a `Grid`, a compiled
-    /// [`Topology`], a quad tree, …).
+    /// Build the table for any [`Space`] (a
+    /// [`UniformGrid`](crate::UniformGrid), a quad tree, a compiled
+    /// [`Topology`], …).
     pub fn new(space: &impl Space) -> Self {
         TransitionTable { topology: space.compile_shared() }
     }
@@ -187,39 +188,37 @@ impl TransitionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid;
     use crate::point::{BoundingBox, Point};
-    use crate::space::QuadGrid;
+    use crate::space::{QuadGrid, UniformGrid};
 
     #[test]
     fn domain_size_small_grids() {
         // k=1: one cell, one self-move, one enter, one quit.
-        let t = TransitionTable::new(&Grid::unit(1));
+        let t = TransitionTable::new(&UniformGrid::unit(1));
         assert_eq!(t.num_moves(), 1);
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
         // k=2: every cell adjacent to every cell -> 16 moves + 8.
-        let t = TransitionTable::new(&Grid::unit(2));
+        let t = TransitionTable::new(&UniformGrid::unit(2));
         assert_eq!(t.num_moves(), 16);
         assert_eq!(t.len(), 24);
         // k=3: corners 4, edges 6, center 9 -> 4*4 + 4*6 + 9 = 49.
-        let t = TransitionTable::new(&Grid::unit(3));
+        let t = TransitionTable::new(&UniformGrid::unit(3));
         assert_eq!(t.num_moves(), 49);
         assert_eq!(t.len(), 49 + 18);
     }
 
     #[test]
     fn domain_is_o_9c() {
-        let grid = Grid::unit(10);
-        let t = TransitionTable::new(&grid);
-        assert!(t.num_moves() <= 9 * grid.num_cells());
+        let t = TransitionTable::new(&UniformGrid::unit(10));
+        assert!(t.num_moves() <= 9 * t.num_cells());
         // Interior dominates: 8x8 interior cells with 9 neighbors.
         assert_eq!(t.num_moves(), 64 * 9 + 4 * 4 + 32 * 6);
     }
 
     #[test]
     fn index_bijection() {
-        let grid = Grid::unit(5);
+        let grid = UniformGrid::unit(5);
         let t = TransitionTable::new(&grid);
         for idx in 0..t.len() {
             let state = t.state_of(idx);
@@ -243,12 +242,11 @@ mod tests {
 
     #[test]
     fn move_indices_cover_neighbors() {
-        let grid = Grid::unit(4);
-        let t = TransitionTable::new(&grid);
-        for from in grid.cells() {
+        let t = TransitionTable::new(&UniformGrid::unit(4));
+        for from in t.topology().cells() {
             let block = t.move_block(from);
             let targets = t.move_targets(from);
-            assert_eq!(block.len(), grid.neighbors(from).len());
+            assert_eq!(block.len(), t.topology().neighbors(from).len());
             assert_eq!(targets.len(), block.len());
             for (pos, &to) in targets.iter().enumerate() {
                 assert_eq!(t.index_of(TransitionState::Move { from, to }), Some(block.start + pos));
@@ -258,7 +256,7 @@ mod tests {
 
     #[test]
     fn non_adjacent_move_not_in_domain() {
-        let grid = Grid::unit(5);
+        let grid = UniformGrid::unit(5);
         let t = TransitionTable::new(&grid);
         let state = TransitionState::Move { from: grid.cell_at(0, 0), to: grid.cell_at(3, 3) };
         assert_eq!(t.index_of(state), None);
@@ -266,10 +264,9 @@ mod tests {
 
     #[test]
     fn enter_quit_blocks_disjoint() {
-        let grid = Grid::unit(3);
-        let t = TransitionTable::new(&grid);
+        let t = TransitionTable::new(&UniformGrid::unit(3));
         let mut seen = std::collections::HashSet::new();
-        for c in grid.cells() {
+        for c in t.topology().cells() {
             assert!(seen.insert(t.enter_index(c)));
             assert!(seen.insert(t.quit_index(c)));
         }
@@ -281,7 +278,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn state_of_out_of_range_panics() {
-        let t = TransitionTable::new(&Grid::unit(2));
+        let t = TransitionTable::new(&UniformGrid::unit(2));
         let _ = t.state_of(t.len());
     }
 }

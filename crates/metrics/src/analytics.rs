@@ -117,9 +117,9 @@ pub fn periodic_occupancy(dataset: &GriddedDataset, region: &[CellId], period: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, GriddedStream};
+    use retrasyn_geo::{GriddedStream, UniformGrid};
 
-    fn dataset(grid: &Grid) -> GriddedDataset {
+    fn dataset(grid: &UniformGrid) -> GriddedDataset {
         GriddedDataset::from_streams(
             grid.clone(),
             vec![
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn od_matrix_counts_trips() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let ds = dataset(&grid);
         let od = od_matrix(&ds);
         assert_eq!(od[&(grid.cell_at(0, 0), grid.cell_at(1, 0))], 2);
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn top_k_orders_by_count() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let top = top_k_trips(&dataset(&grid), 1);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].0, (grid.cell_at(0, 0), grid.cell_at(1, 0)));
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn flow_series_counts_region_crossings() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let ds = dataset(&grid);
         let flow = flow_series(&ds, &[grid.cell_at(0, 0)], &[grid.cell_at(1, 0)]);
         // Stream 0 crosses at t=1, stream 1 at t=2.
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn dwell_time_mixes_runs() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         // Runs: stream0: [1,1]; stream1: [1,1]; stream2: [3].
         // Mean = (1+1+1+1+3)/5 = 1.4.
         let d = mean_dwell_time(&dataset(&grid));
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn gyration_zero_for_stationary() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let rg = radius_of_gyration(&dataset(&grid));
         assert_eq!(rg.len(), 3);
         // The dwelling stream never moves.
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn periodic_occupancy_profiles() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let ds = dataset(&grid);
         let profile = periodic_occupancy(&ds, &[grid.cell_at(2, 2)], 2);
         // (2,2) occupied at t=0,1,2 -> phase 0 has t=0 (1) and t=2 (1)

@@ -41,10 +41,10 @@ pub fn density_error(orig: &GriddedDataset, syn: &GriddedDataset) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, GriddedStream};
+    use retrasyn_geo::{GriddedStream, UniformGrid};
     use std::f64::consts::LN_2;
 
-    fn ds(grid: &Grid, cells: Vec<Vec<(u16, u16)>>) -> GriddedDataset {
+    fn ds(grid: &UniformGrid, cells: Vec<Vec<(u32, u32)>>) -> GriddedDataset {
         // One stream per inner vec, all starting at t=0.
         let streams: Vec<GriddedStream> = cells
             .into_iter()
@@ -61,7 +61,7 @@ mod tests {
 
     #[test]
     fn identical_datasets_zero_error() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let a = ds(&grid, vec![vec![(0, 0), (1, 0)], vec![(2, 2), (2, 1)]]);
         assert!(density_error(&a, &a) < 1e-12);
         assert!(density_error_at(&a, &a, 0) < 1e-12);
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn disjoint_datasets_max_error() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let a = ds(&grid, vec![vec![(0, 0), (0, 0)]]);
         let b = ds(&grid, vec![vec![(2, 2), (2, 2)]]);
         assert!((density_error(&a, &b) - LN_2).abs() < 1e-9);
@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn partial_overlap_intermediate() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let a = ds(&grid, vec![vec![(0, 0)], vec![(1, 1)]]);
         let b = ds(&grid, vec![vec![(0, 0)], vec![(2, 2)]]);
         let e = density_error(&a, &b);
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn timestamps_where_both_empty_are_skipped() {
-        let grid = Grid::unit(2);
+        let grid = UniformGrid::unit(2);
         // Streams active only at t=0; horizons padded to 5.
         let mut a = ds(&grid, vec![vec![(0, 0)]]);
         let mut b = ds(&grid, vec![vec![(0, 0)]]);
@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn one_sided_activity_counts_as_max() {
-        let grid = Grid::unit(2);
+        let grid = UniformGrid::unit(2);
         let a = ds(&grid, vec![vec![(0, 0), (0, 1)]]);
         // b is active only at t=0.
         let b = GriddedDataset::from_streams(

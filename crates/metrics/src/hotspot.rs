@@ -103,9 +103,9 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrasyn_geo::{Grid, GriddedStream};
+    use retrasyn_geo::{GriddedStream, UniformGrid};
 
-    fn hotspot_ds(grid: &Grid, hot: (u16, u16), copies: usize) -> GriddedDataset {
+    fn hotspot_ds(grid: &UniformGrid, hot: (u32, u32), copies: usize) -> GriddedDataset {
         // `copies` streams sitting in the hot cell + 1 stream elsewhere.
         let mut streams: Vec<GriddedStream> = (0..copies)
             .map(|i| GriddedStream {
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn identical_datasets_score_one() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let ds = hotspot_ds(&grid, (2, 2), 5);
         let ranges = [TimeRange { t0: 0, t1: 3 }];
         assert!((hotspot_ndcg(&ds, &ds, &ranges, 3) - 1.0).abs() < 1e-12);
@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn wrong_hotspot_scores_lower() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let orig = hotspot_ds(&grid, (2, 2), 5);
         let syn_right = hotspot_ds(&grid, (2, 2), 5);
         let syn_wrong = hotspot_ds(&grid, (3, 0), 5);
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn empty_original_scores_one() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let empty = GriddedDataset::from_streams(grid.clone(), vec![], 4);
         let syn = hotspot_ds(&grid, (1, 1), 2);
         let ranges = [TimeRange { t0: 0, t1: 3 }];

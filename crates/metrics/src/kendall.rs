@@ -54,7 +54,7 @@ pub fn kendall_tau(orig: &GriddedDataset, syn: &GriddedDataset) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, GriddedStream};
+    use retrasyn_geo::{GriddedStream, UniformGrid};
 
     #[test]
     fn perfect_agreement() {
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn dataset_popularity_ranking() {
-        let grid = Grid::unit(2);
+        let grid = UniformGrid::unit(2);
         let make = |counts: [usize; 4]| {
             let mut streams = Vec::new();
             let mut id = 0u64;

@@ -47,16 +47,16 @@ pub fn length_error(orig: &GriddedDataset, syn: &GriddedDataset, bins: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, GriddedStream};
+    use retrasyn_geo::{GriddedStream, UniformGrid};
     use std::f64::consts::LN_2;
 
-    fn walk(grid: &Grid, id: u64, len: usize) -> GriddedStream {
+    fn walk(grid: &UniformGrid, id: u64, len: usize) -> GriddedStream {
         // A straight march of `len` cells along x from (0,0), bouncing at
         // the boundary.
         let k = grid.k();
         let cells = (0..len)
             .map(|i| {
-                let phase = (i as u16) % (2 * (k - 1)).max(1);
+                let phase = (i as u32) % (2 * (k - 1)).max(1);
                 let x = if phase < k { phase } else { 2 * (k - 1) - phase };
                 grid.cell_at(x, 0)
             })
@@ -64,7 +64,7 @@ mod tests {
         GriddedStream { id, start: 0, cells }
     }
 
-    fn ds(grid: &Grid, lens: &[usize]) -> GriddedDataset {
+    fn ds(grid: &UniformGrid, lens: &[usize]) -> GriddedDataset {
         let streams: Vec<GriddedStream> =
             lens.iter().enumerate().map(|(i, &l)| walk(grid, i as u64, l)).collect();
         let horizon = streams.iter().map(|s| s.end() + 1).max().unwrap_or(0);
@@ -73,14 +73,14 @@ mod tests {
 
     #[test]
     fn identical_lengths_zero_error() {
-        let grid = Grid::unit(6);
+        let grid = UniformGrid::unit(6);
         let a = ds(&grid, &[3, 5, 8, 8]);
         assert!(length_error(&a, &a, 10) < 1e-12);
     }
 
     #[test]
     fn never_terminating_synthetic_hits_ln2() {
-        let grid = Grid::unit(6);
+        let grid = UniformGrid::unit(6);
         // Real streams: short (distances 2-7); synthetic: one enormous
         // stream (distance ~ 500) — disjoint histograms.
         let orig = ds(&grid, &[3, 5, 8]);
@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn similar_distributions_small_error() {
-        let grid = Grid::unit(6);
+        let grid = UniformGrid::unit(6);
         let a = ds(&grid, &[3, 5, 8, 12]);
         let b = ds(&grid, &[3, 5, 8, 13]);
         let e = length_error(&a, &b, 10);
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn travel_distance_values() {
-        let grid = Grid::unit(6);
+        let grid = UniformGrid::unit(6);
         let d = travel_distances(&ds(&grid, &[1, 4]));
         // len 1 -> 0 hops; len 4 -> 3 hops.
         assert_eq!(d, vec![0, 3]);
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn empty_sides() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let empty = GriddedDataset::from_streams(grid.clone(), vec![], 1);
         let a = ds(&grid, &[3]);
         assert_eq!(length_error(&empty, &empty, 5), 0.0);

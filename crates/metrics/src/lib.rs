@@ -74,11 +74,11 @@ pub fn per_ts_cell_counts(dataset: &GriddedDataset) -> Vec<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, GriddedDataset, GriddedStream};
+    use retrasyn_geo::{GriddedDataset, GriddedStream, UniformGrid};
 
     #[test]
     fn per_ts_cell_counts_accumulates() {
-        let grid = Grid::unit(2);
+        let grid = UniformGrid::unit(2);
         let streams = vec![
             GriddedStream { id: 0, start: 0, cells: vec![grid.cell_at(0, 0), grid.cell_at(1, 0)] },
             GriddedStream { id: 1, start: 1, cells: vec![grid.cell_at(1, 0)] },

@@ -65,19 +65,19 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use retrasyn_core::{GlobalMobilityModel, SyntheticDb};
-    use retrasyn_geo::{Grid, TransitionTable};
+    use retrasyn_geo::{Topology, TransitionTable, UniformGrid};
     use std::f64::consts::LN_2;
+    use std::sync::Arc;
 
     /// A tiny synthetic database: `n` streams stepped once.
-    fn db(n: usize) -> (Grid, SyntheticDb) {
-        let grid = Grid::unit(4);
-        let table = TransitionTable::new(&grid);
+    fn db(n: usize) -> (Arc<Topology>, SyntheticDb) {
+        let table = TransitionTable::new(&UniformGrid::unit(4));
         let mut model = GlobalMobilityModel::new(table.len());
         model.rebuild_samplers(&table);
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(3);
         db.step(0, &model, &table, n, 10.0, &mut rng);
-        (grid, db)
+        (Arc::clone(table.topology()), db)
     }
 
     #[test]

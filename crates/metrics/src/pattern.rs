@@ -95,9 +95,9 @@ pub fn pattern_f1(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, GriddedStream};
+    use retrasyn_geo::{GriddedStream, UniformGrid};
 
-    fn ds(grid: &Grid, paths: Vec<Vec<(u16, u16)>>) -> GriddedDataset {
+    fn ds(grid: &UniformGrid, paths: Vec<Vec<(u32, u32)>>) -> GriddedDataset {
         let streams: Vec<GriddedStream> = paths
             .into_iter()
             .enumerate()
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn pattern_counts_window_lengths() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let d = ds(&grid, vec![vec![(0, 0), (1, 0), (2, 0)]]);
         let counts = pattern_counts(&d, &TimeRange { t0: 0, t1: 2 }, 3);
         // Length-2: (00,10), (10,20); length-3: (00,10,20).
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn time_range_clips_streams() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let d = ds(&grid, vec![vec![(0, 0), (1, 0), (2, 0), (3, 0)]]);
         // Range covering only t=1..2 -> only the middle pair.
         let counts = pattern_counts(&d, &TimeRange { t0: 1, t1: 2 }, 3);
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn identical_datasets_f1_one() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let d = ds(&grid, vec![vec![(0, 0), (1, 0), (2, 0)], vec![(3, 3), (3, 2)]]);
         let r = [TimeRange { t0: 0, t1: 2 }];
         assert!((pattern_f1(&d, &d, &r, 10, 3) - 1.0).abs() < 1e-12);
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn disjoint_patterns_f1_zero() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let a = ds(&grid, vec![vec![(0, 0), (1, 0), (2, 0)]]);
         let b = ds(&grid, vec![vec![(3, 3), (3, 2), (3, 1)]]);
         let r = [TimeRange { t0: 0, t1: 2 }];
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn partial_overlap_between_zero_and_one() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let a = ds(&grid, vec![vec![(0, 0), (1, 0)], vec![(3, 3), (3, 2)]]);
         let b = ds(&grid, vec![vec![(0, 0), (1, 0)], vec![(2, 2), (2, 1)]]);
         let r = [TimeRange { t0: 0, t1: 1 }];
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn top_patterns_ranked_by_count() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         // Pattern (0,0)->(1,0) occurs twice, (3,3)->(3,2) once.
         let d = ds(&grid, vec![vec![(0, 0), (1, 0)], vec![(0, 0), (1, 0)], vec![(3, 3), (3, 2)]]);
         let counts = pattern_counts(&d, &TimeRange { t0: 0, t1: 1 }, 2);
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn empty_sides() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let empty = GriddedDataset::from_streams(grid.clone(), vec![], 2);
         let d = ds(&grid, vec![vec![(0, 0), (1, 0)]]);
         let r = [TimeRange { t0: 0, t1: 1 }];
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn single_point_streams_have_no_patterns() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let d = ds(&grid, vec![vec![(0, 0)]]);
         let counts = pattern_counts(&d, &TimeRange { t0: 0, t1: 0 }, 3);
         assert!(counts.is_empty());

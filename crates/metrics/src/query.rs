@@ -232,9 +232,9 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrasyn_geo::{Grid, GriddedStream, Point, Space, StreamDataset, Trajectory};
+    use retrasyn_geo::{GriddedStream, Point, Space, StreamDataset, Trajectory, UniformGrid};
 
-    fn dataset(grid: &Grid) -> GriddedDataset {
+    fn dataset(grid: &UniformGrid) -> GriddedDataset {
         let streams = vec![
             GriddedStream { id: 0, start: 0, cells: vec![grid.cell_at(0, 0), grid.cell_at(1, 1)] },
             GriddedStream { id: 1, start: 1, cells: vec![grid.cell_at(3, 3), grid.cell_at(3, 2)] },
@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn answer_counts_points_in_box() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let ds = dataset(&grid);
         let counts = crate::per_ts_cell_counts(&ds);
         let topo = ds.topology();
@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn identical_datasets_zero_error() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let ds = dataset(&grid);
         let mut rng = StdRng::seed_from_u64(1);
         let queries = gen_queries(ds.topology(), 3, 2, 50, &mut rng);
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn empty_synthetic_gives_error_one_on_covered_queries() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let orig = dataset(&grid);
         let syn = GriddedDataset::from_streams(grid.clone(), vec![], 3);
         // A query covering everything: |4 - 0| / max(4, sanity) = 1.
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn sanity_bound_caps_small_queries() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let orig = dataset(&grid);
         // Synthetic has one extra point where orig has none.
         let syn = GriddedDataset::from_streams(
@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn gen_queries_are_well_formed() {
-        let topo = Grid::unit(10).compile();
+        let topo = UniformGrid::unit(10).compile();
         let mut rng = StdRng::seed_from_u64(2);
         for q in gen_queries(&topo, 100, 10, 200, &mut rng) {
             assert!(q.x0 <= q.x1 && q.x1 < 10);
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn gen_queries_phi_clamped_to_horizon() {
-        let topo = Grid::unit(5).compile();
+        let topo = UniformGrid::unit(5).compile();
         let mut rng = StdRng::seed_from_u64(3);
         let qs = gen_queries(&topo, 4, 100, 10, &mut rng);
         for q in qs {
@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn contains_cell() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let topo = grid.compile();
         let q = RangeQuery { x0: 1, x1: 2, y0: 1, y1: 2, t0: 0, t1: 0 };
         assert!(q.contains_cell(&topo, grid.cell_at(1, 2)));
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn continuous_answer_gridded_uses_overlap_fraction() {
-        let grid = Grid::unit(2);
+        let grid = UniformGrid::unit(2);
         // One stream sitting in cell (0,0) (covering [0,0.5]^2) at t=0.
         let ds = GriddedDataset::from_streams(
             grid.clone(),
@@ -377,7 +377,7 @@ mod tests {
         // Raw points at cell centers vs their own gridding: the expected
         // overlap answer differs only by the within-cell approximation;
         // for a full-cover query the error is exactly zero.
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let ds = StreamDataset::new(vec![Trajectory::new(
             0,
             0,
@@ -397,15 +397,16 @@ mod tests {
         let points: Vec<Point> = (0..50).map(|_| Point::new(0.05, 0.05)).collect();
         let ds = StreamDataset::new(vec![Trajectory::new(0, 0, points)]);
         let q = ContinuousQuery { x0: 0.6, x1: 0.9, y0: 0.6, y1: 0.9, t0: 0, t1: 49 };
-        let coarse = continuous_query_error(&ds, &ds.discretize(&Grid::unit(1)), &[q], 0.001);
-        let fine = continuous_query_error(&ds, &ds.discretize(&Grid::unit(10)), &[q], 0.001);
+        let coarse =
+            continuous_query_error(&ds, &ds.discretize(&UniformGrid::unit(1)), &[q], 0.001);
+        let fine = continuous_query_error(&ds, &ds.discretize(&UniformGrid::unit(10)), &[q], 0.001);
         assert!(coarse > 10.0 * fine.max(1e-9), "coarse={coarse} fine={fine}");
     }
 
     #[test]
     fn query_error_from_raw_trajectories() {
         // End-to-end: raw points -> gridded -> query error vs a shifted copy.
-        let grid = Grid::unit(5);
+        let grid = UniformGrid::unit(5);
         let orig = StreamDataset::new(vec![Trajectory::new(
             0,
             0,

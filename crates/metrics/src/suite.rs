@@ -195,13 +195,13 @@ impl MetricSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, GriddedStream};
+    use retrasyn_geo::{GriddedStream, UniformGrid};
 
-    fn dataset(grid: &Grid) -> GriddedDataset {
+    fn dataset(grid: &UniformGrid) -> GriddedDataset {
         let streams: Vec<GriddedStream> = (0..20)
             .map(|i| {
-                let x = (i % 4) as u16;
-                let y = (i % 3) as u16;
+                let x = (i % 4) as u32;
+                let y = (i % 3) as u32;
                 GriddedStream {
                     id: i,
                     start: (i % 5),
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn self_evaluation_is_perfect() {
-        let grid = Grid::unit(6);
+        let grid = UniformGrid::unit(6);
         let ds = dataset(&grid);
         let suite = MetricSuite::new(SuiteConfig { phi: 4, ..Default::default() });
         let r = suite.evaluate(&ds, &ds);
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn workloads_are_deterministic_per_seed() {
-        let grid = Grid::unit(6);
+        let grid = UniformGrid::unit(6);
         let ds = dataset(&grid);
         let suite = MetricSuite::new(SuiteConfig::default());
         assert_eq!(suite.queries(&ds), suite.queries(&ds));

@@ -74,15 +74,15 @@ pub fn transition_error(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, GriddedStream};
+    use retrasyn_geo::{GriddedStream, UniformGrid};
     use std::f64::consts::LN_2;
 
-    fn line_ds(grid: &Grid, dir: (i32, i32)) -> GriddedDataset {
+    fn line_ds(grid: &UniformGrid, dir: (i32, i32)) -> GriddedDataset {
         // 3 streams marching in direction `dir` from (1,1).
         let streams: Vec<GriddedStream> = (0..3)
             .map(|i| {
                 let cells = (0..3)
-                    .map(|s| grid.cell_at((1 + dir.0 * s) as u16, (1 + dir.1 * s) as u16))
+                    .map(|s| grid.cell_at((1 + dir.0 * s) as u32, (1 + dir.1 * s) as u32))
                     .collect();
                 GriddedStream { id: i, start: 0, cells }
             })
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn identical_movement_zero_error() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let t = TransitionTable::new(&grid);
         let a = line_ds(&grid, (1, 0));
         assert!(transition_error(&a, &a, &t) < 1e-12);
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn opposite_flows_max_error() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let t = TransitionTable::new(&grid);
         let right = line_ds(&grid, (1, 0));
         let down = line_ds(&grid, (0, 1));
@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn move_counts_shape() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let t = TransitionTable::new(&grid);
         let ds = line_ds(&grid, (1, 0));
         let counts = per_ts_move_counts(&ds, &t);
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn self_moves_are_counted() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let t = TransitionTable::new(&grid);
         let ds = GriddedDataset::from_streams(
             grid.clone(),
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn single_timestamp_variant() {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let t = TransitionTable::new(&grid);
         let right = line_ds(&grid, (1, 0));
         let down = line_ds(&grid, (0, 1));

@@ -31,10 +31,10 @@ pub fn trip_error(orig: &GriddedDataset, syn: &GriddedDataset) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retrasyn_geo::{Grid, GriddedStream};
+    use retrasyn_geo::{GriddedStream, UniformGrid};
     use std::f64::consts::LN_2;
 
-    fn ds(grid: &Grid, trips: Vec<(Vec<(u16, u16)>, usize)>) -> GriddedDataset {
+    fn ds(grid: &UniformGrid, trips: Vec<(Vec<(u32, u32)>, usize)>) -> GriddedDataset {
         let mut streams = Vec::new();
         let mut id = 0u64;
         for (path, copies) in trips {
@@ -53,14 +53,14 @@ mod tests {
 
     #[test]
     fn identical_trips_zero_error() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let a = ds(&grid, vec![(vec![(0, 0), (1, 0), (2, 0)], 3), (vec![(2, 2), (1, 2)], 1)]);
         assert!(trip_error(&a, &a) < 1e-12);
     }
 
     #[test]
     fn disjoint_trips_max_error() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let a = ds(&grid, vec![(vec![(0, 0), (1, 0)], 2)]);
         let b = ds(&grid, vec![(vec![(2, 2), (1, 2)], 2)]);
         assert!((trip_error(&a, &b) - LN_2).abs() < 1e-9);
@@ -70,7 +70,7 @@ mod tests {
     fn trip_is_endpoints_only() {
         // Different intermediate routes with the same endpoints are the
         // same trip.
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let a = ds(&grid, vec![(vec![(0, 0), (1, 0), (2, 0)], 1)]);
         let b = ds(&grid, vec![(vec![(0, 0), (1, 1), (2, 0)], 1)]);
         assert!(trip_error(&a, &b) < 1e-12);
@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn single_point_stream_is_self_trip() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let counts = trip_counts(&ds(&grid, vec![(vec![(1, 1)], 2)]));
         let c = grid.cell_at(1, 1).0;
         assert_eq!(counts[&(c, c)], 2);
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn proportions_matter() {
-        let grid = Grid::unit(3);
+        let grid = UniformGrid::unit(3);
         let orig = ds(&grid, vec![(vec![(0, 0), (1, 0)], 9), (vec![(2, 2), (1, 2)], 1)]);
         let balanced = ds(&grid, vec![(vec![(0, 0), (1, 0)], 5), (vec![(2, 2), (1, 2)], 5)]);
         let matched = ds(&grid, vec![(vec![(0, 0), (1, 0)], 18), (vec![(2, 2), (1, 2)], 2)]);

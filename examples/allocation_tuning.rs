@@ -19,7 +19,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(23);
     let dataset = RegimeShiftConfig { users: 1200, timestamps: 80, shift_at: 40, step: 0.05 }
         .generate(&mut rng);
-    let grid = Grid::unit(6);
+    let grid = UniformGrid::unit(6);
     let orig = dataset.discretize(&grid);
     println!("regime-shift stream: {}", orig.stats());
     println!("(flow flips from eastward to southward at t = 40)\n");

@@ -33,12 +33,12 @@ const CKPT_EVERY: u64 = 10;
 fn dataset() -> GriddedDataset {
     RandomWalkConfig { users: USERS, timestamps: HORIZON, churn: 0.06, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(SEED))
-        .discretize(&Grid::unit(6))
+        .discretize(&UniformGrid::unit(6))
 }
 
 fn engine() -> RetraSyn {
     let config = RetraSynConfig::new(1.0, 10).with_lambda(12.0).with_compaction(4_000);
-    RetraSyn::population_division(config, Grid::unit(6), SEED)
+    RetraSyn::population_division(config, UniformGrid::unit(6), SEED)
 }
 
 /// FNV-1a over the released database — a stable identity for "these two

@@ -23,7 +23,7 @@ fn main() {
         ..Default::default()
     }
     .generate(&mut rng);
-    let grid = Grid::unit(6);
+    let grid = UniformGrid::unit(6);
     let orig = dataset.discretize(&grid);
     println!("original: {}", orig.stats());
 

@@ -31,7 +31,7 @@ fn main() {
     let dataset =
         RandomWalkConfig { users: 800, timestamps: 50, churn: 0.08, ..Default::default() }
             .generate(&mut rng);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let gridded = dataset.discretize(&grid);
     let timeline = EventTimeline::build(&gridded);
     let batches: Vec<Vec<UserEvent>> =
@@ -62,7 +62,7 @@ fn main() {
             // Longest live synthetic trajectory right now (zero-copy walk
             // of the arena chains, newest cell first).
             let longest = snapshot.live().map(|s| s.len()).max().unwrap_or(0);
-            snapshot.occupancy_into(grid.num_cells(), &mut scratch);
+            snapshot.occupancy_into(gridded.topology().num_cells(), &mut scratch);
             let occupied = scratch.iter().filter(|&&c| c > 0).count();
             println!(
                 "t={:2}  active={:4}  finished={:4}  longest-live={:2}  occupied-cells={}",

@@ -16,7 +16,7 @@ use retrasyn::prelude::*;
 
 fn run(
     dataset: &StreamDataset,
-    grid: &Grid,
+    grid: &UniformGrid,
     collection_threads: usize,
 ) -> retrasyn::geo::GriddedDataset {
     // Exact per-user reports so the per-user collection kernel (not the
@@ -43,7 +43,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(11);
     let dataset =
         RandomWalkConfig { users: 3000, timestamps: 40, ..Default::default() }.generate(&mut rng);
-    let grid = Grid::unit(8);
+    let grid = UniformGrid::unit(8);
 
     let sequential = run(&dataset, &grid, 1);
     let pooled = run(&dataset, &grid, 4);

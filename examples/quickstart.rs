@@ -17,8 +17,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let dataset =
         RandomWalkConfig { users: 500, timestamps: 60, ..Default::default() }.generate(&mut rng);
-    let grid = Grid::unit(6);
-    let stats = dataset.stats(&grid);
+    let grid = UniformGrid::unit(6);
+    let stats = dataset.stats();
     println!("original : {stats}");
 
     // 2. Configure RetraSyn: eps = 1 over any window of w = 10 timestamps.

@@ -18,7 +18,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(31);
     let dataset =
         TDriveConfig { taxis: 900, timestamps: 144, ..Default::default() }.generate(&mut rng);
-    let grid = Grid::unit(6);
+    let grid = UniformGrid::unit(6);
     let orig = dataset.discretize(&grid);
     let config = RetraSynConfig::new(1.0, 20).with_lambda(orig.avg_length());
     let mut engine = RetraSyn::population_division(config, grid.clone(), 8);
@@ -44,9 +44,9 @@ fn main() {
     }
 
     let centre: Vec<_> =
-        [(2u16, 2u16), (3, 2), (2, 3), (3, 3)].iter().map(|&(x, y)| grid.cell_at(x, y)).collect();
+        [(2, 2), (3, 2), (2, 3), (3, 3)].iter().map(|&(x, y)| grid.cell_at(x, y)).collect();
     let suburb: Vec<_> =
-        [(0u16, 4u16), (1, 4), (0, 5), (1, 5)].iter().map(|&(x, y)| grid.cell_at(x, y)).collect();
+        [(0, 4), (1, 4), (0, 5), (1, 5)].iter().map(|&(x, y)| grid.cell_at(x, y)).collect();
     let inbound = analytics::flow_series(&reloaded, &suburb, &centre);
     let peak = inbound.iter().enumerate().max_by_key(|&(_, c)| *c).unwrap();
     println!("\nsuburb -> centre commuter flow peaks at t={} ({} moves)", peak.0, peak.1);

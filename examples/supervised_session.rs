@@ -33,10 +33,10 @@ fn main() {
     let dataset =
         RandomWalkConfig { users: 400, timestamps: 40, churn: 0.08, ..Default::default() }
             .generate(&mut rng);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let gridded = dataset.discretize(&grid);
     let timeline = EventTimeline::build(&gridded);
-    let num_cells = grid.num_cells() as u32;
+    let num_cells = gridded.topology().num_cells() as u32;
 
     let config = RetraSynConfig::new(1.0, 10).with_lambda(gridded.avg_length());
     let engine = RetraSyn::population_division(config, grid.clone(), 23);

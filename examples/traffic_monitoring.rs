@@ -25,7 +25,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(11);
     let dataset =
         TDriveConfig { taxis: 1200, timestamps: 144, ..Default::default() }.generate(&mut rng);
-    let grid = Grid::unit(6);
+    let grid = UniformGrid::unit(6);
     let gridded = dataset.discretize(&grid);
     println!("monitoring {} streams over one simulated day", gridded.stats().streams);
 

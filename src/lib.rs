@@ -6,7 +6,8 @@
 //! crate:
 //!
 //! - [`ldp`] — LDP mechanisms (OUE, GRR), aggregation, w-event accounting.
-//! - [`geo`] — grids, trajectories, streams, and the transition-state domain.
+//! - [`geo`] — the uniform grid and other spaces compiled to one
+//!   topology, trajectories, streams, and the transition-state domain.
 //! - [`datagen`] — road-network and taxi stream generators (the evaluation
 //!   substrates: Brinkhoff-style Oldenburg/SanJoaquin, T-Drive-like).
 //! - [`core`] — the RetraSyn engine (global mobility model, DMU, real-time
@@ -44,8 +45,8 @@
 //!     .generate(&mut rng);
 //!
 //! // 2. Configure RetraSyn: 6x6 grid, eps = 1.0, window w = 10.
-//! let grid = Grid::unit(6);
-//! let config = RetraSynConfig::new(1.0, 10).with_lambda(dataset.stats(&grid).avg_length);
+//! let grid = UniformGrid::unit(6);
+//! let config = RetraSynConfig::new(1.0, 10).with_lambda(dataset.stats().avg_length);
 //! let mut engine = RetraSyn::population_division(config, grid.clone(), 7);
 //!
 //! // 3. Stream: ingest one timestamp at a time, observing the live
@@ -92,7 +93,7 @@ pub mod prelude {
         BrinkhoffConfig, RandomWalkConfig, RegimeShiftConfig, RoadNetwork, TDriveConfig,
     };
     pub use retrasyn_geo::{
-        BoundingBox, CellId, EventTimeline, Grid, GriddedDataset, Point, QuadGrid, QuadLeaf, Space,
+        BoundingBox, CellId, EventTimeline, GriddedDataset, Point, QuadGrid, QuadLeaf, Space,
         SpaceDescriptor, StreamDataset, Topology, Trajectory, TransitionTable, UniformGrid,
         UserEvent,
     };

@@ -29,7 +29,7 @@ fn generators_are_deterministic() {
 #[test]
 fn discretization_is_deterministic() {
     let ds = generate(7);
-    let grid = Grid::unit(7);
+    let grid = UniformGrid::unit(7);
     let a = ds.discretize(&grid);
     let b = ds.discretize(&grid);
     assert_eq!(a, b);
@@ -38,7 +38,7 @@ fn discretization_is_deterministic() {
 #[test]
 fn retrasyn_release_is_deterministic() {
     let ds = generate(8);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     let release = |seed: u64| {
         let config = RetraSynConfig::new(1.0, 8).with_lambda(orig.avg_length());
@@ -53,7 +53,7 @@ fn retrasyn_release_is_deterministic() {
 #[test]
 fn baseline_release_is_deterministic() {
     let ds = generate(9);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     let release = |seed: u64| {
         let mut engine =
@@ -66,7 +66,7 @@ fn baseline_release_is_deterministic() {
 #[test]
 fn metric_evaluation_is_deterministic() {
     let ds = generate(10);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     let config = RetraSynConfig::new(1.0, 8).with_lambda(orig.avg_length());
     let mut engine = RetraSyn::new(config, grid.clone(), Division::Budget, 2);
@@ -87,7 +87,7 @@ fn pooled_engine_release_deterministic_under_shrink_heavy_churn() {
     // bit-for-bit and every session must keep its w-event ledger.
     let ds = RandomWalkConfig { users: 9_000, timestamps: 15, churn: 0.2, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(18));
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     let release = |seed: u64| {
         let config = RetraSynConfig::new(1.0, 6)
@@ -109,7 +109,7 @@ fn engine_seed_isolation_from_dataset_seed() {
     // Same data, different engine seeds -> different synthetic noise;
     // same engine seed -> identical output regardless of when it runs.
     let ds = generate(11);
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     let run = |seed: u64| {
         let config = RetraSynConfig::new(1.0, 8).with_lambda(orig.avg_length());

@@ -19,7 +19,7 @@ fn small_network() -> StreamDataset {
 #[test]
 fn retrasyn_full_pipeline_on_taxi_data() {
     let ds = small_taxi();
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     let config = RetraSynConfig::new(1.0, 10).with_lambda(orig.avg_length());
     let mut engine = RetraSyn::population_division(config, grid, 7);
@@ -45,7 +45,7 @@ fn retrasyn_beats_uninformed_control() {
     // of the right size) is what RetraSyn must outperform to be useful.
     let ds = TDriveConfig { taxis: 1200, timestamps: 80, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(77));
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
 
     let config = RetraSynConfig::new(2.0, 10).with_lambda(orig.avg_length());
@@ -87,7 +87,7 @@ fn baselines_length_error_is_ln2() {
     // trajectories, so their travel-distance support is disjoint from the
     // real one.
     let ds = small_network();
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     for kind in BaselineKind::ALL {
         let mut engine = LdpIds::new(kind, LdpIdsConfig::new(1.0, 10), grid.clone(), 5);
@@ -100,7 +100,7 @@ fn baselines_length_error_is_ln2() {
 #[test]
 fn retrasyn_dominates_baselines_on_trajectory_metrics() {
     let ds = small_network();
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
 
     let config = RetraSynConfig::new(1.0, 10).with_lambda(orig.avg_length());
@@ -124,7 +124,7 @@ fn noeq_ablation_degrades_trajectory_metrics_only() {
     // Table IV: NoEQ keeps global metrics close but collapses the length
     // distribution (ln 2).
     let ds = small_taxi();
-    let grid = Grid::unit(5);
+    let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
 
     let full_config = RetraSynConfig::new(1.5, 10).with_lambda(orig.avg_length());
@@ -144,7 +144,7 @@ fn noeq_ablation_degrades_trajectory_metrics_only() {
 #[test]
 fn budget_and_population_divisions_both_work_on_all_generators() {
     for (name, ds) in [("taxi", small_taxi()), ("network", small_network())] {
-        let grid = Grid::unit(4);
+        let grid = UniformGrid::unit(4);
         let orig = ds.discretize(&grid);
         for division in [Division::Budget, Division::Population] {
             let config = RetraSynConfig::new(1.0, 8).with_lambda(orig.avg_length());
@@ -166,7 +166,7 @@ fn per_user_report_mode_matches_aggregate_statistically() {
     use retrasyn::metrics::{density::density_error, transition::transition_error};
     const SEEDS: u64 = 16;
     let ds = small_taxi();
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     let orig = ds.discretize(&grid);
     let table = TransitionTable::new(orig.topology());
     let errors = |config: RetraSynConfig, seed: u64| {

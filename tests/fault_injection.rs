@@ -29,12 +29,12 @@ const HORIZON: usize = 18;
 fn dataset() -> retrasyn::geo::GriddedDataset {
     RandomWalkConfig { users: 40, timestamps: HORIZON as u64, churn: 0.1, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(5))
-        .discretize(&Grid::unit(5))
+        .discretize(&UniformGrid::unit(5))
 }
 
 fn engine() -> RetraSyn {
     let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0);
-    RetraSyn::population_division(config, Grid::unit(5), 13)
+    RetraSyn::population_division(config, UniformGrid::unit(5), 13)
 }
 
 /// Write the full session's WAL and return its bytes.
@@ -389,11 +389,11 @@ fn compaction_bounds_resident_cells_over_long_stream() {
     const MARK: usize = 4_000;
     let gridded = RandomWalkConfig { users: 50, timestamps: T, churn: 0.05, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(23))
-        .discretize(&Grid::unit(5));
+        .discretize(&UniformGrid::unit(5));
     let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0);
-    let mut plain = RetraSyn::population_division(config.clone(), Grid::unit(5), 3);
+    let mut plain = RetraSyn::population_division(config.clone(), UniformGrid::unit(5), 3);
     let mut compacting =
-        RetraSyn::population_division(config.with_compaction(MARK), Grid::unit(5), 3);
+        RetraSyn::population_division(config.with_compaction(MARK), UniformGrid::unit(5), 3);
 
     // Compaction is operational only: it must not change the session
     // identity (a WAL recorded by one must replay into the other).

@@ -2,7 +2,7 @@
 //! pinned to an analytically derived value so refactors cannot silently
 //! change metric semantics.
 
-use retrasyn::geo::{CellId, Grid, GriddedDataset, GriddedStream};
+use retrasyn::geo::{CellId, GriddedDataset, GriddedStream, UniformGrid};
 use retrasyn::metrics::{
     density, divergence, hotspot, kendall, length, pattern, query, transition, trip,
 };
@@ -11,7 +11,7 @@ use std::f64::consts::LN_2;
 
 /// Original: two streams — A marches east along y=0 for 4 cells; B sits
 /// still at (3,3) for 4 timestamps.
-fn orig(grid: &Grid) -> GriddedDataset {
+fn orig(grid: &UniformGrid) -> GriddedDataset {
     GriddedDataset::from_streams(
         grid.clone(),
         vec![
@@ -23,7 +23,7 @@ fn orig(grid: &Grid) -> GriddedDataset {
 }
 
 /// Synthetic: A is reproduced exactly; B is displaced to (0,3).
-fn syn(grid: &Grid) -> GriddedDataset {
+fn syn(grid: &UniformGrid) -> GriddedDataset {
     GriddedDataset::from_streams(
         grid.clone(),
         vec![
@@ -36,7 +36,7 @@ fn syn(grid: &Grid) -> GriddedDataset {
 
 #[test]
 fn density_error_pinned() {
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     // Per timestamp: orig = {cell_x0: 1, (3,3): 1}, syn = {cell_x0: 1,
     // (0,3): 1}. Each timestamp: two half-mass cells, one shared.
     // JSD = 0.5*[0.5 ln(0.5/0.25)]*2 ... = 0.5*ln2 per side? Analytic:
@@ -49,7 +49,7 @@ fn density_error_pinned() {
 
 #[test]
 fn transition_error_pinned() {
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     let table = TransitionTable::new(&grid);
     // Moves per ts: orig {east-step, stay@(3,3)}, syn {east-step,
     // stay@(0,3)} — same structure as density: JSD = 0.5 ln 2.
@@ -59,7 +59,7 @@ fn transition_error_pinned() {
 
 #[test]
 fn trip_error_pinned() {
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     // Trips: orig {(0,0)->(3,0), (3,3)->(3,3)}, syn {(0,0)->(3,0),
     // (0,3)->(0,3)}: half the mass disjoint -> JSD = 0.5 ln 2.
     let e = trip::trip_error(&orig(&grid), &syn(&grid));
@@ -68,7 +68,7 @@ fn trip_error_pinned() {
 
 #[test]
 fn length_error_pinned_zero() {
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     // Travel distances identical (3 hops and 0 hops on both sides).
     let e = length::length_error(&orig(&grid), &syn(&grid), 10);
     assert!(e < 1e-12, "e={e}");
@@ -76,7 +76,7 @@ fn length_error_pinned_zero() {
 
 #[test]
 fn kendall_tau_pinned() {
-    let grid = Grid::unit(2);
+    let grid = UniformGrid::unit(2);
     // Popularity: orig counts [3,2,1,0] over cells 0..3; syn [0,1,2,3].
     let build = |counts: [usize; 4]| {
         let mut streams = Vec::new();
@@ -95,7 +95,7 @@ fn kendall_tau_pinned() {
 
 #[test]
 fn query_error_pinned() {
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     let o = orig(&grid);
     let s = syn(&grid);
     // Query the (3,3) cell across all 4 timestamps: orig = 4, syn = 0.
@@ -109,7 +109,7 @@ fn query_error_pinned() {
 
 #[test]
 fn hotspot_ndcg_pinned() {
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     let o = orig(&grid);
     // Perfect synthetic: NDCG 1.
     let r = hotspot::TimeRange { t0: 0, t1: 3 };
@@ -118,7 +118,7 @@ fn hotspot_ndcg_pinned() {
 
 #[test]
 fn pattern_f1_pinned() {
-    let grid = Grid::unit(4);
+    let grid = UniformGrid::unit(4);
     let o = orig(&grid);
     let s = syn(&grid);
     let r = hotspot::TimeRange { t0: 0, t1: 3 };

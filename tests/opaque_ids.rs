@@ -26,7 +26,7 @@ fn remap(id: u64) -> u64 {
 fn batches(map: fn(u64) -> u64) -> Vec<Vec<UserEvent>> {
     let ds = RandomWalkConfig { users: 300, timestamps: 40, churn: 0.1, ..Default::default() }
         .generate(&mut StdRng::seed_from_u64(17));
-    let gridded = ds.discretize(&Grid::unit(5));
+    let gridded = ds.discretize(&UniformGrid::unit(5));
     let timeline = EventTimeline::build(&gridded);
     (0..timeline.horizon())
         .map(|t| {
@@ -41,7 +41,7 @@ fn identity(id: u64) -> u64 {
 
 fn engine(division: Division, allocation: AllocationKind) -> RetraSyn {
     let config = RetraSynConfig::new(1.0, 4).with_lambda(10.0).with_allocation(allocation);
-    RetraSyn::new(config, Grid::unit(5), division, 23)
+    RetraSyn::new(config, UniformGrid::unit(5), division, 23)
 }
 
 fn drive(engine: &mut RetraSyn, batches: &[Vec<UserEvent>]) -> GriddedDataset {
@@ -129,7 +129,7 @@ fn sparse_id_checkpoint_restores_bit_identically() {
 #[test]
 fn population_baseline_ledger_verifies_on_sparse_ids() {
     for kind in [BaselineKind::Lpd, BaselineKind::Lpa] {
-        let mut baseline = LdpIds::new(kind, LdpIdsConfig::new(1.0, 4), Grid::unit(5), 5);
+        let mut baseline = LdpIds::new(kind, LdpIdsConfig::new(1.0, 4), UniformGrid::unit(5), 5);
         let _ = baseline.drive(IterSource::new(batches(remap).into_iter()));
         baseline.ledger().verify().unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         assert!(baseline.ledger().total_user_reports() > 0, "{}", kind.name());

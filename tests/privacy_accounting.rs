@@ -20,7 +20,7 @@ fn retrasyn_invariant_across_window_sizes() {
     for w in [1usize, 2, 5, 13, 60, 100] {
         for division in [Division::Budget, Division::Population] {
             let config = RetraSynConfig::new(1.0, w).with_lambda(10.0);
-            let mut engine = RetraSyn::new(config, Grid::unit(4), division, 3);
+            let mut engine = RetraSyn::new(config, UniformGrid::unit(4), division, 3);
             let _ = engine.run(&ds);
             engine.ledger().verify().unwrap_or_else(|e| panic!("w={w} {division:?}: {e}"));
         }
@@ -34,7 +34,7 @@ fn retrasyn_invariant_across_allocations_and_budgets() {
         for kind in [AllocationKind::Adaptive, AllocationKind::Uniform, AllocationKind::Sample] {
             for division in [Division::Budget, Division::Population] {
                 let config = RetraSynConfig::new(eps, 7).with_lambda(10.0).with_allocation(kind);
-                let mut engine = RetraSyn::new(config, Grid::unit(4), division, 5);
+                let mut engine = RetraSyn::new(config, UniformGrid::unit(4), division, 5);
                 let _ = engine.run(&ds);
                 engine
                     .ledger()
@@ -46,7 +46,7 @@ fn retrasyn_invariant_across_allocations_and_budgets() {
         let config = RetraSynConfig::new(eps, 7)
             .with_lambda(10.0)
             .with_allocation(AllocationKind::RandomReport);
-        let mut engine = RetraSyn::population_division(config, Grid::unit(4), 5);
+        let mut engine = RetraSyn::population_division(config, UniformGrid::unit(4), 5);
         let _ = engine.run(&ds);
         engine.ledger().verify().unwrap_or_else(|e| panic!("eps={eps} random: {e}"));
     }
@@ -58,7 +58,8 @@ fn baselines_invariant_across_parameters() {
     for kind in BaselineKind::ALL {
         for w in [2usize, 5, 10, 25] {
             for eps in [0.5, 1.0, 2.0] {
-                let mut engine = LdpIds::new(kind, LdpIdsConfig::new(eps, w), Grid::unit(4), 7);
+                let mut engine =
+                    LdpIds::new(kind, LdpIdsConfig::new(eps, w), UniformGrid::unit(4), 7);
                 let _ = engine.run(&ds);
                 engine
                     .ledger()
@@ -74,7 +75,7 @@ fn population_division_spends_full_eps_per_report_at_most_once_per_window() {
     let ds = churny_dataset(4, 40);
     let w = 6;
     let config = RetraSynConfig::new(1.0, w).with_lambda(10.0);
-    let mut engine = RetraSyn::population_division(config, Grid::unit(4), 11);
+    let mut engine = RetraSyn::population_division(config, UniformGrid::unit(4), 11);
     let _ = engine.run(&ds);
     // verify() already checks spacing; also confirm reports actually
     // happened (the mechanism is not vacuously private).
@@ -87,7 +88,7 @@ fn budget_division_window_spend_stays_within_eps() {
     let eps = 1.3;
     let w = 9;
     let config = RetraSynConfig::new(eps, w).with_lambda(10.0);
-    let mut engine = RetraSyn::budget_division(config, Grid::unit(4), 13);
+    let mut engine = RetraSyn::budget_division(config, UniformGrid::unit(4), 13);
     let _ = engine.run(&ds);
     for t in 0..45 {
         let spend = engine.ledger().window_spend(t);
