@@ -2,7 +2,7 @@
 //! per-user collection path) against two sequential references at the
 //! acceptance configuration (n = 100k reporters, d = 4096, ε = 1) — the
 //! fused perturb→tally loop (`Oue::perturb_tally_into`) and the frozen
-//! report buffer — plus the sharded [`CollectionPool`] thread sweep.
+//! report buffer.
 //!
 //! The `blocked` arm is gated: `validate_baselines.py` fails the run if
 //! its median is not ≥ 1.5× faster than the `fused` median from the
@@ -16,19 +16,12 @@
 //! the tally by word-parallel re-scan. It stays in-tree as the validated
 //! report-materializing path (`Oue::perturb_into` / `Oue::tally_into`),
 //! so the comparison is same-run and same-toolchain by construction.
-//!
-//! Note: on a host with fewer cores than workers the thread-sweep arms
-//! measure dispatch overhead, not speedup; the meaningful acceptance pair
-//! is `blocked` vs `fused` at equal threads. Re-baseline the sweep on
-//! multi-core hardware.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use retrasyn_core::CollectionPool;
 use retrasyn_ldp::{BitReport, Oue, Philox};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Duration;
 
 const USERS: usize = 100_000;
@@ -94,29 +87,7 @@ fn bench_fused_vs_reference(c: &mut Criterion) {
         let ph = Philox::new(0x0b10_cced_0000_0001);
         group.bench_function("blocked", |b| {
             b.iter(|| {
-                oue.collect_ones_blocked(black_box(&values), 0, &ph, &mut ones).unwrap();
-                black_box(ones.iter().sum::<u64>())
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_blocked_thread_sweep(c: &mut Criterion) {
-    // The blocked pooled round shards the *domain* (dense regime at
-    // ε = 1), so worker accumulator tiles are disjoint and the merge is
-    // a stitch; output is bit-identical across the sweep.
-    let mut group = c.benchmark_group("collection_blocked_pool_100k_d4096");
-    group.sample_size(10).measurement_time(Duration::from_secs(3));
-    let oracle = Arc::new(Oue::new(1.0, DOMAIN).unwrap());
-    let values = values();
-    let ph = Philox::new(0x0b10_cced_0000_0002);
-    for threads in [1usize, 2, 4] {
-        let mut pool = CollectionPool::new(threads);
-        let mut ones = Vec::new();
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| {
-                pool.collect_ones_blocked(&oracle, black_box(&values), &ph, &mut ones).unwrap();
+                oue.collect_ones_blocked(black_box(&values), &ph, &mut ones).unwrap();
                 black_box(ones.iter().sum::<u64>())
             })
         });
@@ -142,5 +113,5 @@ fn bench_aggregate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fused_vs_reference, bench_blocked_thread_sweep, bench_aggregate);
+criterion_group!(benches, bench_fused_vs_reference, bench_aggregate);
 criterion_main!(benches);

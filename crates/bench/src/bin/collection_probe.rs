@@ -41,7 +41,7 @@ fn main() {
     for label in ["blocked (warm)", "blocked", "blocked 2"] {
         let ph = Philox::new(rng.random());
         let t = Instant::now();
-        oue.collect_ones_blocked(&values, 0, &ph, &mut ones).unwrap();
+        oue.collect_ones_blocked(&values, &ph, &mut ones).unwrap();
         let dt = t.elapsed().as_secs_f64();
         black_box(ones.iter().sum::<u64>());
         let ns_pos = dt * 1e9 / (USERS * DOMAIN) as f64;
@@ -51,20 +51,19 @@ fn main() {
         println!("{label:18} {dt:.4} s  ({ns_pos:.3} ns/pos)");
     }
 
-    // Sparse cost per reported 1: force the sparse walk through
-    // `blocked_tally_sparse` at a few q values and normalize by the
-    // expected number of landings, n·(d·q + 1/2).
+    // Sparse cost per reported 1: time the blocked kernel at a few ε
+    // whose q lies below `BLOCKED_DENSE_MIN_Q` (so it runs the sparse
+    // walk) and normalize by the expected number of landings,
+    // n·(d·q + 1/2).
     println!("\ncrossover sweep (d = {DOMAIN}, n = {USERS}):");
     let mut sparse_ns_one = f64::MAX;
     for eps in [3.5f64, 4.5, 5.5] {
         let oue = Oue::new(eps, DOMAIN).unwrap();
         let q = oue.q();
-        ones.clear();
-        ones.resize(DOMAIN, 0);
         let ph = Philox::new(rng.random());
-        oue.blocked_tally_sparse(&values, 0, &ph, &mut ones).unwrap(); // warm
+        oue.collect_ones_blocked(&values, &ph, &mut ones).unwrap(); // warm
         let t = Instant::now();
-        oue.blocked_tally_sparse(&values, 0, &ph, &mut ones).unwrap();
+        oue.collect_ones_blocked(&values, &ph, &mut ones).unwrap();
         let dt = t.elapsed().as_secs_f64();
         black_box(ones.iter().sum::<u64>());
         let landings = USERS as f64 * (DOMAIN as f64 * q + 0.5);

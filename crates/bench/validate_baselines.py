@@ -28,9 +28,6 @@ REQUIRED_IDS = {
     "collection": {
         "collection_per_user_100k_d4096/fused",
         "collection_per_user_100k_d4096/blocked",
-        "collection_blocked_pool_100k_d4096/1",
-        "collection_blocked_pool_100k_d4096/2",
-        "collection_blocked_pool_100k_d4096/4",
     },
 }
 

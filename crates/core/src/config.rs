@@ -47,15 +47,6 @@ pub struct RetraSynConfig {
     /// the *NoEQ* ablation of Table IV: movement-only domain, fixed-size
     /// randomly-initialized synthetic database that never terminates.
     pub enter_quit: bool,
-    /// Worker threads for the LDP collection phase (per-user perturbation
-    /// and tallying). 1 = sequential (default); >1 shards each
-    /// [`ReportMode::PerUser`] round across a persistent collection pool.
-    /// Every draw of the per-user kernel is addressed by (key, reporter,
-    /// position), so the output is bit-identical at every thread count;
-    /// the O(domain) [`ReportMode::Aggregate`] shortcut always runs
-    /// sequentially. Purely operational, like `compaction`: it is left out
-    /// of the session fingerprint.
-    pub collection_threads: usize,
     /// Epoch compaction policy (`None` = never compact, the default).
     /// When set, a step that leaves more resident cells than the policy's
     /// high-water mark drains finished streams out of the tail arena into
@@ -82,7 +73,6 @@ impl RetraSynConfig {
             report_mode: ReportMode::Aggregate,
             dmu: true,
             enter_quit: true,
-            collection_threads: 1,
             compaction: None,
         }
     }
@@ -118,13 +108,6 @@ impl RetraSynConfig {
         self
     }
 
-    /// Parallelize the collection phase over `threads` workers.
-    pub fn with_collection_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
-        self.collection_threads = threads;
-        self
-    }
-
     /// Enable epoch compaction above `high_water_cells` resident cells.
     pub fn with_compaction(mut self, high_water_cells: usize) -> Self {
         assert!(high_water_cells >= 1, "high-water mark must be >= 1");
@@ -147,7 +130,6 @@ mod tests {
         assert!(c.dmu);
         assert!(c.enter_quit);
         assert_eq!(c.report_mode, ReportMode::Aggregate);
-        assert_eq!(c.collection_threads, 1);
     }
 
     #[test]
@@ -158,22 +140,14 @@ mod tests {
             .all_update()
             .no_eq()
             .per_user_reports()
-            .with_collection_threads(4)
             .with_compaction(10_000);
         assert_eq!(c.lambda, 13.6);
         assert_eq!(c.allocation, AllocationKind::Uniform);
         assert!(!c.dmu);
         assert!(!c.enter_quit);
         assert_eq!(c.report_mode, ReportMode::PerUser);
-        assert_eq!(c.collection_threads, 4);
         assert_eq!(c.compaction, Some(CompactionPolicy::new(10_000)));
         assert_eq!(RetraSynConfig::new(1.0, 10).compaction, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "thread")]
-    fn rejects_zero_collection_threads() {
-        let _ = RetraSynConfig::new(1.0, 10).with_collection_threads(0);
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //! driven by a [`crate::TimelineSource`].
 
 use crate::allocation::{AllocationKind, Allocator};
-use crate::collect::CollectError;
-use crate::collect::CollectionPool;
 use crate::compact::{CompactionStats, FrozenEpochs};
 use crate::config::{Division, RetraSynConfig};
 use crate::dmu;
@@ -50,9 +48,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepTimings {
     /// User-side computation (perturbation / report simulation): the
-    /// wall-clock of the whole collection round — when
-    /// `collection_threads > 1` this covers shard dispatch, the per-shard
-    /// counter-based tally passes and the accumulator merge.
+    /// wall-clock of the whole collection round, from the reporter values
+    /// to the raw ones counts.
     pub user_side: f64,
     /// Mobility model construction (aggregation, debias, update).
     pub model_construction: f64,
@@ -130,12 +127,8 @@ pub struct RetraSyn {
     report_slots: BTreeMap<u64, u64>,
     /// Cached collection oracle, rebuilt only when `(ε, domain)` changes —
     /// the collection path runs every timestamp and must not rebuild its
-    /// mechanism per step. `Arc` so pooled collection workers share a
-    /// snapshot without cloning the mechanism's skip table.
-    oracle: Option<Arc<Oue>>,
-    /// Persistent collection worker pool, created lazily on the first
-    /// collection round with `collection_threads > 1`.
-    collector: Option<CollectionPool>,
+    /// mechanism per step.
+    oracle: Option<Oue>,
     timings: StepTimings,
     steps: u64,
     /// Counters for the epoch compactions this session has run
@@ -205,7 +198,6 @@ impl RetraSyn {
             fixed_size: None,
             report_slots: BTreeMap::new(),
             oracle: None,
-            collector: None,
             timings: StepTimings::default(),
             steps: 0,
             compaction_stats: CompactionStats::default(),
@@ -567,20 +559,16 @@ impl RetraSyn {
     /// [`Self::scratch_values`] with per-report budget `eps`, filling
     /// [`Self::scratch_est`]. A [`ReportMode::PerUser`] round draws exactly
     /// **one** key from the session RNG and runs the counter-based kernel
-    /// ([`Oue::collect_ones_blocked`]), sharded across the persistent
-    /// [`CollectionPool`] when `collection_threads > 1`; every draw is
-    /// addressed, so the output is bit-identical at every thread count. A
-    /// [`ReportMode::Aggregate`] round runs the O(domain) binomial
-    /// shortcut ([`Oue::collect_ones_into`]) sequentially: sharding it would
-    /// only multiply its draws. Every buffer involved is engine scratch —
-    /// zero heap allocations after warm-up.
+    /// ([`Oue::collect_ones_blocked`]); a [`ReportMode::Aggregate`] round
+    /// runs the O(domain) binomial shortcut ([`Oue::collect_ones_into`]).
+    /// Every buffer involved is engine scratch — zero heap allocations
+    /// after warm-up.
     ///
     /// The collected states are in domain by construction (the `try_step`
     /// pre-pass validated every event), so a mechanism error here is a
     /// genuine mid-step fault — surfaced as a typed [`SessionError`]
     /// rather than the historical `.expect("states are in domain")`
-    /// aborts. A dead pool worker additionally drops the poisoned
-    /// collection pool so post-recovery rounds spawn a fresh one.
+    /// aborts.
     fn run_collection(&mut self, eps: f64) -> Result<(), SessionError> {
         let n = self.scratch_values.len() as u64;
         if n == 0 {
@@ -588,38 +576,20 @@ impl RetraSyn {
             return Ok(());
         }
         self.ensure_oracle(eps, self.domain_len().max(2));
-        let oracle = Arc::clone(self.oracle.as_ref().expect("ensured above"));
-        let values = std::mem::take(&mut self.scratch_values);
-        let ones = &mut self.scratch_ones;
-        let result: Result<(), CollectError> = match self.config.report_mode {
+        let oracle = self.oracle.as_ref().expect("ensured above");
+        let (values, ones) = (&self.scratch_values, &mut self.scratch_ones);
+        match self.config.report_mode {
             ReportMode::PerUser => {
                 let ph = Philox::new(self.rng.random());
-                let threads = self.config.collection_threads;
-                if threads > 1 {
-                    let pool = self.collector.get_or_insert_with(|| CollectionPool::new(threads));
-                    pool.collect_ones_blocked(&oracle, &values, &ph, ones).map(|_| ())
-                } else {
-                    oracle.collect_ones_blocked(&values, 0, &ph, ones).map_err(CollectError::Ldp)
-                }
+                oracle.collect_ones_blocked(values, &ph, ones)
             }
-            ReportMode::Aggregate => {
-                oracle.collect_ones_into(&values, ones, &mut self.rng).map_err(CollectError::Ldp)
-            }
-        };
-        self.scratch_values = values;
-        match result {
-            Ok(()) => {
-                oracle.debias_into(&self.scratch_ones, n, &mut self.scratch_est.freqs);
-                self.scratch_est.n = n;
-                self.scratch_est.variance = oracle.variance(n);
-                Ok(())
-            }
-            Err(CollectError::Pool(e)) => {
-                self.collector = None;
-                Err(SessionError::Pool(e))
-            }
-            Err(CollectError::Ldp(e)) => Err(SessionError::Collection { detail: e.to_string() }),
+            ReportMode::Aggregate => oracle.collect_ones_into(values, ones, &mut self.rng),
         }
+        .map_err(|e| SessionError::Collection { detail: e.to_string() })?;
+        oracle.debias_into(&self.scratch_ones, n, &mut self.scratch_est.freqs);
+        self.scratch_est.n = n;
+        self.scratch_est.variance = oracle.variance(n);
+        Ok(())
     }
 
     /// Make the cached collection oracle current for `(eps, domain)`. The
@@ -628,7 +598,7 @@ impl RetraSyn {
     fn ensure_oracle(&mut self, eps: f64, domain: usize) {
         let fresh = matches!(&self.oracle, Some(o) if o.eps() == eps && o.domain() == domain);
         if !fresh {
-            self.oracle = Some(Arc::new(Oue::new(eps, domain).expect("validated positive eps")));
+            self.oracle = Some(Oue::new(eps, domain).expect("validated positive eps"));
         }
     }
 
@@ -695,7 +665,7 @@ impl StreamingEngine for RetraSyn {
     /// untouched and steppable — in release builds as well as debug. For
     /// well-formed input the step is bit-identical to what it always was.
     ///
-    /// A *mid-step* error (collection or pool failure) leaves the session
+    /// A *mid-step* error (a collection failure) leaves the session
     /// in an unspecified state: recover it from its WAL (e.g. via a
     /// [`Supervisor`](crate::supervise::Supervisor)) or reset it.
     fn try_step(&mut self, t: u64, events: &[UserEvent]) -> Result<StepOutcome, SessionError> {
@@ -812,11 +782,10 @@ impl StreamingEngine for RetraSyn {
 
     /// Start a new session: restore the freshly-constructed state in
     /// place, re-seeded with the construction seed — replaying the same
-    /// events yields a bit-identical release. The collection worker pool,
-    /// the cached collection oracle and all scratch buffers survive the
-    /// reset (they are pure functions of the configuration, which is
-    /// untouched), so back-to-back sessions spawn no new threads and
-    /// re-allocate nothing.
+    /// events yields a bit-identical release. The cached collection
+    /// oracle and all scratch buffers survive the reset (they are pure
+    /// functions of the configuration, which is untouched), so
+    /// back-to-back sessions re-allocate nothing.
     fn reset(&mut self) {
         self.model.reset();
         self.registry.reset();
@@ -839,10 +808,9 @@ impl StreamingEngine for RetraSyn {
     }
 
     /// Covers the seed, the division, every output-affecting configuration
-    /// knob and the discretization descriptor. No thread count is
-    /// fingerprinted: the purely operational settings
-    /// (`collection_threads`, compaction, fsync policy) never change the
-    /// released bytes and are left out.
+    /// knob and the discretization descriptor. The purely operational
+    /// settings (compaction, fsync policy) never change the released
+    /// bytes and are left out.
     fn fingerprint(&self) -> u64 {
         let c = &self.config;
         let mut f = Fingerprint::new("retrasyn");

@@ -23,11 +23,6 @@
 //! - [`sampler`]: the alias-table sampler subsystem behind the real-time
 //!   budget (§IV-B) — O(1) movement/enter draws through a [`SamplerCache`]
 //!   owned by the model and rebuilt incrementally after each DMU step.
-//! - [`pool`]: the task-generic persistent worker pool behind the
-//!   per-user collection pipeline.
-//! - [`collect`]: the sharded per-user LDP collection pipeline — one
-//!   counter-based Philox round split into domain or reporter ranges,
-//!   bit-identical at every thread count.
 //! - [`session`]: the streaming session API — the [`StreamingEngine`]
 //!   trait unifying [`RetraSyn`] and the [`LdpIds`] baselines
 //!   (`step` / `snapshot` / `release` / `ledger`), plus pluggable
@@ -71,16 +66,14 @@
 //! | # | Invariant | Success criterion |
 //! |---|---|---|
 //! | D1 | Same seed and events give the same bytes | Two engines built from the same seed, configuration and discretization and fed the same batches release equal datasets and write equal checkpoint bytes (`tests/storage_snapshot.rs`, `tests/determinism.rs`, the `durable_session` release hash in CI) |
-//! | D2 | `collection_threads` never changes output | Releases and checkpoint bytes are equal at 1, 2 and 4 collection threads in both divisions (`tests/sharded_collect.rs`) |
-//! | D3 | The fingerprint covers exactly the output-affecting settings | Changing the seed, division, any [`RetraSynConfig`] knob except `collection_threads`/`compaction`, or the discretization changes [`StreamingEngine::fingerprint`]; changing those two does not (`fingerprint_ignores_collection_threads`, `recover_rejects_mismatched_sessions`) |
-//! | D4 | A reset replays bit-identically | [`StreamingEngine::reset`] followed by the same batches releases the same dataset, and WAL recovery equals the uninterrupted run (`tests/session_api.rs`, `tests/recovery.rs`) |
-//! | D5 | The w-event ledger holds | [`WEventLedger::verify`](retrasyn_ldp::WEventLedger::verify) returns `Ok` after every session (`tests/determinism.rs`, the engine unit tests) |
+//! | D2 | The fingerprint covers exactly the output-affecting settings | Changing the seed, division, any [`RetraSynConfig`] knob except `compaction`, or the discretization changes [`StreamingEngine::fingerprint`]; changing `compaction` does not (`recover_rejects_mismatched_sessions`, `compaction_bounds_resident_cells_over_long_stream`) |
+//! | D3 | A reset replays bit-identically | [`StreamingEngine::reset`] followed by the same batches releases the same dataset, and WAL recovery equals the uninterrupted run (`tests/session_api.rs`, `tests/recovery.rs`) |
+//! | D4 | The w-event ledger holds | [`WEventLedger::verify`](retrasyn_ldp::WEventLedger::verify) returns `Ok` after every session (`tests/determinism.rs`, the engine unit tests) |
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allocation;
 pub mod baselines;
-pub mod collect;
 pub mod compact;
 pub mod config;
 pub mod dmu;
@@ -88,7 +81,6 @@ pub mod engine;
 mod ids;
 pub mod ingest;
 pub mod model;
-pub mod pool;
 pub mod population;
 pub mod sampler;
 pub mod session;
@@ -99,13 +91,11 @@ pub mod wal;
 
 pub use allocation::AllocationKind;
 pub use baselines::{BaselineKind, LdpIds, LdpIdsConfig};
-pub use collect::{CollectError, CollectionPool};
 pub use compact::{CompactionPolicy, CompactionStats, FrozenEpochs};
 pub use config::{Division, RetraSynConfig};
 pub use engine::{RetraSyn, StepTimings, TimingReport};
 pub use ingest::{IngestPolicy, IngestStats, QuarantinedEvent, ValidatedSource};
 pub use model::GlobalMobilityModel;
-pub use pool::PoolError;
 pub use population::{UserRegistry, UserStatus};
 pub use sampler::{AliasTable, SamplerCache};
 pub use session::{
@@ -116,6 +106,5 @@ pub use store::{SnapshotStream, SnapshotView};
 pub use supervise::{StepVerdict, SuperviseError, Supervisor, SupervisorStats};
 pub use synthesis::SyntheticDb;
 pub use wal::{
-    CheckpointUse, Checkpointer, FsyncPolicy, Recovery, WalContents, WalError, WalReplay,
-    WalSource, WalWriter,
+    CheckpointUse, Checkpointer, FsyncPolicy, Recovery, WalContents, WalError, WalSource, WalWriter,
 };

@@ -47,7 +47,6 @@
 //! ```
 
 use crate::compact::FrozenEpochs;
-use crate::pool::PoolError;
 use crate::store::SnapshotView;
 use crate::wal::{Recovery, WalError};
 use retrasyn_geo::{
@@ -106,8 +105,8 @@ impl fmt::Display for EventFault {
 /// [`MidSession`](Self::MidSession), [`InvalidEvent`](Self::InvalidEvent))
 /// are detected *before* any engine state mutates: the session is untouched
 /// and further steps may proceed. *Mid-step* errors
-/// ([`Collection`](Self::Collection), [`Pool`](Self::Pool)) leave the
-/// engine in an unspecified state — recover the session from its WAL
+/// ([`Collection`](Self::Collection)) leave the engine in an unspecified
+/// state — recover the session from its WAL
 /// (e.g. via a [`Supervisor`](crate::supervise::Supervisor)) or
 /// [`reset`](StreamingEngine::reset) it.
 #[derive(Debug)]
@@ -155,10 +154,6 @@ pub enum SessionError {
         /// The underlying mechanism error.
         detail: String,
     },
-    /// The per-user collection pool died mid-step (a worker panicked or
-    /// hung up). The owning engine drops the poisoned pool; a fresh one is
-    /// spawned on the next pooled round after recovery.
-    Pool(PoolError),
     /// A checkpoint could not be written or restored.
     Checkpoint {
         /// The underlying failure.
@@ -209,7 +204,6 @@ impl fmt::Display for SessionError {
                 write!(f, "invalid event at t = {t} from user {user}: {fault}")
             }
             SessionError::Collection { detail } => write!(f, "collection round failed: {detail}"),
-            SessionError::Pool(e) => write!(f, "{e}"),
             SessionError::Checkpoint { detail } => write!(f, "checkpoint failure: {detail}"),
             SessionError::Wal(e) => write!(f, "{e}"),
         }
@@ -219,7 +213,6 @@ impl fmt::Display for SessionError {
 impl std::error::Error for SessionError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SessionError::Pool(e) => Some(e),
             SessionError::Wal(e) => Some(e),
             _ => None,
         }
@@ -587,7 +580,7 @@ pub trait StreamingEngine {
     /// Fails with a typed [`SessionError`] instead of panicking: on a
     /// *pre-state* error (wrong timestamp, released session, invalid
     /// event) the engine is untouched and remains steppable; on a
-    /// *mid-step* error (collection / pool failure) the session state is
+    /// *mid-step* error (a collection failure) the session state is
     /// unspecified and must be recovered or [`reset`](Self::reset) — see
     /// the [`SessionError`] variant docs for the classification.
     ///
@@ -656,8 +649,8 @@ pub trait StreamingEngine {
 
     /// Begin a new session: restore the engine to its freshly-constructed
     /// state, re-seeded with the construction seed (an identical replay
-    /// yields a bit-identical release). Warm resources — worker pools,
-    /// scratch buffers, arena chunks — are retained, so resetting (and
+    /// yields a bit-identical release). Warm resources — scratch buffers,
+    /// arena chunks — are retained, so resetting (and
     /// recovery replay, which starts with one) is cheap.
     fn reset(&mut self);
 

@@ -990,45 +990,6 @@ fn parse_record(record: &[u8], expected_t: u64, events: &mut Vec<UserEvent>) -> 
 }
 
 // ---------------------------------------------------------------------------
-// Replay source.
-
-/// An [`EventSource`] that replays a recorded WAL, batch by batch. Open
-/// one with [`WalSource::replay`] (or [`WalReplay::open`]); drive it into
-/// a fresh engine to reconstruct the logged session exactly.
-#[derive(Debug, Clone)]
-pub struct WalReplay {
-    contents: WalContents,
-    pos: usize,
-}
-
-impl WalReplay {
-    /// Open `path` for replay. Torn/corrupt tails are truncated to the
-    /// valid prefix (see [`WalContents::read`]); inspect
-    /// [`WalReplay::contents`] to find out.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, WalError> {
-        Ok(WalReplay { contents: WalContents::read(path)?, pos: 0 })
-    }
-
-    /// Replay directly from parsed contents.
-    pub fn from_contents(contents: WalContents) -> Self {
-        WalReplay { contents, pos: 0 }
-    }
-
-    /// The parsed WAL this source replays.
-    pub fn contents(&self) -> &WalContents {
-        &self.contents
-    }
-}
-
-impl EventSource for WalReplay {
-    fn next_batch(&mut self) -> Option<&[UserEvent]> {
-        let batch = self.contents.batches.get(self.pos)?;
-        self.pos += 1;
-        Some(batch)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tee source.
 
 /// Tee adapter giving any [`EventSource`] durability: every batch the
@@ -1064,14 +1025,6 @@ impl<S: EventSource> WalSource<S> {
     /// The underlying writer.
     pub fn writer(&mut self) -> &mut WalWriter {
         &mut self.writer
-    }
-}
-
-impl WalSource<WalReplay> {
-    /// Open a recorded WAL for replay; the result is itself an
-    /// [`EventSource`]. Equivalent to [`WalReplay::open`].
-    pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, WalError> {
-        WalReplay::open(path)
     }
 }
 
@@ -1809,19 +1762,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_an_event_source() {
-        let path = temp_path("replay");
-        let batches = write_sample(&path, FsyncPolicy::Never);
-        let mut src = WalSource::replay(&path).unwrap();
-        let mut seen = Vec::new();
-        while let Some(b) = src.next_batch() {
-            seen.push(b.to_vec());
-        }
-        assert_eq!(seen, batches);
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
     fn truncation_keeps_valid_prefix() {
         let path = temp_path("truncate");
         write_sample(&path, FsyncPolicy::Never);
@@ -2045,6 +1985,82 @@ mod tests {
             proptest::prop_assert!(engine.restore_checkpoint(&spliced).is_err());
             let (state, blocks) = spliced.split_at(spliced.len().min(cut % 997));
             proptest::prop_assert!(engine.restore_checkpoint_by_ref(state, blocks).is_err());
+        }
+
+        /// Arbitrary payload bytes framed with a correct length prefix and
+        /// CRC, appended to an intact log, always parse to `Ok` with the
+        /// intact prefix: the record either decodes as the next batch or is
+        /// counted as a truncated tail. Never a panic, and the event buffer
+        /// never reserves more than the record's bytes can back. `lead`
+        /// steers the payload past the checksum: raw bytes, the expected
+        /// timestamp with an arbitrary event count, or the expected
+        /// timestamp with the count its length implies and event tags
+        /// folded mostly into range (so records also decode).
+        #[test]
+        fn record_decoder_keeps_intact_prefix_of_arbitrary_framed_payloads(
+            mut body in proptest::prop::collection::vec(0u8..=255, 0..160),
+            lead in 0u8..3,
+            count in 0u32..=u32::MAX,
+        ) {
+            static IMAGE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+            let image = IMAGE.get_or_init(|| {
+                let path = temp_path("fuzz-record");
+                write_sample(&path, FsyncPolicy::Never);
+                let bytes = fs::read(&path).unwrap();
+                let _ = fs::remove_file(&path);
+                bytes
+            });
+            let intact = sample_batches();
+            let next_t = intact.len() as u64;
+            let mut payload = Vec::new();
+            match lead {
+                0 => {}
+                1 => {
+                    payload.extend_from_slice(&next_t.to_le_bytes());
+                    payload.extend_from_slice(&count.to_le_bytes());
+                }
+                _ => {
+                    let events = body.len() / EVENT_LEN;
+                    payload.extend_from_slice(&next_t.to_le_bytes());
+                    payload.extend_from_slice(&(events as u32).to_le_bytes());
+                    body.truncate(events * EVENT_LEN);
+                    for event in body.chunks_mut(EVENT_LEN) {
+                        event[8] %= 4;
+                    }
+                }
+            }
+            payload.extend_from_slice(&body);
+            let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+            record.extend_from_slice(&payload);
+            let crc = crc32(&record);
+            record.extend_from_slice(&crc.to_le_bytes());
+            let mut bytes = image.clone();
+            bytes.extend_from_slice(&record);
+
+            let wal = WalContents::parse(&bytes).expect("an intact header always parses");
+            proptest::prop_assert_eq!(&wal.batches[..intact.len()], &intact[..]);
+            if wal.batches.len() > intact.len() {
+                proptest::prop_assert_eq!(wal.batches.len(), intact.len() + 1);
+                proptest::prop_assert!(!wal.truncated);
+                proptest::prop_assert_eq!(wal.valid_len, bytes.len() as u64);
+                let decoded = wal.batches[intact.len()].len();
+                proptest::prop_assert_eq!(payload.len(), PAYLOAD_PREFIX + EVENT_LEN * decoded);
+            } else {
+                proptest::prop_assert!(wal.truncated);
+                proptest::prop_assert_eq!(wal.valid_len, image.len() as u64);
+            }
+
+            // The reused event buffer holds at most what the largest
+            // record's bytes can back (a lying count must not size it).
+            let end = bytes.len() as u64;
+            let mut records = Records::new(&bytes[HEADER_LEN..], HEADER_LEN as u64, end, 0);
+            while records.next_batch().unwrap().is_some() {}
+            let backed = intact.iter().map(Vec::len).max().unwrap_or(0).max(body.len() / EVENT_LEN);
+            proptest::prop_assert!(
+                records.events.capacity() <= backed.max(8),
+                "event buffer reserved {} events; the bytes back {backed}",
+                records.events.capacity()
+            );
         }
     }
 }

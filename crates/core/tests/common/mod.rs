@@ -1,4 +1,4 @@
-//! Statistical helpers shared by the sharded-equivalence test suites.
+//! Statistical helpers for the per-user engine test suite.
 
 /// Two-sample chi-square statistic between histograms `a` and `b` (unequal
 /// totals handled by the usual √(N_b/N_a) weighting). Returns the statistic

@@ -35,8 +35,8 @@ fn dataset(seed: u64, users: usize, timestamps: u64) -> GriddedDataset {
         .discretize(&UniformGrid::unit(5))
 }
 
-fn engine(division: Division, threads: usize, seed: u64) -> RetraSyn {
-    let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0).with_collection_threads(threads);
+fn engine(division: Division, seed: u64) -> RetraSyn {
+    let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0);
     RetraSyn::new(config, UniformGrid::unit(5), division, seed)
 }
 
@@ -67,13 +67,8 @@ fn drive_logged(
 
 /// The uninterrupted reference: a fresh engine over the first `upto`
 /// timestamps, released.
-fn reference(
-    division: Division,
-    threads: usize,
-    gridded: &GriddedDataset,
-    upto: usize,
-) -> retrasyn_geo::GriddedDataset {
-    let mut e = engine(division, threads, 7);
+fn reference(division: Division, gridded: &GriddedDataset, upto: usize) -> GriddedDataset {
+    let mut e = engine(division, 7);
     let mut source = TimelineSource::from_gridded(gridded);
     for _ in 0..upto {
         let Some(batch) = source.next_batch() else { break };
@@ -87,11 +82,11 @@ fn recover_is_bit_identical_both_divisions() {
     let gridded = dataset(1, 120, 25);
     for division in [Division::Budget, Division::Population] {
         let path = temp_path("clean");
-        let mut original = engine(division, 1, 7);
+        let mut original = engine(division, 7);
         drive_logged(&mut original, &gridded, &path, 25, None);
         let expected = original.release();
 
-        let mut recovered = engine(division, 1, 7);
+        let mut recovered = engine(division, 7);
         let recovery = recovered.recover(&path).expect("recover");
         assert_eq!(recovery.resumed_from, 0);
         assert_eq!(recovery.replayed, 25);
@@ -108,12 +103,12 @@ fn recover_is_bit_identical_both_divisions() {
 fn recover_with_checkpoint_matches_full_replay() {
     let gridded = dataset(2, 150, 30);
     let path = temp_path("ckpt");
-    let mut original = engine(Division::Population, 1, 7);
+    let mut original = engine(Division::Population, 7);
     drive_logged(&mut original, &gridded, &path, 30, Some(8));
     let expected = original.release();
 
     // Checkpoint restored: only the suffix replays.
-    let mut recovered = engine(Division::Population, 1, 7);
+    let mut recovered = engine(Division::Population, 7);
     let recovery = recovered.recover(&path).expect("recover with checkpoint");
     assert_eq!(recovery.checkpoint, CheckpointUse::Restored { at: 24 });
     assert_eq!(recovery.resumed_from, 24);
@@ -121,7 +116,7 @@ fn recover_with_checkpoint_matches_full_replay() {
     assert_eq!(recovered.release(), expected);
 
     // Ledger state must survive the checkpoint round-trip too.
-    let mut again = engine(Division::Population, 1, 7);
+    let mut again = engine(Division::Population, 7);
     again.recover(&path).expect("recover");
     again.ledger().verify().expect("w-event invariant after checkpointed recovery");
 
@@ -132,7 +127,7 @@ fn recover_with_checkpoint_matches_full_replay() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&ckpt, &bytes).expect("rewrite sidecar");
-    let mut fallback = engine(Division::Population, 1, 7);
+    let mut fallback = engine(Division::Population, 7);
     let recovery = fallback.recover(&path).expect("recover past corrupt checkpoint");
     assert!(
         matches!(recovery.checkpoint, CheckpointUse::Ignored { .. }),
@@ -144,68 +139,40 @@ fn recover_with_checkpoint_matches_full_replay() {
 
     // Garbage that fails even magic validation: same graceful fallback.
     std::fs::write(&ckpt, b"not a checkpoint at all").expect("rewrite sidecar");
-    let mut garbage = engine(Division::Population, 1, 7);
+    let mut garbage = engine(Division::Population, 7);
     let recovery = garbage.recover(&path).expect("recover past garbage checkpoint");
     assert!(matches!(recovery.checkpoint, CheckpointUse::Ignored { .. }));
     assert_eq!(garbage.release(), expected);
     cleanup(&path);
 }
 
-#[test]
-fn recover_parallel_session_bit_identical() {
-    // Per-user reports, so every round of the logged session and of its
-    // replay runs on the four-worker collection pool.
-    let gridded = dataset(3, 2600, 8);
-    let pooled = || {
-        let config = RetraSynConfig::new(1.0, 5)
-            .with_lambda(10.0)
-            .per_user_reports()
-            .with_collection_threads(4);
-        RetraSyn::new(config, UniformGrid::unit(5), Division::Population, 7)
-    };
-    let path = temp_path("parallel");
-    let mut original = pooled();
-    drive_logged(&mut original, &gridded, &path, 8, None);
-    let expected = original.release();
-
-    let mut recovered = pooled();
-    recovered.recover(&path).expect("recover");
-    assert_eq!(recovered.release(), expected);
-    cleanup(&path);
-}
-
-/// `collection_threads` is left out of the fingerprint because it never
-/// changes the output: a per-user session logged and checkpointed at four
-/// collection threads recovers into a one-thread engine — from the
+/// A per-user session logged and checkpointed recovers — from the
 /// checkpoint or by full replay — with the same release and checkpoint
-/// bytes.
+/// bytes as the uninterrupted run.
 #[test]
-fn per_user_wal_recovers_across_collection_threads() {
+fn per_user_wal_recovers_from_checkpoint_or_replay() {
     let gridded = dataset(8, 150, 24);
-    let per_user = |threads: usize| {
-        let config = RetraSynConfig::new(1.0, 5)
-            .with_lambda(10.0)
-            .per_user_reports()
-            .with_collection_threads(threads);
+    let per_user = || {
+        let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0).per_user_reports();
         RetraSyn::new(config, UniformGrid::unit(5), Division::Population, 7)
     };
-    let path = temp_path("collection-threads");
-    let mut original = per_user(4);
+    let path = temp_path("per-user");
+    let mut original = per_user();
     drive_logged(&mut original, &gridded, &path, 24, Some(10));
     let expected_ckpt = original.checkpoint_bytes().expect("engine checkpoints");
     let expected = original.release();
     original.ledger().verify().expect("w-event invariant");
 
-    let mut restored = per_user(1);
-    let recovery = restored.recover(&path).expect("recover at one collection thread");
+    let mut restored = per_user();
+    let recovery = restored.recover(&path).expect("recover from the checkpoint");
     assert_eq!(recovery.checkpoint, CheckpointUse::Restored { at: 20 });
     assert_eq!(restored.checkpoint_bytes(), Some(expected_ckpt.clone()));
     assert_eq!(restored.release(), expected);
     restored.ledger().verify().expect("w-event invariant after recovery");
 
     std::fs::remove_file(Checkpointer::sidecar(&path)).expect("remove sidecar");
-    let mut replayed = per_user(1);
-    let recovery = replayed.recover(&path).expect("full replay at one collection thread");
+    let mut replayed = per_user();
+    let recovery = replayed.recover(&path).expect("full replay");
     assert_eq!(recovery.checkpoint, CheckpointUse::None);
     assert_eq!(replayed.checkpoint_bytes(), Some(expected_ckpt));
     assert_eq!(replayed.release(), expected);
@@ -216,15 +183,18 @@ fn per_user_wal_recovers_across_collection_threads() {
 fn recover_rejects_mismatched_sessions() {
     let gridded = dataset(4, 80, 10);
     let path = temp_path("mismatch");
-    let mut original = engine(Division::Budget, 1, 7);
+    let mut original = engine(Division::Budget, 7);
     drive_logged(&mut original, &gridded, &path, 10, None);
 
-    // Different seed, different division, different config: all rejected.
+    // Different seed, different division, different config (λ or the
+    // report mode): all rejected.
     let other_lambda = RetraSynConfig::new(1.0, 5).with_lambda(12.0);
+    let per_user = RetraSynConfig::new(1.0, 5).with_lambda(10.0).per_user_reports();
     for mut other in [
-        engine(Division::Budget, 1, 8),
-        engine(Division::Population, 1, 7),
+        engine(Division::Budget, 8),
+        engine(Division::Population, 7),
         RetraSyn::new(other_lambda, UniformGrid::unit(5), Division::Budget, 7),
+        RetraSyn::new(per_user, UniformGrid::unit(5), Division::Budget, 7),
     ] {
         match other.recover(&path) {
             Err(WalError::Mismatch { detail }) => {
@@ -240,19 +210,19 @@ fn recover_rejects_mismatched_sessions() {
 fn recover_truncated_tail_yields_prefix_session() {
     let gridded = dataset(5, 100, 20);
     let path = temp_path("torn");
-    let mut original = engine(Division::Population, 1, 7);
+    let mut original = engine(Division::Population, 7);
     drive_logged(&mut original, &gridded, &path, 20, None);
     drop(original);
 
     // Tear mid-record: recovery must land on the longest intact prefix.
     let full = std::fs::read(&path).expect("read WAL");
     std::fs::write(&path, &full[..full.len() - 5]).expect("tear WAL");
-    let mut recovered = engine(Division::Population, 1, 7);
+    let mut recovered = engine(Division::Population, 7);
     let recovery = recovered.recover(&path).expect("recover torn WAL");
     assert!(recovery.truncated);
     let prefix_len = recovery.next_timestamp();
     assert_eq!(prefix_len, 19, "one torn record discards exactly one timestamp");
-    let expected = reference(Division::Population, 1, &gridded, prefix_len as usize);
+    let expected = reference(Division::Population, &gridded, prefix_len as usize);
     assert_eq!(recovered.release(), expected);
     cleanup(&path);
 }
@@ -284,14 +254,14 @@ fn baseline_recover_is_bit_identical() {
 #[test]
 fn reset_reuses_engine_without_respawning_state() {
     // Two back-to-back sessions on one engine equal two fresh engines:
-    // the in-place reset keeps pools/scratch but no session state.
+    // the in-place reset keeps scratch buffers but no session state.
     let gridded = dataset(7, 120, 15);
-    let mut reused = engine(Division::Population, 2, 7);
+    let mut reused = engine(Division::Population, 7);
     let first = reused.run_gridded(&gridded);
     reused.reset();
     let second = reused.run_gridded(&gridded);
     assert_eq!(first, second, "a reset session must replay bit-identically");
-    let fresh = engine(Division::Population, 2, 7).run_gridded(&gridded);
+    let fresh = engine(Division::Population, 7).run_gridded(&gridded);
     assert_eq!(first, fresh, "a reset engine must equal a fresh one");
 }
 
@@ -299,17 +269,15 @@ proptest! {
     /// Kill the process at an arbitrary timestamp, recover from the WAL
     /// (checkpointed or not), continue the stream durably to the horizon:
     /// the final release is bit-for-bit the uninterrupted run. Exercised
-    /// across both divisions and thread counts 1 and 4.
+    /// across both divisions.
     #[test]
     fn kill_recover_continue_equals_uninterrupted(
         data_seed in 0u64..1000,
         kill_frac in 0.0f64..1.0,
         division_pick in 0u8..2,
-        threads_pick in 0u8..2,
         ckpt_pick in 0u8..3,
     ) {
         let division = if division_pick == 0 { Division::Budget } else { Division::Population };
-        let threads = if threads_pick == 0 { 1 } else { 4 };
         let horizon = 14usize;
         let gridded = dataset(data_seed, 60, horizon as u64);
         let kill_at = ((kill_frac * horizon as f64) as usize).min(horizon - 1);
@@ -319,16 +287,16 @@ proptest! {
             _ => Some(5),
         };
 
-        let expected = reference(division, threads, &gridded, horizon);
+        let expected = reference(division, &gridded, horizon);
 
         // Phase 1: run to the kill point with a WAL (and checkpoints).
         let path = temp_path("prop");
-        let mut doomed = engine(division, threads, 7);
+        let mut doomed = engine(division, 7);
         drive_logged(&mut doomed, &gridded, &path, kill_at, ckpt_every);
         drop(doomed); // the "kill": all in-memory state is gone
 
         // Phase 2: recover into a fresh engine and continue durably.
-        let mut survivor = engine(division, threads, 7);
+        let mut survivor = engine(division, 7);
         let recovery = survivor.recover(&path).map_err(|e| {
             TestCaseError::fail(format!("recover failed: {e}"))
         })?;
@@ -355,7 +323,7 @@ proptest! {
 
         // The WAL now covers the whole session: a second recovery of the
         // full log reproduces it again.
-        let mut again = engine(division, threads, 7);
+        let mut again = engine(division, 7);
         again.recover(&path).map_err(|e| {
             TestCaseError::fail(format!("full recover failed: {e}"))
         })?;

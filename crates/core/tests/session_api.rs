@@ -5,9 +5,8 @@
 //! stream visible in the snapshot reappears in the released dataset with
 //! identical id/start and the snapshot's cells as a bit-for-bit prefix of
 //! its released cells, and the snapshot contains exactly the streams the
-//! release says had started by `t`. Pinned across both divisions, pooled
-//! per-user collection (`collection_threads ∈ {1, 4}`) and the NoEQ
-//! ablation.
+//! release says had started by `t`. Pinned across both divisions,
+//! per-user collection and the NoEQ ablation.
 //!
 //! Also pinned: the `StreamingEngine`-generic driver reproduces the manual
 //! step loop bit-for-bit (for RetraSyn and every baseline), post-release
@@ -99,20 +98,11 @@ fn snapshots_are_prefixes_of_release_budget() {
 }
 
 #[test]
-fn snapshots_are_prefixes_of_release_pooled() {
-    // Per-user reports, so four threads run every round on the collection
-    // pool.
+fn snapshots_are_prefixes_of_release_per_user() {
+    // Per-user reports, so every round runs the blocked OUE kernel.
     let gridded = dataset(2600, 8, 3);
-    for threads in [1usize, 4] {
-        let config = RetraSynConfig::new(1.0, 4)
-            .with_lambda(gridded.avg_length())
-            .per_user_reports()
-            .with_collection_threads(threads);
-        check_prefix_property(
-            RetraSyn::population_division(config, UniformGrid::unit(5), 9),
-            &gridded,
-        );
-    }
+    let config = RetraSynConfig::new(1.0, 4).with_lambda(gridded.avg_length()).per_user_reports();
+    check_prefix_property(RetraSyn::population_division(config, UniformGrid::unit(5), 9), &gridded);
 }
 
 #[test]

@@ -33,5 +33,5 @@ pub use budget::{PrivacyBudget, WEventLedger};
 pub use error::LdpError;
 pub use grr::Grr;
 pub use oracle::{Estimate, FrequencyOracle, ReportMode};
-pub use oue::{BitReport, Oue, GANG_POS};
+pub use oue::{BitReport, Oue};
 pub use philox::{Philox, PhiloxRng};

@@ -133,7 +133,7 @@ impl FrequencyOracle for Oue {
         let mut ones = Vec::new();
         match mode {
             ReportMode::PerUser => {
-                self.collect_ones_blocked(values, 0, &Philox::new(rng.random()), &mut ones)?
+                self.collect_ones_blocked(values, &Philox::new(rng.random()), &mut ones)?
             }
             ReportMode::Aggregate => self.collect_ones_into(values, &mut ones, rng)?,
         }

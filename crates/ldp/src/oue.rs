@@ -141,9 +141,7 @@ const BLOCKED_DENSE_MIN_Q: f64 = 0.04;
 /// a 32-bit draw — and stays *exact* w.r.t. the 32-bit threshold by
 /// spending another 16 addressed bits on the 2^−16-rare halfword that
 /// ties the threshold's high half (see [`Oue::blocked_tally_range`]).
-/// Public because domain-sharded pooled rounds must align their shard
-/// boundaries to it ([`Oue::blocked_tally_range`] requires it).
-pub const GANG_POS: usize = 64;
+const GANG_POS: usize = 64;
 
 /// Dense blocked-kernel domain tile: positions accumulated per pass over
 /// the reporters. 2048 × 8-byte counters = 16 KiB — half a typical L1d,
@@ -352,57 +350,51 @@ impl Oue {
         Ok(())
     }
 
-    /// Whether the blocked kernel runs its dense regime at this `q`
-    /// (determines how pooled per-user rounds shard: dense shards the
-    /// *domain* range, sparse the reporter range).
-    pub fn blocked_dense(&self) -> bool {
+    /// Whether the blocked kernel runs its dense regime at this `q`.
+    fn blocked_dense(&self) -> bool {
         self.q >= BLOCKED_DENSE_MIN_Q
     }
 
     /// Run one full [`crate::ReportMode::PerUser`] collection round with
     /// the **blocked counter-based kernel**: every
     /// `(reporter, position)` Bernoulli draw is addressed as a pure
-    /// function of `ph`'s key, the reporter's global row `base + i` and
-    /// the position — no sequential RNG state anywhere in the round.
+    /// function of `ph`'s key, the reporter's row (its index `i` in
+    /// `values`) and the position — no sequential RNG state anywhere in
+    /// the round.
     ///
     /// Two regimes, both sampling the per-bit OUE process:
     ///
-    /// - **dense** (`q ≥ 0.04`, see [`Self::blocked_dense`]): one Philox
-    ///   word per position, generated in independent 8-block gangs and
-    ///   compared-and-added against the 32-bit threshold with no
-    ///   loop-carried dependence (autovectorizable), accumulated through
-    ///   L1-resident domain tiles ([`Self::blocked_tally_range`]);
+    /// - **dense** (`q ≥ 0.04`): one Philox word per position, generated
+    ///   in independent 8-block gangs and compared-and-added against the
+    ///   32-bit threshold with no loop-carried dependence
+    ///   (autovectorizable), accumulated through L1-resident domain tiles;
     /// - **sparse** (`q < 0.04`, large ε): the shared geometric-skipping
-    ///   walk over a per-reporter [`PhiloxRng`] row stream
-    ///   ([`Self::blocked_tally_sparse`]).
+    ///   walk over a per-reporter [`PhiloxRng`] row stream.
     ///
-    /// Because every draw is addressed, the merged counts are invariant
-    /// to how the `(reporter × position)` rectangle is partitioned — a
-    /// pooled round is bit-identical to this sequential one at any
-    /// thread count.
+    /// Because every draw is addressed, the counts are invariant to how
+    /// the `(reporter × position)` rectangle is traversed — which is what
+    /// lets the dense pass tile the domain.
     pub fn collect_ones_blocked(
         &self,
         values: &[usize],
-        base: u32,
         ph: &Philox,
         ones: &mut Vec<u64>,
     ) -> Result<(), LdpError> {
         ones.clear();
         ones.resize(self.domain, 0);
         if self.blocked_dense() {
-            self.blocked_tally_range(values, base, ph, 0, self.domain, ones)
+            self.blocked_tally_range(values, ph, 0, self.domain, ones)
         } else {
-            self.blocked_tally_sparse(values, base, ph, ones)
+            self.blocked_tally_sparse(values, ph, ones)
         }
     }
 
     /// Dense-regime blocked tally of domain positions `lo..hi` over all
-    /// `values` (reporter rows `base..base + values.len()`), accumulating
-    /// into `ones[p - lo]`. `lo` must be [`GANG_POS`]-aligned; `hi` is
-    /// either the domain or another aligned shard boundary. The counts
-    /// this writes depend only on `(ph, base, values, position)` — never
-    /// on the `(lo, hi)` partition — which is what makes domain-sharded
-    /// pooled rounds bit-identical to sequential ones.
+    /// `values` (reporter rows `0..values.len()`), accumulating into
+    /// `ones[p - lo]`. `lo` must be [`GANG_POS`]-aligned; `hi` is either
+    /// the domain or another aligned boundary. The counts this writes
+    /// depend only on `(ph, values, position)` — never on the `(lo, hi)`
+    /// partition or the [`DOMAIN_TILE`] tiling inside it.
     ///
     /// Each position consumes a 16-bit **halfword**: position `p` of row
     /// `r` reads bits `16h..16h+16` of word `j` of block
@@ -419,16 +411,15 @@ impl Oue {
     /// Bernoulli(q) credit with its Bernoulli(p = 1/2) draw) both
     /// regenerate single draws in O(1) — counter-based random access
     /// makes them free of any second pass.
-    pub fn blocked_tally_range(
+    fn blocked_tally_range(
         &self,
         values: &[usize],
-        base: u32,
         ph: &Philox,
         lo: usize,
         hi: usize,
         ones: &mut [u64],
     ) -> Result<(), LdpError> {
-        self.check_blocked_inputs(values, base)?;
+        self.check_blocked_inputs(values)?;
         assert!(lo.is_multiple_of(GANG_POS), "range start must be gang-aligned");
         assert!(lo <= hi && hi <= self.domain, "range {lo}..{hi} outside domain {}", self.domain);
         assert_eq!(ones.len(), hi - lo, "accumulator length != range length");
@@ -438,7 +429,7 @@ impl Oue {
         while tlo < hi {
             let thi = (tlo + DOMAIN_TILE).min(hi);
             for (i, &v) in values.iter().enumerate() {
-                let row = base + i as u32;
+                let row = i as u32;
                 let mut p = tlo;
                 while p + GANG_POS <= thi {
                     let gang = ph.gang8(((p / GANG_POS) * 8) as u32, row);
@@ -516,18 +507,16 @@ impl Oue {
     }
 
     /// Sparse-regime blocked tally: each reporter's geometric-skipping
-    /// walk draws from its own [`PhiloxRng`] row stream (row
-    /// `base + i`), so — like the dense pass — the merged counts are
-    /// invariant to how reporters are sharded. `ones` spans the full
-    /// domain.
-    pub fn blocked_tally_sparse(
+    /// walk draws from its own [`PhiloxRng`] row stream (row `i`), so —
+    /// like the dense pass — each reporter's contribution depends only on
+    /// its own row. `ones` spans the full domain.
+    fn blocked_tally_sparse(
         &self,
         values: &[usize],
-        base: u32,
         ph: &Philox,
         ones: &mut [u64],
     ) -> Result<(), LdpError> {
-        self.check_blocked_inputs(values, base)?;
+        self.check_blocked_inputs(values)?;
         if ones.len() != self.domain {
             return Err(LdpError::MalformedReport(format!(
                 "tally length {} != domain {}",
@@ -536,7 +525,7 @@ impl Oue {
             )));
         }
         for (i, &v) in values.iter().enumerate() {
-            let mut rng = PhiloxRng::new(*ph, base + i as u32);
+            let mut rng = PhiloxRng::new(*ph, i as u32);
             self.sparse_walk(v, &mut rng, &mut |p| ones[p] += 1);
         }
         Ok(())
@@ -544,13 +533,13 @@ impl Oue {
 
     /// Shared validation of a blocked round: every value in domain, and
     /// the reporter rows must fit the 32-bit counter word.
-    fn check_blocked_inputs(&self, values: &[usize], base: u32) -> Result<(), LdpError> {
+    fn check_blocked_inputs(&self, values: &[usize]) -> Result<(), LdpError> {
         if let Some(&v) = values.iter().find(|&&v| v >= self.domain) {
             return Err(LdpError::ValueOutOfDomain { value: v, domain: self.domain });
         }
-        if values.len() > (u32::MAX - base) as usize {
+        if u32::try_from(values.len()).is_err() {
             return Err(LdpError::MalformedReport(format!(
-                "blocked round of {} reporters at row base {base} overflows the u32 row counter",
+                "blocked round of {} reporters overflows the u32 row counter",
                 values.len()
             )));
         }
@@ -747,7 +736,7 @@ mod tests {
         let mut ones = Vec::new();
         for key in 0..1400u64 {
             let ph = Philox::new(key.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            oue.collect_ones_blocked(&values, 0, &ph, &mut ones).unwrap();
+            oue.collect_ones_blocked(&values, &ph, &mut ones).unwrap();
             let mut expect = vec![0u64; domain];
             for (i, &v) in values.iter().enumerate() {
                 let row = i as u32;
@@ -764,6 +753,55 @@ mod tests {
         }
         // ~1400·40·192·2^−16 ≈ 164 expected ties; the patch path ran.
         assert!(ties_seen > 20, "tie path never exercised ({ties_seen} ties)");
+    }
+
+    /// Dense regime: merging gang-aligned domain ranges reproduces the
+    /// full round bit-for-bit, for aligned and ragged (tail) domains
+    /// alike — the invariance the [`DOMAIN_TILE`] tiling relies on.
+    #[test]
+    fn blocked_dense_domain_shards_merge_bit_identically() {
+        for domain in [256usize, 100, 321] {
+            let oue = Oue::new(1.0, domain).unwrap();
+            assert!(oue.blocked_dense());
+            let values: Vec<usize> = (0..300).map(|i| (i * 17 + 5) % domain).collect();
+            let ph = Philox::new(0xfeed_5eed_0123_4567);
+            let mut full = Vec::new();
+            oue.collect_ones_blocked(&values, &ph, &mut full).unwrap();
+            // Two splits: one mid-domain and one per gang.
+            for bounds in [vec![0, 64, domain], vec![0, 64, 128, 192, domain]] {
+                let mut merged = vec![0u64; domain];
+                for w in bounds.windows(2) {
+                    let (lo, hi) = (w[0], w[1].min(domain));
+                    if lo >= hi {
+                        continue;
+                    }
+                    oue.blocked_tally_range(&values, &ph, lo, hi, &mut merged[lo..hi]).unwrap();
+                }
+                assert_eq!(merged, full, "domain={domain} bounds={bounds:?}");
+            }
+        }
+    }
+
+    /// Sparse regime: each reporter's contribution is its own row walk,
+    /// so summing single-row walks over any split of the reporters
+    /// reproduces the round bit-for-bit.
+    #[test]
+    fn blocked_sparse_reporter_shards_merge_bit_identically() {
+        let domain = 96;
+        let oue = Oue::new(3.5, domain).unwrap();
+        assert!(!oue.blocked_dense());
+        let values: Vec<usize> = (0..250).map(|i| (i * 29 + 1) % domain).collect();
+        let ph = Philox::new(0x0bad_cafe_dead_beef);
+        let mut full = Vec::new();
+        oue.collect_ones_blocked(&values, &ph, &mut full).unwrap();
+        let mut merged = vec![0u64; domain];
+        for (start, end) in [(0usize, 100usize), (100, 173), (173, 250)] {
+            for (row, &v) in (start..end).zip(&values[start..end]) {
+                let mut rng = PhiloxRng::new(ph, row as u32);
+                oue.sparse_walk(v, &mut rng, &mut |p| merged[p] += 1);
+            }
+        }
+        assert_eq!(merged, full);
     }
 
     #[test]

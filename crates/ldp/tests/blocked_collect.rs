@@ -1,10 +1,10 @@
 //! Pins for the blocked counter-based collection kernel: the blocked
 //! kernel must produce per-position ones counts from exactly the same
 //! distribution as the frozen report-buffer reference
-//! (`perturb_into` + `tally_into`) in both the dense and sparse regimes,
-//! and its output must be invariant to how the `(reporter × domain)`
-//! rectangle is partitioned — the property the pooled collection path is
-//! built on.
+//! (`perturb_into` + `tally_into`) in both the dense and sparse regimes.
+//! That its output is invariant to how the `(reporter × domain)`
+//! rectangle is split is pinned by the `oue` unit tests, which reach the
+//! private range and row kernels.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,7 +48,7 @@ fn reference_ones(oue: &Oue, values: &[usize], rng: &mut StdRng) -> Vec<u64> {
 
 fn blocked_ones(oue: &Oue, values: &[usize], ph: &Philox) -> Vec<u64> {
     let mut ones = Vec::new();
-    oue.collect_ones_blocked(values, 0, ph, &mut ones).unwrap();
+    oue.collect_ones_blocked(values, ph, &mut ones).unwrap();
     ones
 }
 
@@ -92,71 +92,24 @@ fn blocked_matches_reference_distribution_per_position() {
     }
 }
 
-/// Dense regime: merging gang-aligned domain shards reproduces the
-/// full-range round bit-for-bit, for aligned and ragged (tail) domains
-/// alike — the invariance `CollectionPool` relies on to shard the domain.
-#[test]
-fn blocked_dense_domain_shards_merge_bit_identically() {
-    for domain in [256usize, 100, 321] {
-        let oue = Oue::new(1.0, domain).unwrap();
-        assert!(oue.blocked_dense());
-        let values: Vec<usize> = (0..300).map(|i| (i * 17 + 5) % domain).collect();
-        let ph = Philox::new(0xfeed_5eed_0123_4567);
-        let full = blocked_ones(&oue, &values, &ph);
-        // Two shardings: one mid-domain split and one per-gang split.
-        for bounds in [vec![0, 64, domain], vec![0, 64, 128, 192, domain]] {
-            let mut merged = vec![0u64; domain];
-            for w in bounds.windows(2) {
-                let (lo, hi) = (w[0], w[1].min(domain));
-                if lo >= hi {
-                    continue;
-                }
-                let mut shard = vec![0u64; hi - lo];
-                oue.blocked_tally_range(&values, 0, &ph, lo, hi, &mut shard).unwrap();
-                for (m, s) in merged[lo..hi].iter_mut().zip(&shard) {
-                    *m += s;
-                }
-            }
-            assert_eq!(merged, full, "domain={domain} bounds={bounds:?}");
-        }
-    }
-}
-
-/// Sparse regime: splitting the reporters across shards (with global row
-/// bases) reproduces the unsharded round bit-for-bit.
-#[test]
-fn blocked_sparse_reporter_shards_merge_bit_identically() {
-    let domain = 96;
-    let oue = Oue::new(3.5, domain).unwrap();
-    assert!(!oue.blocked_dense());
-    let values: Vec<usize> = (0..250).map(|i| (i * 29 + 1) % domain).collect();
-    let ph = Philox::new(0x0bad_cafe_dead_beef);
-    let full = blocked_ones(&oue, &values, &ph);
-    let mut merged = vec![0u64; domain];
-    for (start, end) in [(0usize, 100usize), (100, 173), (173, 250)] {
-        let mut shard = vec![0u64; domain];
-        oue.blocked_tally_sparse(&values[start..end], start as u32, &ph, &mut shard).unwrap();
-        for (m, s) in merged.iter_mut().zip(&shard) {
-            *m += s;
-        }
-    }
-    assert_eq!(merged, full);
-}
-
-/// Fixed key → bit-identical output; different keys → different draws.
+/// Fixed key → bit-identical output; different keys → different draws,
+/// in the dense (ε = 1) and sparse (ε = 3.5) regimes.
 #[test]
 fn blocked_is_deterministic_in_the_key() {
-    let oue = Oue::new(1.0, 128).unwrap();
-    let values: Vec<usize> = (0..200).map(|i| (i * 7) % 128).collect();
-    let a = blocked_ones(&oue, &values, &Philox::new(42));
-    let b = blocked_ones(&oue, &values, &Philox::new(42));
-    let c = blocked_ones(&oue, &values, &Philox::new(43));
-    assert_eq!(a, b);
-    assert_ne!(a, c);
+    for eps in [1.0, 3.5] {
+        let oue = Oue::new(eps, 128).unwrap();
+        let values: Vec<usize> = (0..200).map(|i| (i * 7) % 128).collect();
+        let a = blocked_ones(&oue, &values, &Philox::new(42));
+        let b = blocked_ones(&oue, &values, &Philox::new(42));
+        let c = blocked_ones(&oue, &values, &Philox::new(43));
+        assert_eq!(a, b, "eps={eps}");
+        assert_ne!(a, c, "eps={eps}");
+    }
 }
 
 /// Every per-position count is bounded by the number of reporters, in
-/// both regimes.
+/// both regimes — and a round without reporters is all zero over the
+/// whole domain, whatever the buffer held before.
 #[test]
 fn blocked_counts_bounded_by_reporters() {
     for eps in [0.2, 1.0, 4.0] {
@@ -164,6 +117,9 @@ fn blocked_counts_bounded_by_reporters() {
         let values = vec![5usize; 200];
         let ones = blocked_ones(&oue, &values, &Philox::new(9));
         assert!(ones.iter().all(|&c| c <= 200), "eps={eps}: {ones:?}");
+        let mut stale = vec![7u64; 3];
+        oue.collect_ones_blocked(&[], &Philox::new(5), &mut stale).unwrap();
+        assert_eq!(stale, vec![0u64; 64], "eps={eps}: empty round");
     }
 }
 
@@ -185,17 +141,15 @@ fn blocked_estimates_are_unbiased() {
     }
 }
 
-/// Input validation: out-of-domain values and row bases that would
-/// overflow the 32-bit counter word are rejected, in both regimes.
+/// Input validation: out-of-domain values are rejected, in both regimes.
 #[test]
 fn blocked_kernel_validates_inputs() {
     for eps in [1.0, 3.5] {
         let oue = Oue::new(eps, 8).unwrap();
         let ph = Philox::new(0);
         let mut ones = Vec::new();
-        assert!(oue.collect_ones_blocked(&[0, 9], 0, &ph, &mut ones).is_err());
-        assert!(oue.collect_ones_blocked(&[0, 1], u32::MAX - 1, &ph, &mut ones).is_err());
-        // Base + values.len() just fitting is fine.
-        assert!(oue.collect_ones_blocked(&[0, 1], u32::MAX - 2, &ph, &mut ones).is_ok());
+        assert!(oue.collect_ones_blocked(&[0, 9], &ph, &mut ones).is_err());
+        assert!(oue.collect_ones_blocked(&[1, 2, 8], &ph, &mut ones).is_err());
+        assert!(oue.collect_ones_blocked(&[0, 7], &ph, &mut ones).is_ok());
     }
 }

@@ -82,12 +82,12 @@ pub use retrasyn_metrics as metrics;
 pub mod prelude {
     pub use retrasyn_core::{
         AllocationKind, BaselineKind, BatchSender, ChannelSource, CheckpointUse, Checkpointer,
-        CollectError, CompactionPolicy, CompactionStats, Division, EventFault, EventSource,
-        FnSource, FsyncPolicy, IngestPolicy, IngestStats, IterSource, LdpIds, LdpIdsConfig,
-        PoolError, QuarantinedEvent, Recovery, RetraSyn, RetraSynConfig, SessionError,
-        SnapshotStream, SnapshotView, StallPolicy, StepOutcome, StepVerdict, StreamingEngine,
-        SuperviseError, Supervisor, SupervisorStats, TimelineSource, ValidatedSource, WalContents,
-        WalError, WalReplay, WalSource, WalWriter,
+        CompactionPolicy, CompactionStats, Division, EventFault, EventSource, FnSource,
+        FsyncPolicy, IngestPolicy, IngestStats, IterSource, LdpIds, LdpIdsConfig, QuarantinedEvent,
+        Recovery, RetraSyn, RetraSynConfig, SessionError, SnapshotStream, SnapshotView,
+        StallPolicy, StepOutcome, StepVerdict, StreamingEngine, SuperviseError, Supervisor,
+        SupervisorStats, TimelineSource, ValidatedSource, WalContents, WalError, WalSource,
+        WalWriter,
     };
     pub use retrasyn_datagen::{
         BrinkhoffConfig, RandomWalkConfig, RegimeShiftConfig, RoadNetwork, TDriveConfig,

@@ -78,11 +78,11 @@ fn metric_evaluation_is_deterministic() {
 }
 
 #[test]
-fn pooled_engine_release_deterministic_under_shrink_heavy_churn() {
+fn per_user_engine_release_deterministic_under_shrink_heavy_churn() {
     // High churn retires many real streams per step, so the synthetic
     // target repeatedly drops and the two-phase shrink (quit draws, then
     // Efraimidis–Spirakis victim selection) runs on the critical path,
-    // while every per-user round runs on a two-worker collection pool.
+    // while every round collects per-user reports.
     // Across several engine seeds every release must reproduce
     // bit-for-bit and every session must keep its w-event ledger.
     let ds = RandomWalkConfig { users: 9_000, timestamps: 15, churn: 0.2, ..Default::default() }
@@ -90,10 +90,7 @@ fn pooled_engine_release_deterministic_under_shrink_heavy_churn() {
     let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     let release = |seed: u64| {
-        let config = RetraSynConfig::new(1.0, 6)
-            .with_lambda(orig.avg_length())
-            .per_user_reports()
-            .with_collection_threads(2);
+        let config = RetraSynConfig::new(1.0, 6).with_lambda(orig.avg_length()).per_user_reports();
         let mut engine = RetraSyn::population_division(config, grid.clone(), seed);
         let released = engine.run_gridded(&orig);
         engine.ledger().verify().expect("w-event invariant");
