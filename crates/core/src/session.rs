@@ -656,11 +656,11 @@ pub trait StreamingEngine {
 
     /// FNV-1a hash of the session's immutable identity: seed, engine
     /// kind, every output-affecting configuration setting and the
-    /// discretization. No thread count is fingerprinted: purely
-    /// operational settings (collection threads, compaction) never change
-    /// the output and are left out. Two engines with equal fingerprints
-    /// produce bit-identical sessions from the same events; the WAL header
-    /// records it so a log can only be replayed into a matching engine.
+    /// discretization. Purely operational settings (compaction) never
+    /// change the output and are left out. Two engines with equal
+    /// fingerprints produce bit-identical sessions from the same events;
+    /// the WAL header records it so a log can only be replayed into a
+    /// matching engine.
     fn fingerprint(&self) -> u64;
 
     /// Serialize the engine's full mutable state for a

@@ -9,30 +9,43 @@
 //! the session from the log before touching the engine again.
 //!
 //! ```text
-//!                    step(batch)
-//!                        │
-//!               append batch to WAL
-//!                        │
-//!                        ▼
-//!              ┌──── try_step ────┐
-//!          Ok  │                  │  panic / SessionError
-//!              ▼                  ▼
-//!        ┌──────────┐    roll the batch out of the WAL
-//!        │ Stepped  │    recover() engine from the log
-//!        └──────────┘             │
-//!        (+checkpoint     ┌───────┴────────┐
-//!         on interval)    │ attempts left? │
-//!                         └───────┬────────┘
-//!                      yes │              │ no
-//!                          ▼              ▼
-//!                   re-append batch   write poison record
-//!                   retry try_step    to `<wal>.poison`
-//!                          │              │
-//!                      Ok  ▼              ▼
-//!                   ┌───────────┐   ┌──────────┐
-//!                   │ Recovered │   │ Poisoned │  (batch skipped,
-//!                   └───────────┘   └──────────┘   session continues)
+//!                         step(batch)
+//!                             │
+//!              write batch to WAL, hand its fsync
+//!              to the writer's I/O thread
+//!                             │
+//!          ┌──────────────────┴──────────────────┐
+//!          ▼                                     ▼
+//!     try_step (caught)                 I/O thread: sync_data
+//!          │                                     │
+//!          └──────────────► wait for sync ◄──────┘
+//!                   (failed sync → Err(SuperviseError::Wal))
+//!                             │
+//!          Ok  ┌──────────────┴──────────────┐  panic / SessionError
+//!              ▼                             ▼
+//!        ┌──────────┐            roll the batch out of the WAL
+//!        │ Stepped  │            recover() engine from the log
+//!        └──────────┘                        │
+//!        (+checkpoint               ┌────────┴───────┐
+//!         on interval)              │ attempts left? │
+//!                                   └────────┬───────┘
+//!                                yes │              │ no
+//!                                    ▼              ▼
+//!                      re-append batch (synced)   write poison record
+//!                      retry try_step             to `<wal>.poison`
+//!                                    │              │
+//!                                Ok  ▼              ▼
+//!                             ┌───────────┐   ┌──────────┐
+//!                             │ Recovered │   │ Poisoned │  (batch skipped,
+//!                             └───────────┘   └──────────┘   session continues)
 //! ```
+//!
+//! The batch's sync runs while the engine steps, so a durable step costs
+//! the longer of the two rather than their sum. The step is acknowledged,
+//! checkpointed or rolled back only after the sync has finished: an
+//! acknowledged batch is as durable as the [`FsyncPolicy`] promises, and a
+//! checkpoint never covers a record that is not yet on disk. A retry
+//! re-appends its batch with an inline sync.
 //!
 //! A batch that crashes the engine on every attempt (default: 2) is a
 //! *poison batch*: it is quarantined — removed from the WAL, recorded in
@@ -45,7 +58,8 @@
 //! Only step faults are absorbed; faults of the supervision machinery
 //! itself (WAL I/O, checkpoint I/O, sidecar I/O) surface as
 //! [`SuperviseError`] — losing durability silently would turn every later
-//! recovery promise into a lie.
+//! recovery promise into a lie. A failed WAL sync is one of them; see
+//! [`Supervisor::step`] for what it leaves behind.
 
 use std::fmt;
 use std::fs;
@@ -278,19 +292,33 @@ impl<E: StreamingEngine> Supervisor<E> {
     /// always [`next_timestamp`](StreamingEngine::next_timestamp), so a
     /// poisoned batch's successor slides into its place.
     ///
+    /// The batch is written to the WAL first. Its sync, if the
+    /// [`FsyncPolicy`] asks for one, runs on the writer's I/O thread while
+    /// the engine steps, and the verdict is returned only after both have
+    /// finished (see the [module docs](self)): `Ok` means the batch is as
+    /// durable as the policy promises.
+    ///
     /// Returns the [`StepVerdict`]; `Err` only for faults of the
     /// supervision machinery itself (WAL/checkpoint/sidecar I/O), after
     /// which the session should be abandoned or
-    /// [`resume`](Supervisor::resume)d from the log.
+    /// [`resume`](Supervisor::resume)d from the log. A failed sync is such
+    /// a fault, reported as [`SuperviseError::Wal`]. It leaves the engine
+    /// one step ahead of what the log is known to hold: the batch was
+    /// stepped (or its step crashed), and its record was written but may
+    /// not be on disk. `resume` rebuilds the session from whatever the log
+    /// does hold.
     pub fn step(&mut self, events: &[UserEvent]) -> Result<StepVerdict, SuperviseError> {
         let t = self.engine.next_timestamp();
         let base = self.wal.offset();
-        self.wal.append_batch(t, events)?;
+        self.wal.append_deferred(t, events)?;
         let mut fault = String::new();
         for attempt in 1..=self.max_attempts {
             // Unwind safety: if the closure panics, the engine is rebuilt
             // from the WAL below before anything observes it.
             let result = panic::catch_unwind(AssertUnwindSafe(|| self.engine.try_step(t, events)));
+            // The first attempt ran beside the batch's sync. Nothing may be
+            // acknowledged, checkpointed or rolled back before it is durable.
+            self.wal.wait_sync()?;
             match result {
                 Ok(Ok(outcome)) => {
                     self.stats.steps += 1;

@@ -1,11 +1,11 @@
 //! Durable event write-ahead log (WAL) for streaming sessions.
 //!
-//! Because a session is bit-deterministic from `(seed, events, threads)`,
-//! durability reduces to logging the events: replaying a recorded WAL
-//! through a freshly constructed engine reproduces the *exact* session —
-//! every snapshot, every release, bit for bit. This module provides the
-//! log itself, a tee adapter so any [`EventSource`] gains durability, and
-//! the checkpoint sidecar that bounds replay time.
+//! Because a session is bit-deterministic from `(seed, events)`, durability
+//! reduces to logging the events: replaying a recorded WAL through a
+//! freshly constructed engine reproduces the *exact* session — every
+//! snapshot, every release, bit for bit. This module provides the log
+//! itself, a tee adapter so any [`EventSource`] gains durability, and the
+//! checkpoint sidecar that bounds replay time.
 //!
 //! # On-disk format
 //!
@@ -76,7 +76,17 @@
 //! after each timestamp (a crash loses nothing that was acknowledged),
 //! `EveryN(k)` fsyncs every `k` batches (bounded loss window), `Never`
 //! leaves flushing to the OS (contents survive process crashes but not
-//! host crashes).
+//! host crashes). Every record is handed to the OS as soon as it is
+//! appended, whatever the policy; the policy decides only when
+//! `fdatasync` runs.
+//!
+//! [`WalWriter::append_batch`] syncs inline: when it returns, the record
+//! is as durable as the policy promises. A [`Supervisor`](crate::Supervisor)
+//! instead hands the sync to the writer's I/O thread and runs the engine
+//! step meanwhile, then waits for the sync before it acknowledges the
+//! step, checkpoints or rolls the record back. The thread is started the
+//! first time a sync is deferred, so a writer that only ever syncs
+//! inline runs none.
 //!
 //! # Checkpoints
 //!
@@ -136,6 +146,8 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Mutex};
+use std::thread;
 
 use crate::compact::{BlockHeader, FrozenEpochs, BLOCK_HEADER_LEN};
 use crate::session::{EventSource, StreamingEngine};
@@ -533,8 +545,11 @@ fn decode_event(dec: &mut Dec<'_>) -> Result<UserEvent, String> {
 /// When the WAL writer forces appended records to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every appended batch: an acknowledged timestamp is
-    /// never lost, at one sync per step.
+    /// `fsync` every appended batch: an acknowledged timestamp is never
+    /// lost, at one sync per step. [`WalWriter::append_batch`] syncs
+    /// before it returns; a [`Supervisor`](crate::Supervisor) overlaps
+    /// the sync with the engine step and acknowledges the step only
+    /// after both have finished.
     EveryBatch,
     /// `fsync` after every `k` batches (`k ≥ 1`): at most `k − 1` recent
     /// timestamps can be lost to a host crash.
@@ -549,7 +564,7 @@ pub enum FsyncPolicy {
 /// [`WalWriter::reopen`] to continue a recovered one.
 #[derive(Debug)]
 pub struct WalWriter {
-    file: io::BufWriter<fs::File>,
+    file: fs::File,
     path: PathBuf,
     policy: FsyncPolicy,
     next_t: u64,
@@ -559,6 +574,8 @@ pub struct WalWriter {
     /// header plus every appended record. Lets a supervisor roll back a
     /// suspect batch with [`WalWriter::truncate_to`].
     offset: u64,
+    /// The I/O thread deferred syncs run on; started by the first one.
+    syncer: Option<SyncThread>,
 }
 
 impl WalWriter {
@@ -592,17 +609,16 @@ impl WalWriter {
         if removed {
             sync_parent_dir(&path)?;
         }
-        let file = fs::OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
+        let mut file =
+            fs::OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(WAL_MAGIC);
         header.extend_from_slice(&seed.to_le_bytes());
         header.extend_from_slice(&fingerprint.to_le_bytes());
         let crc = crc32(&header);
         header.extend_from_slice(&crc.to_le_bytes());
-        let mut file = io::BufWriter::new(file);
         file.write_all(&header)?;
-        file.flush()?;
-        file.get_ref().sync_data()?;
+        file.sync_data()?;
         Ok(WalWriter {
             file,
             path,
@@ -611,6 +627,7 @@ impl WalWriter {
             since_sync: 0,
             buf: Vec::new(),
             offset: HEADER_LEN as u64,
+            syncer: None,
         })
     }
 
@@ -639,10 +656,9 @@ impl WalWriter {
         if let FsyncPolicy::EveryN(k) = policy {
             assert!(k >= 1, "FsyncPolicy::EveryN requires k >= 1");
         }
-        let file = fs::OpenOptions::new().read(true).write(true).open(path)?;
+        let mut file = fs::OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(valid_len)?;
         trim_frozen(&Checkpointer::frozen_file(path), next_t)?;
-        let mut file = io::BufWriter::new(file);
         file.seek(SeekFrom::End(0))?;
         Ok(WalWriter {
             file,
@@ -652,12 +668,51 @@ impl WalWriter {
             since_sync: 0,
             buf: Vec::new(),
             offset: valid_len,
+            syncer: None,
         })
     }
 
     /// Append the batch for timestamp `t`, which must be the next
-    /// consecutive timestamp.
+    /// consecutive timestamp, and sync it if the policy asks: when this
+    /// returns, the record is as durable as the [`FsyncPolicy`] promises.
     pub fn append_batch(&mut self, t: u64, events: &[UserEvent]) -> Result<(), WalError> {
+        if self.write_record(t, events)? {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// [`append_batch`](Self::append_batch), except that a sync the policy
+    /// asks for runs on the writer's I/O thread (started on first use)
+    /// and this returns as soon as the record is written. The record is
+    /// durable only once [`wait_sync`](Self::wait_sync) returns `Ok`;
+    /// `sync`, `truncate_to` and dropping the writer wait too.
+    pub(crate) fn append_deferred(&mut self, t: u64, events: &[UserEvent]) -> Result<(), WalError> {
+        if self.write_record(t, events)? {
+            self.wait_sync()?;
+            let syncer = match self.syncer.take() {
+                Some(syncer) => syncer,
+                None => SyncThread::spawn(&self.file)?,
+            };
+            self.syncer.insert(syncer).request()?;
+            self.since_sync = 0;
+        }
+        Ok(())
+    }
+
+    /// Wait for the sync [`append_deferred`](Self::append_deferred) handed
+    /// to the I/O thread, if one is in flight, and return its result. A
+    /// failed sync, or an I/O thread that is gone, is [`WalError::Io`].
+    pub(crate) fn wait_sync(&mut self) -> Result<(), WalError> {
+        match &mut self.syncer {
+            Some(syncer) => Ok(syncer.wait()?),
+            None => Ok(()),
+        }
+    }
+
+    /// Encode, frame and write the record for `t`, handing it to the OS.
+    /// Returns whether the policy wants it synced now.
+    fn write_record(&mut self, t: u64, events: &[UserEvent]) -> Result<bool, WalError> {
         assert_eq!(t, self.next_t, "WAL batches must cover consecutive timestamps");
         let payload_len = PAYLOAD_PREFIX + EVENT_LEN * events.len();
         assert!(payload_len <= u32::MAX as usize, "batch too large for WAL framing");
@@ -676,18 +731,18 @@ impl WalWriter {
         self.offset += self.buf.len() as u64;
         self.next_t += 1;
         self.since_sync += 1;
-        match self.policy {
-            FsyncPolicy::EveryBatch => self.sync()?,
-            FsyncPolicy::EveryN(k) if self.since_sync >= k => self.sync()?,
-            _ => {}
-        }
-        Ok(())
+        Ok(match self.policy {
+            FsyncPolicy::EveryBatch => true,
+            FsyncPolicy::EveryN(k) => self.since_sync >= k,
+            FsyncPolicy::Never => false,
+        })
     }
 
-    /// Flush buffered records and force them to stable storage.
+    /// Force every appended record to stable storage (after waiting for
+    /// a deferred sync still in flight).
     pub fn sync(&mut self) -> Result<(), WalError> {
-        self.file.flush()?;
-        self.file.get_ref().sync_data()?;
+        self.wait_sync()?;
+        self.file.sync_data()?;
         self.since_sync = 0;
         Ok(())
     }
@@ -707,17 +762,17 @@ impl WalWriter {
 
     /// Roll the WAL back to `offset` (a value previously returned by
     /// [`offset`](Self::offset)), discarding every record appended since,
-    /// and rewind the expected timestamp to `next_t`. The truncation is
-    /// synced before returning, so a crash immediately afterwards recovers
-    /// the rolled-back log, never the suspect records. Used by the
-    /// supervisor to remove a batch whose replay keeps crashing the
-    /// engine.
+    /// and rewind the expected timestamp to `next_t`. A deferred sync
+    /// still in flight is waited for first. The truncation is synced
+    /// before returning, so a crash immediately afterwards recovers the
+    /// rolled-back log, never the suspect records. Used by the supervisor
+    /// to remove a batch whose replay keeps crashing the engine.
     pub(crate) fn truncate_to(&mut self, offset: u64, next_t: u64) -> Result<(), WalError> {
         debug_assert!(offset >= HEADER_LEN as u64 && offset <= self.offset);
-        self.file.flush()?;
-        self.file.get_ref().set_len(offset)?;
+        self.wait_sync()?;
+        self.file.set_len(offset)?;
         self.file.seek(SeekFrom::Start(offset))?;
-        self.file.get_ref().sync_data()?;
+        self.file.sync_data()?;
         self.offset = offset;
         self.next_t = next_t;
         self.since_sync = 0;
@@ -728,6 +783,68 @@ impl WalWriter {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+impl Drop for WalWriter {
+    /// Wait for a deferred sync still in flight, then stop and join the
+    /// I/O thread. A sync error has no caller left to reach here; call
+    /// [`sync`](WalWriter::sync) before dropping to observe it.
+    fn drop(&mut self) {
+        if let Some(mut syncer) = self.syncer.take() {
+            let _ = syncer.wait();
+            let SyncThread { requests, handle, .. } = syncer;
+            drop(requests);
+            let _ = handle.join();
+        }
+    }
+}
+
+/// A [`WalWriter`]'s I/O thread: it runs `sync_data` on a cloned handle
+/// of the log once per request and sends back the result, so the writer
+/// can overlap the sync with other work. At most one request is in
+/// flight. The thread ends when `requests` is dropped.
+#[derive(Debug)]
+struct SyncThread {
+    requests: mpsc::Sender<()>,
+    /// Behind a `Mutex` only so the writer stays `Sync`; it is reached
+    /// through `get_mut` and never locked.
+    results: Mutex<mpsc::Receiver<io::Result<()>>>,
+    handle: thread::JoinHandle<()>,
+    in_flight: bool,
+}
+
+impl SyncThread {
+    fn spawn(file: &fs::File) -> io::Result<Self> {
+        let file = file.try_clone()?;
+        let (requests, inbox) = mpsc::channel::<()>();
+        let (outbox, results) = mpsc::channel();
+        let handle = thread::Builder::new().name("wal-sync".to_string()).spawn(move || {
+            while inbox.recv().is_ok() {
+                if outbox.send(file.sync_data()).is_err() {
+                    break;
+                }
+            }
+        })?;
+        Ok(SyncThread { requests, results: Mutex::new(results), handle, in_flight: false })
+    }
+
+    fn request(&mut self) -> io::Result<()> {
+        self.requests.send(()).map_err(|_| sync_thread_gone())?;
+        self.in_flight = true;
+        Ok(())
+    }
+
+    fn wait(&mut self) -> io::Result<()> {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(());
+        }
+        let results = self.results.get_mut().map_err(|_| sync_thread_gone())?;
+        results.recv().map_err(|_| sync_thread_gone())?
+    }
+}
+
+fn sync_thread_gone() -> io::Error {
+    io::Error::other("the WAL sync thread is gone (it panicked or its channel closed)")
 }
 
 /// Force the directory entry changes under `path`'s parent directory to
@@ -1759,6 +1876,65 @@ mod tests {
             assert_eq!(wal.batches, batches);
             let _ = fs::remove_file(&path);
         }
+    }
+
+    /// Deferred syncs go to one lazily started I/O thread, only when the
+    /// policy asks for a sync; inline appends never start it. Every record
+    /// reads back whichever way it was appended.
+    #[test]
+    fn deferred_syncs_follow_the_policy_on_one_lazy_thread() {
+        let batches: Vec<Vec<UserEvent>> = sample_batches().into_iter().cycle().take(7).collect();
+        for (policy, deferred_syncs) in
+            [(FsyncPolicy::EveryBatch, 6), (FsyncPolicy::EveryN(3), 2), (FsyncPolicy::Never, 0)]
+        {
+            let path = temp_path("deferred");
+            let mut w = WalWriter::create(&path, 42, 0xDEAD_BEEF, policy).unwrap();
+            w.append_batch(0, &batches[0]).unwrap();
+            assert!(w.syncer.is_none(), "{policy:?}: an inline append started the I/O thread");
+            let mut requested = 0;
+            for (t, b) in batches.iter().enumerate().skip(1) {
+                w.append_deferred(t as u64, b).unwrap();
+                requested += usize::from(w.syncer.as_ref().is_some_and(|s| s.in_flight));
+                w.wait_sync().unwrap();
+            }
+            assert_eq!(requested, deferred_syncs, "{policy:?}");
+            assert_eq!(w.syncer.is_some(), deferred_syncs > 0, "{policy:?}");
+            drop(w);
+            assert_eq!(WalContents::read(&path).unwrap().batches, batches, "{policy:?}");
+            let _ = fs::remove_file(&path);
+        }
+    }
+
+    /// An I/O thread that is gone — its channel closed before a request,
+    /// or it panicked with a sync in flight — is `WalError::Io`, never a
+    /// hang or a panic of the caller; dropping the writer still joins it.
+    #[test]
+    fn lost_sync_thread_is_an_io_error() {
+        let path = temp_path("lost-sync");
+        let batches = sample_batches();
+        let mut w = WalWriter::create(&path, 42, 0xDEAD_BEEF, FsyncPolicy::EveryBatch).unwrap();
+
+        let (requests, inbox) = mpsc::channel::<()>();
+        let (_outbox, results) = mpsc::channel();
+        drop(inbox);
+        let handle = thread::spawn(|| {});
+        w.syncer =
+            Some(SyncThread { requests, results: Mutex::new(results), handle, in_flight: false });
+        assert!(matches!(w.append_deferred(0, &batches[0]), Err(WalError::Io(_))));
+
+        let (requests, inbox) = mpsc::channel::<()>();
+        let (outbox, results) = mpsc::channel::<io::Result<()>>();
+        let handle = thread::spawn(move || {
+            let _keep = outbox;
+            let _ = inbox.recv();
+            panic!("injected I/O thread panic");
+        });
+        w.syncer =
+            Some(SyncThread { requests, results: Mutex::new(results), handle, in_flight: false });
+        w.append_deferred(1, &batches[1]).unwrap();
+        assert!(matches!(w.wait_sync(), Err(WalError::Io(_))));
+        drop(w);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

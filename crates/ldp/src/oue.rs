@@ -96,7 +96,7 @@ pub struct Oue {
     q: f64,
     /// `1 / ln(1−q)`, precomputed for the geometric-skip draw.
     inv_ln_1mq: f64,
-    /// `round(q · 2^64)`: `next_u64() < thresh_q` is a Bernoulli(q) draw
+    /// `⌊q · 2^64⌋`: `next_u64() < thresh_q` is a Bernoulli(q) draw
     /// with bias below 2^−64 — finer than the 2^−53 granularity of an
     /// `f64` comparison.
     thresh_q: u64,

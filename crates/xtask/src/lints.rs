@@ -29,7 +29,7 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         id: "DET001",
         summary: "RNG draw inside iteration over an unordered container",
-        invariant: "the RNG stream consumed at fixed (seed, threads) is bit-identical across \
+        invariant: "the RNG stream consumed at fixed (seed, input) is bit-identical across \
                     runs; HashMap/HashSet iteration order would splice platform hash noise \
                     into the draw sequence",
     },

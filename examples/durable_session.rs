@@ -1,6 +1,10 @@
-//! A durable streaming session: every ingested batch is teed to a
-//! write-ahead log before the engine sees it, checkpoints bound replay
-//! time, and a killed process resumes bit-identically from the log.
+//! A durable streaming session: every ingested batch is written to a
+//! write-ahead log, checkpoints bound replay time, and a killed process
+//! resumes bit-identically from the log.
+//!
+//! `--run` and `--recover` drive the session through a `Supervisor`,
+//! whose WAL sync overlaps each engine step; the demo without arguments
+//! tees the source into a `WalWriter` by hand.
 //!
 //! ```sh
 //! # Self-contained demo (records, "crashes", recovers, compares):
@@ -64,64 +68,64 @@ fn release_hash(db: &GriddedDataset) -> u64 {
     h
 }
 
-/// Record a fresh session into `wal`, one fsynced batch per timestamp,
-/// checkpointing every [`CKPT_EVERY`] timestamps. `slow_ms` throttles the
-/// stream so an outside observer can `kill -9` mid-flight.
+/// Record a fresh session into `wal` under a [`Supervisor`]: one fsynced
+/// batch per timestamp (the sync overlaps the engine step), checkpointing
+/// every [`CKPT_EVERY`] timestamps. `slow_ms` throttles the stream so an
+/// outside observer can `kill -9` mid-flight.
 fn run(wal: &Path, slow_ms: u64) {
     let gridded = dataset();
-    let mut engine = engine();
-    let writer = WalWriter::create(wal, SEED, engine.fingerprint(), FsyncPolicy::EveryBatch)
-        .expect("create WAL");
-    let ckpt = Checkpointer::new(wal, CKPT_EVERY);
-    let mut source = WalSource::tee(TimelineSource::from_gridded(&gridded), writer);
+    let mut supervisor = Supervisor::create(engine(), wal, SEED, FsyncPolicy::EveryBatch)
+        .expect("create WAL")
+        .with_checkpoints(CKPT_EVERY);
+    let mut source = TimelineSource::from_gridded(&gridded);
     while let Some(batch) = source.next_batch() {
-        let t = engine.next_timestamp();
-        let outcome = engine.step(t, batch);
-        ckpt.maybe_save(&engine).expect("write checkpoint");
+        let t = supervisor.engine().next_timestamp();
+        let outcome = stepped(supervisor.step(batch).expect("supervised step"));
         println!("t={t:>2}  active={:>4}  (durable)", outcome.active);
         if slow_ms > 0 {
             std::thread::sleep(Duration::from_millis(slow_ms));
         }
     }
-    let (_, mut writer) = source.into_parts();
-    writer.sync().expect("final sync");
-    finish(&mut engine);
+    finish(&mut supervisor);
 }
 
 /// Rebuild the session from `wal` (checkpoint + replay), then continue the
-/// interrupted stream to the horizon and release.
+/// interrupted stream to the horizon under supervision and release.
 fn recover(wal: &Path) {
     let gridded = dataset();
-    let mut engine = engine();
-    let recovery = engine.recover(wal).expect("recover session");
+    let (supervisor, recovery) =
+        Supervisor::resume(engine(), wal, FsyncPolicy::EveryBatch).expect("recover session");
+    let mut supervisor = supervisor.with_checkpoints(CKPT_EVERY);
     println!(
         "recovered: resumed_from={} replayed={} truncated={} checkpoint={:?}",
         recovery.resumed_from, recovery.replayed, recovery.truncated, recovery.checkpoint
     );
 
     // Continue where the crash left off, still logging durably.
-    let contents = WalContents::read(wal).expect("reread WAL");
-    let writer =
-        WalWriter::reopen(&contents, wal, FsyncPolicy::EveryBatch).expect("reopen WAL for append");
-    let ckpt = Checkpointer::new(wal, CKPT_EVERY);
-    let mut timeline = TimelineSource::from_gridded(&gridded);
+    let mut source = TimelineSource::from_gridded(&gridded);
     for _ in 0..recovery.next_timestamp() {
-        timeline.next_batch(); // already ingested before the crash
+        source.next_batch(); // already ingested before the crash
     }
-    let mut source = WalSource::tee(timeline, writer);
     while let Some(batch) = source.next_batch() {
-        let t = engine.next_timestamp();
-        let outcome = engine.step(t, batch);
-        ckpt.maybe_save(&engine).expect("write checkpoint");
+        let t = supervisor.engine().next_timestamp();
+        let outcome = stepped(supervisor.step(batch).expect("supervised step"));
         println!("t={t:>2}  active={:>4}  (resumed)", outcome.active);
     }
-    let (_, mut writer) = source.into_parts();
-    writer.sync().expect("final sync");
-    finish(&mut engine);
+    finish(&mut supervisor);
 }
 
-fn finish(engine: &mut RetraSyn) {
-    let released = engine.release();
+/// The outcome of a supervised step. This engine never crashes, so any
+/// verdict but `Stepped` means the drill itself is broken.
+fn stepped(verdict: StepVerdict) -> StepOutcome {
+    match verdict {
+        StepVerdict::Stepped(outcome) => outcome,
+        other => panic!("unexpected supervised verdict {other:?}"),
+    }
+}
+
+fn finish(supervisor: &mut Supervisor<RetraSyn>) {
+    let released = supervisor.release().expect("sync and release");
+    let engine = supervisor.engine();
     engine.ledger().verify().expect("w-event accounting holds");
     let stats = engine.compaction_stats();
     println!("compaction: runs={} frozen_cells={}", stats.runs, stats.frozen_cells);

@@ -216,6 +216,10 @@ struct FaultyEngine {
     fault_at: u64,
     transient_remaining: std::cell::Cell<u32>,
     poison_user: Option<u64>,
+    /// When set, a transient fault first reads this WAL and records how
+    /// many batches it already held (in `logged_at_fault`).
+    probe_wal: Option<PathBuf>,
+    logged_at_fault: std::cell::Cell<Option<usize>>,
 }
 
 impl FaultyEngine {
@@ -225,6 +229,8 @@ impl FaultyEngine {
             fault_at,
             transient_remaining: std::cell::Cell::new(1),
             poison_user: None,
+            probe_wal: None,
+            logged_at_fault: std::cell::Cell::new(None),
         }
     }
 
@@ -234,7 +240,15 @@ impl FaultyEngine {
             fault_at: u64::MAX,
             transient_remaining: std::cell::Cell::new(0),
             poison_user: Some(user),
+            probe_wal: None,
+            logged_at_fault: std::cell::Cell::new(None),
         }
+    }
+
+    /// A transient fault that also records how much of `wal` was written
+    /// when it fired.
+    fn transient_probing(inner: RetraSyn, fault_at: u64, wal: &std::path::Path) -> Self {
+        FaultyEngine { probe_wal: Some(wal.to_path_buf()), ..Self::transient(inner, fault_at) }
     }
 }
 
@@ -252,6 +266,10 @@ impl StreamingEngine for FaultyEngine {
     ) -> Result<StepOutcome, retrasyn::core::SessionError> {
         if t == self.fault_at && self.transient_remaining.get() > 0 {
             self.transient_remaining.set(self.transient_remaining.get() - 1);
+            if let Some(wal) = &self.probe_wal {
+                let logged = WalContents::read(wal).expect("read WAL mid-step").batches.len();
+                self.logged_at_fault.set(Some(logged));
+            }
             panic!("injected transient fault at t={t}");
         }
         if let Some(user) = self.poison_user {
@@ -381,6 +399,143 @@ fn poison_batch_is_quarantined_once_and_session_continues() {
     assert_eq!(recovery.next_timestamp(), HORIZON as u64);
     assert_eq!(replayed.release(), expected);
     cleanup_supervised(&path);
+}
+
+// ---------------------------------------------------------------------------
+// Overlapped WAL sync: `Supervisor::step` writes the batch, steps the engine
+// while the writer's I/O thread syncs it, and acknowledges only after both.
+
+const POLICIES: [FsyncPolicy; 3] =
+    [FsyncPolicy::EveryBatch, FsyncPolicy::EveryN(3), FsyncPolicy::Never];
+
+/// The dataset's batches, one per timestamp.
+fn batches() -> Vec<Vec<UserEvent>> {
+    let timeline = EventTimeline::build(&dataset());
+    (0..HORIZON as u64).map(|t| timeline.at(t).to_vec()).collect()
+}
+
+#[test]
+fn panic_while_sync_in_flight_rolls_back_and_recovers_bit_identical() {
+    let gridded = dataset();
+    let expected = engine().run_gridded(&gridded);
+    for policy in POLICIES {
+        for fault_at in [0, 7, HORIZON as u64 - 1] {
+            let path = temp_path("overlap");
+            let faulty = FaultyEngine::transient_probing(engine(), fault_at, &path);
+            let mut sup = Supervisor::create(faulty, &path, 13, policy)
+                .expect("create supervisor")
+                .with_checkpoints(3);
+            let released = sup
+                .drive(TimelineSource::from_gridded(&gridded))
+                .expect("supervised drive survives the injected crash");
+            let case = format!("{policy:?} fault_at={fault_at}");
+            // The engine crashed after its batch was written and its sync
+            // handed off, not before the append.
+            assert_eq!(
+                sup.engine().logged_at_fault.get(),
+                Some(fault_at as usize + 1),
+                "{case}: the step did not run after its batch was written"
+            );
+            assert_eq!(released, expected, "{case}: recovery not bit-identical");
+            let stats = *sup.stats();
+            assert_eq!((stats.recovered, stats.poisoned, stats.steps), (1, 0, HORIZON as u64));
+
+            // The log holds every batch exactly once, and a fresh engine
+            // recovers the same release from it.
+            let contents = WalContents::read(&path).expect("read WAL");
+            assert!(!contents.truncated, "{case}: torn WAL");
+            assert_eq!(contents.batches, batches(), "{case}: WAL differs from the stream");
+            let mut replayed = engine();
+            replayed.recover(&path).expect("recover the supervised WAL");
+            assert_eq!(replayed.release(), expected, "{case}: replay not bit-identical");
+            cleanup_supervised(&path);
+        }
+    }
+}
+
+#[test]
+fn overlapped_poison_batch_is_quarantined_once_and_left_out_of_the_wal() {
+    const POISON_USER: u64 = 999_999;
+    const POISON_AT: usize = 11;
+    let expected = engine().run_gridded(&dataset());
+    let clean = batches();
+    let mut stream = clean.clone();
+    stream.insert(
+        POISON_AT,
+        vec![UserEvent { user: POISON_USER, state: TransitionState::Enter(CellId(0)) }],
+    );
+    for policy in POLICIES {
+        let path = temp_path("overlap-poison");
+        let faulty = FaultyEngine::poisoned_by(engine(), POISON_USER);
+        let mut sup = Supervisor::create(faulty, &path, 13, policy)
+            .expect("create supervisor")
+            .with_checkpoints(4);
+        let released = sup
+            .drive(IterSource::new(stream.clone().into_iter()))
+            .expect("session continues past poison");
+        assert_eq!(released, expected, "{policy:?}: poisoned session must drop the batch");
+        let stats = *sup.stats();
+        assert_eq!((stats.poisoned, stats.recovered), (1, 0), "{policy:?}");
+        let poison = std::fs::read_to_string(sup.poison_path()).expect("poison sidecar exists");
+        assert_eq!(poison.lines().count(), 1, "{policy:?}: one quarantine record: {poison}");
+        assert!(poison.starts_with(&format!("t={POISON_AT} attempts=2 events=1 fault=")));
+
+        let contents = WalContents::read(&path).expect("read WAL");
+        assert!(!contents.truncated, "{policy:?}: torn WAL");
+        assert_eq!(contents.batches, clean, "{policy:?}: the WAL must end without the poison");
+        cleanup_supervised(&path);
+    }
+}
+
+#[test]
+fn supervised_sessions_release_the_same_bits_under_every_fsync_policy() {
+    let gridded = dataset();
+    let expected = engine().run_gridded(&gridded);
+    for policy in POLICIES {
+        for ckpt_every in [None, Some(5)] {
+            let path = temp_path("policy");
+            let mut sup = Supervisor::create(engine(), &path, 13, policy).expect("create");
+            if let Some(every) = ckpt_every {
+                sup = sup.with_checkpoints(every);
+            }
+            let mut source = TimelineSource::from_gridded(&gridded);
+            while let Some(batch) = source.next_batch() {
+                let verdict = sup.step(batch).expect("supervised step");
+                assert!(matches!(verdict, StepVerdict::Stepped(_)), "{policy:?}: {verdict:?}");
+            }
+            let released = sup.release().expect("release");
+            assert_eq!(released, expected, "{policy:?} ckpt={ckpt_every:?}: bits differ");
+            cleanup_supervised(&path);
+        }
+    }
+}
+
+#[test]
+fn every_acknowledged_batch_is_logged_however_the_supervisor_ends() {
+    const ACKED: usize = 11;
+    let stream = batches();
+    for policy in POLICIES {
+        for ending in ["release", "into_engine", "drop"] {
+            let path = temp_path("ending");
+            let mut sup = Supervisor::create(engine(), &path, 13, policy).expect("create");
+            for batch in &stream[..ACKED] {
+                sup.step(batch).expect("supervised step");
+            }
+            match ending {
+                "release" => drop(sup.release().expect("release")),
+                "into_engine" => drop(sup.into_engine().expect("into_engine")),
+                _ => drop(sup),
+            }
+            let contents = WalContents::read(&path).expect("read WAL");
+            assert!(!contents.truncated, "{policy:?} {ending}: torn WAL");
+            assert_eq!(
+                contents.batches,
+                &stream[..ACKED],
+                "{policy:?} {ending}: acknowledged batches missing from the WAL"
+            );
+            cleanup_supervised(&path);
+        }
+    }
 }
 
 #[test]
