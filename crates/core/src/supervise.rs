@@ -16,7 +16,7 @@
 //!                             │
 //!          ┌──────────────────┴──────────────────┐
 //!          ▼                                     ▼
-//!     try_step (caught)                 I/O thread: sync_data
+//!     try_step (caught)               WAL I/O thread: sync_data
 //!          │                                     │
 //!          └──────────────► wait for sync ◄──────┘
 //!                   (failed sync → Err(SuperviseError::Wal))
@@ -27,7 +27,7 @@
 //!        │ Stepped  │            recover() engine from the log
 //!        └──────────┘                        │
 //!        (+checkpoint               ┌────────┴───────┐
-//!         on interval)              │ attempts left? │
+//!         encoded on interval)      │ attempts left? │
 //!                                   └────────┬───────┘
 //!                                yes │              │ no
 //!                                    ▼              ▼
@@ -47,6 +47,23 @@
 //! checkpoint never covers a record that is not yet on disk. A retry
 //! re-appends its batch with an inline sync.
 //!
+//! A checkpoint step only encodes; the [`Checkpointer`]'s own I/O thread
+//! writes the checkpoint while the following steps run:
+//!
+//! ```text
+//!  checkpoint step at t          later steps                  next wait point
+//!  ────────────────────────      ─────────────────────────    ──────────────────
+//!  wait for the last         ┌─► checkpoint I/O thread:   ─┐  a checkpoint step,
+//!  checkpoint; encode the    │   cut, append and sync      │  a rollback, release,
+//!  engine state and the      │   `<wal>.frozen`; CRC,      ├► into_engine or drop
+//!  epochs `<wal>.frozen`     │   write, sync and rename    │  waits for it; its
+//!  lacks; hand them over  ───┘   the sidecar `<wal>.ckpt`  ─┘  error surfaces there
+//! ```
+//!
+//! The checkpoint I/O thread is not the WAL's, so the next step's sync
+//! never queues behind a checkpoint. A rollback waits for the checkpoint
+//! before it truncates the log, so recovery restores the newest one.
+//!
 //! A batch that crashes the engine on every attempt (default: 2) is a
 //! *poison batch*: it is quarantined — removed from the WAL, recorded in
 //! the `<wal>.poison` sidecar with timestamp, attempt count and fault —
@@ -58,8 +75,9 @@
 //! Only step faults are absorbed; faults of the supervision machinery
 //! itself (WAL I/O, checkpoint I/O, sidecar I/O) surface as
 //! [`SuperviseError`] — losing durability silently would turn every later
-//! recovery promise into a lie. A failed WAL sync is one of them; see
-//! [`Supervisor::step`] for what it leaves behind.
+//! recovery promise into a lie. A failed WAL sync or checkpoint is one of
+//! them; see [`Supervisor::step`] for when each surfaces and what it
+//! leaves behind.
 
 use std::fmt;
 use std::fs;
@@ -163,7 +181,9 @@ pub struct SupervisorStats {
     pub recovered: u64,
     /// Batches quarantined as poison.
     pub poisoned: u64,
-    /// Checkpoints written.
+    /// Checkpoints taken: counted at the step that encoded them, before
+    /// the checkpoint I/O thread has written them (one that then fails
+    /// surfaces at a later wait point; see [`Supervisor::step`]).
     pub checkpoints: u64,
 }
 
@@ -252,7 +272,9 @@ impl<E: StreamingEngine> Supervisor<E> {
     }
 
     /// Checkpoint the engine every `every` timestamps (`every ≥ 1`) into
-    /// the WAL's conventional sidecar, bounding recovery replay time.
+    /// the WAL's conventional sidecar, bounding recovery replay time. The
+    /// checkpoint step encodes; a [`Checkpointer`] I/O thread writes (see
+    /// the [module docs](self)).
     pub fn with_checkpoints(mut self, every: u64) -> Self {
         self.checkpointer = Some(Checkpointer::new(&self.wal_path, every));
         self
@@ -298,6 +320,10 @@ impl<E: StreamingEngine> Supervisor<E> {
     /// finished (see the [module docs](self)): `Ok` means the batch is as
     /// durable as the policy promises.
     ///
+    /// On the checkpoint interval the step then encodes a checkpoint and
+    /// hands it to the checkpoint I/O thread, which writes it while later
+    /// steps run. The step waits for the previous checkpoint first.
+    ///
     /// Returns the [`StepVerdict`]; `Err` only for faults of the
     /// supervision machinery itself (WAL/checkpoint/sidecar I/O), after
     /// which the session should be abandoned or
@@ -307,6 +333,16 @@ impl<E: StreamingEngine> Supervisor<E> {
     /// stepped (or its step crashed), and its record was written but may
     /// not be on disk. `resume` rebuilds the session from whatever the log
     /// does hold.
+    ///
+    /// A checkpoint that fails on the I/O thread is reported as
+    /// [`SuperviseError::Wal`] by the next call that waits for it: the
+    /// next checkpoint step (its batch durable and stepped), a step that
+    /// rolls back (after the rollback and recovery), or
+    /// [`release`](Supervisor::release) / [`into_engine`](Supervisor::into_engine).
+    /// Only the checkpoint is missing: `resume` recovers from the log,
+    /// from the last checkpoint on disk or from its start. Dropping the
+    /// supervisor waits for the checkpoint too, but its error is lost
+    /// there.
     pub fn step(&mut self, events: &[UserEvent]) -> Result<StepVerdict, SuperviseError> {
         let t = self.engine.next_timestamp();
         let base = self.wal.offset();
@@ -323,7 +359,7 @@ impl<E: StreamingEngine> Supervisor<E> {
                 Ok(Ok(outcome)) => {
                     self.stats.steps += 1;
                     if let Some(ck) = &self.checkpointer {
-                        if ck.maybe_save(&self.engine)? {
+                        if ck.maybe_save_deferred(&self.engine)? {
                             self.stats.checkpoints += 1;
                         }
                     }
@@ -337,9 +373,14 @@ impl<E: StreamingEngine> Supervisor<E> {
                 Err(payload) => fault = panic_message(payload.as_ref()),
             }
             // The step crashed or errored: roll the suspect batch out of
-            // the durable log and rebuild the session from the prefix.
+            // the durable log and rebuild the session from the prefix, once
+            // the checkpoint recovery restores is on disk. A failed
+            // checkpoint leaves the files recoverable; it is reported after
+            // the rollback, so a resumed session never replays the batch.
+            let checkpoint = self.wait_checkpoint();
             self.wal.truncate_to(base, t)?;
             self.engine.recover(&self.wal_path)?;
+            checkpoint?;
             debug_assert_eq!(self.engine.next_timestamp(), t);
             if attempt < self.max_attempts {
                 self.wal.append_batch(t, events)?;
@@ -364,18 +405,33 @@ impl<E: StreamingEngine> Supervisor<E> {
         self.release()
     }
 
-    /// Sync the WAL and terminate the session, handing out everything
-    /// synthesized so far.
+    /// Sync the WAL, wait for the checkpoint still being written, and
+    /// terminate the session, handing out everything synthesized so far.
+    /// A checkpoint that failed since the last wait point (see
+    /// [`step`](Supervisor::step)) is returned here as
+    /// [`SuperviseError::Wal`], and the session is not released.
     pub fn release(&mut self) -> Result<GriddedDataset, SuperviseError> {
         self.wal.sync()?;
+        self.wait_checkpoint()?;
         Ok(self.engine.try_release()?)
     }
 
     /// Dissolve the supervisor, returning the engine. The WAL is synced
-    /// first so the log matches the engine's ingested prefix.
+    /// first so the log matches the engine's ingested prefix, and the
+    /// checkpoint still being written is waited for; a failure of either
+    /// is [`SuperviseError::Wal`], as for [`release`](Supervisor::release).
     pub fn into_engine(mut self) -> Result<E, SuperviseError> {
         self.wal.sync()?;
+        self.wait_checkpoint()?;
         Ok(self.engine)
+    }
+
+    /// Wait for the checkpoint in flight, if any, and return its error.
+    fn wait_checkpoint(&self) -> Result<(), WalError> {
+        match &self.checkpointer {
+            Some(ck) => ck.wait(),
+            None => Ok(()),
+        }
     }
 
     /// Append one quarantine record to the poison sidecar and sync it:

@@ -86,7 +86,8 @@
 //! step meanwhile, then waits for the sync before it acknowledges the
 //! step, checkpoints or rolls the record back. The thread is started the
 //! first time a sync is deferred, so a writer that only ever syncs
-//! inline runs none.
+//! inline runs none. It is not the checkpointer's I/O thread (see
+//! [Checkpoints](#checkpoints)): a sync never waits behind a checkpoint.
 //!
 //! # Checkpoints
 //!
@@ -129,6 +130,20 @@
 //! state goes stale across [`reset`](StreamingEngine::reset), a crash, a
 //! resumed session or a reused `Checkpointer`.
 //!
+//! A save is split between two threads. The saving thread waits for the
+//! previous save, encodes the engine state, hops the frozen file and
+//! encodes the blocks it lacks. The
+//! checkpointer's I/O thread (started by the first save, joined on drop)
+//! then does the file work in the order above: the cut, the append and
+//! the sync of the frozen file, then the sidecar's CRC, write, sync and
+//! rename. [`Checkpointer::save`] waits for it and returns after the
+//! rename. A [`Supervisor`](crate::Supervisor) does not: its checkpoint
+//! step returns once the checkpoint is encoded, and the I/O overlaps the
+//! steps after it. The supervisor waits for the checkpoint before the
+//! next one, before rolling back a batch and recovering, and when it is
+//! released, dissolved or dropped. The bytes written are the same either
+//! way.
+//!
 //! Recovery reads exactly the referenced prefix of the frozen file. The
 //! checkpoint is rejected — `Ignored`, full replay, as for a corrupt
 //! sidecar — if the file is missing or shorter than the prefix, if its
@@ -146,7 +161,7 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::thread;
 
 use crate::compact::{BlockHeader, FrozenEpochs, BLOCK_HEADER_LEN};
@@ -575,7 +590,7 @@ pub struct WalWriter {
     /// suspect batch with [`WalWriter::truncate_to`].
     offset: u64,
     /// The I/O thread deferred syncs run on; started by the first one.
-    syncer: Option<SyncThread>,
+    syncer: Option<IoThread<()>>,
 }
 
 impl WalWriter {
@@ -692,9 +707,12 @@ impl WalWriter {
             self.wait_sync()?;
             let syncer = match self.syncer.take() {
                 Some(syncer) => syncer,
-                None => SyncThread::spawn(&self.file)?,
+                None => {
+                    let file = self.file.try_clone()?;
+                    IoThread::spawn("wal-sync", move |()| file.sync_data())?
+                }
             };
-            self.syncer.insert(syncer).request()?;
+            self.syncer.insert(syncer).request(())?;
             self.since_sync = 0;
         }
         Ok(())
@@ -704,10 +722,10 @@ impl WalWriter {
     /// to the I/O thread, if one is in flight, and return its result. A
     /// failed sync, or an I/O thread that is gone, is [`WalError::Io`].
     pub(crate) fn wait_sync(&mut self) -> Result<(), WalError> {
-        match &mut self.syncer {
-            Some(syncer) => Ok(syncer.wait()?),
-            None => Ok(()),
+        if let Some(syncer) = &mut self.syncer {
+            syncer.wait()?;
         }
+        Ok(())
     }
 
     /// Encode, frame and write the record for `t`, handing it to the OS.
@@ -790,61 +808,77 @@ impl Drop for WalWriter {
     /// I/O thread. A sync error has no caller left to reach here; call
     /// [`sync`](WalWriter::sync) before dropping to observe it.
     fn drop(&mut self) {
-        if let Some(mut syncer) = self.syncer.take() {
-            let _ = syncer.wait();
-            let SyncThread { requests, handle, .. } = syncer;
-            drop(requests);
-            let _ = handle.join();
+        if let Some(syncer) = self.syncer.take() {
+            syncer.shut_down();
         }
     }
 }
 
-/// A [`WalWriter`]'s I/O thread: it runs `sync_data` on a cloned handle
-/// of the log once per request and sends back the result, so the writer
-/// can overlap the sync with other work. At most one request is in
-/// flight. The thread ends when `requests` is dropped.
+/// An I/O thread that runs one kind of job for its owner, so the owner
+/// can overlap the job's I/O with other work: a [`WalWriter`]'s runs
+/// `sync_data` on a cloned handle of the log, a [`Checkpointer`]'s writes
+/// a checkpoint. Owners start it the first time they defer a job. At most
+/// one job is in flight; the thread sends back each job's result and
+/// drops the job. It ends when `requests` is dropped.
 #[derive(Debug)]
-struct SyncThread {
-    requests: mpsc::Sender<()>,
-    /// Behind a `Mutex` only so the writer stays `Sync`; it is reached
+struct IoThread<J> {
+    requests: mpsc::Sender<J>,
+    /// Behind a `Mutex` only so the owner stays `Sync`; it is reached
     /// through `get_mut` and never locked.
     results: Mutex<mpsc::Receiver<io::Result<()>>>,
     handle: thread::JoinHandle<()>,
     in_flight: bool,
 }
 
-impl SyncThread {
-    fn spawn(file: &fs::File) -> io::Result<Self> {
-        let file = file.try_clone()?;
-        let (requests, inbox) = mpsc::channel::<()>();
+impl<J: Send + 'static> IoThread<J> {
+    /// Start a thread named `name` that calls `run` on each job it is
+    /// handed.
+    fn spawn(
+        name: &str,
+        mut run: impl FnMut(J) -> io::Result<()> + Send + 'static,
+    ) -> io::Result<Self> {
+        let (requests, inbox) = mpsc::channel::<J>();
         let (outbox, results) = mpsc::channel();
-        let handle = thread::Builder::new().name("wal-sync".to_string()).spawn(move || {
-            while inbox.recv().is_ok() {
-                if outbox.send(file.sync_data()).is_err() {
+        let handle = thread::Builder::new().name(name.to_string()).spawn(move || {
+            while let Ok(job) = inbox.recv() {
+                if outbox.send(run(job)).is_err() {
                     break;
                 }
             }
         })?;
-        Ok(SyncThread { requests, results: Mutex::new(results), handle, in_flight: false })
+        Ok(IoThread { requests, results: Mutex::new(results), handle, in_flight: false })
     }
 
-    fn request(&mut self) -> io::Result<()> {
-        self.requests.send(()).map_err(|_| sync_thread_gone())?;
+    /// Hand `job` to the thread. The caller has waited for the previous
+    /// one.
+    fn request(&mut self, job: J) -> io::Result<()> {
+        self.requests.send(job).map_err(|_| io_thread_gone())?;
         self.in_flight = true;
         Ok(())
     }
 
+    /// Wait for the job in flight, if any, and return its result. A
+    /// thread that is gone is an error too.
     fn wait(&mut self) -> io::Result<()> {
         if !std::mem::take(&mut self.in_flight) {
             return Ok(());
         }
-        let results = self.results.get_mut().map_err(|_| sync_thread_gone())?;
-        results.recv().map_err(|_| sync_thread_gone())?
+        let results = self.results.get_mut().map_err(|_| io_thread_gone())?;
+        results.recv().map_err(|_| io_thread_gone())?
+    }
+
+    /// Wait for the job in flight, then close the queue and join the
+    /// thread. The job's error has no caller left to reach here.
+    fn shut_down(mut self) {
+        let _ = self.wait();
+        let IoThread { requests, handle, .. } = self;
+        drop(requests);
+        let _ = handle.join();
     }
 }
 
-fn sync_thread_gone() -> io::Error {
-    io::Error::other("the WAL sync thread is gone (it panicked or its channel closed)")
+fn io_thread_gone() -> io::Error {
+    io::Error::other("a WAL I/O thread is gone (it panicked or its channel closed)")
 }
 
 /// Force the directory entry changes under `path`'s parent directory to
@@ -1164,12 +1198,24 @@ impl<S: EventSource> EventSource for WalSource<S> {
 /// file (`<wal>.ckpt`) every `every` timestamps, bounding recovery replay
 /// to the last checkpoint interval. Frozen compaction epochs are written
 /// once each to `<wal>.frozen` and referenced from the sidecar (see the
-/// [module docs](self)).
-#[derive(Debug, Clone)]
+/// [module docs](self)). The file I/O runs on the checkpointer's own I/O
+/// thread, started by the first save and joined on drop; dropping a
+/// checkpointer waits for a checkpoint still being written.
+#[derive(Debug)]
 pub struct Checkpointer {
-    path: PathBuf,
-    frozen: PathBuf,
+    files: CheckpointFiles,
     every: u64,
+    /// The I/O thread, started by the first save. Every save locks it;
+    /// one owner saves at a time, so it is uncontended.
+    io: Mutex<Option<IoThread<CheckpointJob>>>,
+}
+
+/// The files a checkpoint writes.
+#[derive(Debug, Clone)]
+struct CheckpointFiles {
+    sidecar: PathBuf,
+    temp: PathBuf,
+    frozen: PathBuf,
 }
 
 impl Checkpointer {
@@ -1178,7 +1224,13 @@ impl Checkpointer {
     pub fn new(wal_path: impl AsRef<Path>, every: u64) -> Self {
         assert!(every >= 1, "checkpoint interval must be >= 1");
         let wal_path = wal_path.as_ref();
-        Checkpointer { path: Self::sidecar(wal_path), frozen: Self::frozen_file(wal_path), every }
+        let sidecar = Self::sidecar(wal_path);
+        let files = CheckpointFiles {
+            temp: Self::temp(&sidecar),
+            sidecar,
+            frozen: Self::frozen_file(wal_path),
+        };
+        Checkpointer { files, every, io: Mutex::default() }
     }
 
     /// The conventional checkpoint sidecar path for a WAL: `<wal>.ckpt`.
@@ -1205,15 +1257,14 @@ impl Checkpointer {
 
     /// The sidecar file this checkpointer writes.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.files.sidecar
     }
 
     /// Save a checkpoint if the engine's clock is on the interval. Call
     /// after each `step`. Returns whether a checkpoint was written
     /// (`false` off-interval or for engines without checkpoint support).
     pub fn maybe_save<E: StreamingEngine + ?Sized>(&self, engine: &E) -> Result<bool, WalError> {
-        let t = engine.next_timestamp();
-        if t == 0 || !t.is_multiple_of(self.every) {
+        if !self.due(engine) {
             return Ok(false);
         }
         self.save(engine)
@@ -1223,93 +1274,219 @@ impl Checkpointer {
     /// without checkpoint support). Epochs not yet in the frozen file are
     /// appended to it and synced first. The sidecar is then written to a
     /// temporary file, synced, and renamed over the old checkpoint — a
-    /// crash mid-write leaves the previous checkpoint intact.
+    /// crash mid-write leaves the previous checkpoint intact. Returns
+    /// after the rename.
     pub fn save<E: StreamingEngine + ?Sized>(&self, engine: &E) -> Result<bool, WalError> {
+        let saved = self.save_deferred(engine)?;
+        self.wait()?;
+        Ok(saved)
+    }
+
+    /// Whether the engine's clock is on the interval.
+    fn due<E: StreamingEngine + ?Sized>(&self, engine: &E) -> bool {
+        let t = engine.next_timestamp();
+        t != 0 && t.is_multiple_of(self.every)
+    }
+
+    /// [`maybe_save`](Self::maybe_save), deferred like
+    /// [`save_deferred`](Self::save_deferred).
+    pub(crate) fn maybe_save_deferred<E: StreamingEngine + ?Sized>(
+        &self,
+        engine: &E,
+    ) -> Result<bool, WalError> {
+        if !self.due(engine) {
+            return Ok(false);
+        }
+        self.save_deferred(engine)
+    }
+
+    /// [`save`](Self::save), except that the file I/O runs on the I/O
+    /// thread and this returns once the checkpoint is encoded. It first
+    /// waits for the previous checkpoint and returns that one's error, if
+    /// it failed. The frozen file is hopped here, so the job appends
+    /// exactly the blocks it lacks. The checkpoint is on disk once
+    /// [`wait`](Self::wait) returns `Ok`; dropping the checkpointer waits
+    /// too.
+    pub(crate) fn save_deferred<E: StreamingEngine + ?Sized>(
+        &self,
+        engine: &E,
+    ) -> Result<bool, WalError> {
+        let mut io = self.lock()?;
+        if let Some(thread) = io.as_mut() {
+            thread.wait()?;
+        }
         let Some((state, frozen)) = engine.checkpoint_by_ref() else {
             return Ok(false);
         };
         let fingerprint = engine.fingerprint();
-        let reference = self.persist_frozen(fingerprint, &frozen)?;
-        let mut head = [0u8; CKPT_HEAD_LEN + FROZEN_REF_LEN];
-        head[..8].copy_from_slice(CKPT_MAGIC);
-        head[8..16].copy_from_slice(&fingerprint.to_le_bytes());
-        head[16..24].copy_from_slice(&engine.next_timestamp().to_le_bytes());
-        head[24..32].copy_from_slice(&((FROZEN_REF_LEN + state.len()) as u64).to_le_bytes());
-        head[32..].copy_from_slice(&reference.to_bytes());
-        let crc = crc32_extend(crc32(&head), &state);
-
-        let tmp = Self::temp(&self.path);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&head)?;
-            f.write_all(&state)?;
-            f.write_all(&crc.to_le_bytes())?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, &self.path)?;
+        let (reference, frozen) = plan_frozen(&self.files.frozen, fingerprint, &frozen)?;
+        let job =
+            CheckpointJob { fingerprint, t: engine.next_timestamp(), reference, state, frozen };
+        let thread = match io.take() {
+            Some(thread) => thread,
+            None => {
+                let files = self.files.clone();
+                IoThread::spawn("wal-checkpoint", move |job: CheckpointJob| job.run(&files))?
+            }
+        };
+        io.insert(thread).request(job)?;
         Ok(true)
     }
 
-    /// Bring the frozen file in line with the engine's epochs and return
-    /// the reference to it. The blocks already there are found by hopping
-    /// their fixed fields; the file is kept up to the first block that
-    /// disagrees with the engine's epoch, cut there (which also drops
-    /// unreferenced bytes a crash left after the last save), and the
-    /// engine's remaining epochs are appended and synced.
-    fn persist_frozen(
-        &self,
-        fingerprint: u64,
-        frozen: &FrozenEpochs<'_>,
-    ) -> Result<FrozenRef, WalError> {
-        let epochs = frozen.len();
-        if epochs == 0 {
-            return Ok(FrozenRef::default());
+    /// Wait for the checkpoint [`save_deferred`](Self::save_deferred)
+    /// handed to the I/O thread, if one is in flight, and return its
+    /// result. A failed checkpoint, or an I/O thread that is gone, is
+    /// [`WalError::Io`].
+    pub(crate) fn wait(&self) -> Result<(), WalError> {
+        match self.lock()?.as_mut() {
+            Some(thread) => Ok(thread.wait()?),
+            None => Ok(()),
         }
-        let mut file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&self.frozen)?;
-        let size = file.metadata()?.len();
-        let header = frozen_header(fingerprint);
-        let mut head = [0u8; FROZEN_HEADER_LEN];
-        let intact = size >= FROZEN_HEADER_LEN as u64 && {
-            file.read_exact(&mut head)?;
-            head == header
-        };
-        let (kept, mut end, mut crc) = if intact {
-            let start = (FROZEN_HEADER_LEN as u64, crc32(&header));
-            hop_blocks(&mut file, start, size, epochs, |i, h| *h == frozen.header(i))?
-        } else {
-            (0, 0, 0)
-        };
-        let dirty = end < size || kept < epochs;
-        if end < size {
-            file.set_len(end)?;
+    }
+
+    fn lock(&self) -> Result<std::sync::MutexGuard<'_, Option<IoThread<CheckpointJob>>>, WalError> {
+        self.io.lock().map_err(|_| {
+            WalError::Io(io::Error::other(
+                "a checkpoint save panicked; the checkpointer is unusable",
+            ))
+        })
+    }
+}
+
+impl Drop for Checkpointer {
+    /// Wait for a checkpoint still being written, then stop and join the
+    /// I/O thread. Its error has no caller left to reach here.
+    fn drop(&mut self) {
+        let io = self.io.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(thread) = io.take() {
+            thread.shut_down();
         }
-        file.seek(SeekFrom::Start(end))?;
-        let created = end == 0;
-        if created {
-            file.write_all(&header)?;
-            (end, crc) = (FROZEN_HEADER_LEN as u64, crc32(&header));
+    }
+}
+
+/// One checkpoint: encoded by the saving thread, written by the
+/// checkpoint I/O thread.
+#[derive(Debug)]
+struct CheckpointJob {
+    fingerprint: u64,
+    t: u64,
+    reference: FrozenRef,
+    /// The engine state.
+    state: Vec<u8>,
+    /// The frozen file's edit, if the checkpoint references any epoch.
+    frozen: Option<FrozenEdit>,
+}
+
+/// How a checkpoint job brings the frozen file in line with the engine.
+#[derive(Debug)]
+struct FrozenEdit {
+    /// End of the blocks the file keeps. The file is cut here if `cut`,
+    /// and `appended` is written here.
+    end: u64,
+    /// The file holds bytes past `end`.
+    cut: bool,
+    /// The file is started anew: `appended` opens with its header, and
+    /// its directory entry is synced.
+    created: bool,
+    /// The file header if the file is started anew, then the epoch
+    /// blocks the file lacks.
+    appended: Vec<u8>,
+}
+
+/// Find what the frozen file at `path` lacks of the engine's epochs and
+/// encode it, returning the reference the sidecar makes to the file once
+/// the edit is written, and the edit (`None` when the engine has no
+/// epoch). The blocks already there are found by hopping their fixed
+/// fields; the file is kept up to the first block that disagrees with the
+/// engine's epoch (which also drops unreferenced bytes a crash left after
+/// the last save), and the engine's remaining epochs follow it.
+fn plan_frozen(
+    path: &Path,
+    fingerprint: u64,
+    frozen: &FrozenEpochs<'_>,
+) -> Result<(FrozenRef, Option<FrozenEdit>), WalError> {
+    let epochs = frozen.len();
+    if epochs == 0 {
+        return Ok((FrozenRef::default(), None));
+    }
+    let header = frozen_header(fingerprint);
+    let (size, kept, end, mut crc) = match fs::File::open(path) {
+        Ok(mut file) => {
+            let size = file.metadata()?.len();
+            let mut head = [0u8; FROZEN_HEADER_LEN];
+            let intact = size >= FROZEN_HEADER_LEN as u64 && {
+                file.read_exact(&mut head)?;
+                head == header
+            };
+            let (kept, end, crc) = if intact {
+                let start = (FROZEN_HEADER_LEN as u64, crc32(&header));
+                hop_blocks(&mut file, start, size, epochs, |i, h| *h == frozen.header(i))?
+            } else {
+                (0, 0, 0)
+            };
+            (size, kept, end, crc)
         }
-        let mut block = Vec::new();
-        for i in kept..epochs {
-            block.clear();
-            let stored = frozen.encode_block(i, &mut block);
-            file.write_all(&block)?;
-            let len = block.len() as u64;
-            crc = crc32_combine(crc, stored, len - 4);
-            end += len;
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (0, 0, 0, 0),
+        Err(e) => return Err(e.into()),
+    };
+    let created = end == 0;
+    let mut appended = Vec::new();
+    if created {
+        appended.extend_from_slice(&header);
+        crc = crc32(&header);
+    }
+    for i in kept..epochs {
+        let start = appended.len();
+        let stored = frozen.encode_block(i, &mut appended);
+        crc = crc32_combine(crc, stored, (appended.len() - start) as u64 - 4);
+    }
+    let reference = FrozenRef { blocks: epochs as u64, len: end + appended.len() as u64, crc };
+    Ok((reference, Some(FrozenEdit { end, cut: end < size, created, appended })))
+}
+
+impl CheckpointJob {
+    /// Persist the checkpoint, on the I/O thread: cut the frozen file,
+    /// append the blocks it lacks and sync it; then CRC the sidecar,
+    /// write it to a temporary file, sync that and rename it over the old
+    /// sidecar. Each buffer is freed once the OS has its bytes, before
+    /// the sync: the steps running meanwhile need not hold it too.
+    fn run(self, files: &CheckpointFiles) -> io::Result<()> {
+        let CheckpointJob { fingerprint, t, reference, state, frozen } = self;
+        if let Some(FrozenEdit { end, cut, created, appended }) = frozen {
+            let mut file = fs::OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&files.frozen)?;
+            if cut {
+                file.set_len(end)?;
+            }
+            file.seek(SeekFrom::Start(end))?;
+            file.write_all(&appended)?;
+            let dirty = cut || !appended.is_empty();
+            drop(appended);
+            if dirty {
+                file.sync_data()?;
+            }
+            if created {
+                sync_parent_dir(&files.frozen)?;
+            }
         }
-        if dirty {
-            file.sync_data()?;
-        }
-        if created {
-            sync_parent_dir(&self.frozen)?;
-        }
-        Ok(FrozenRef { blocks: epochs as u64, len: end, crc })
+        let mut head = [0u8; CKPT_HEAD_LEN + FROZEN_REF_LEN];
+        head[..8].copy_from_slice(CKPT_MAGIC);
+        head[8..16].copy_from_slice(&fingerprint.to_le_bytes());
+        head[16..24].copy_from_slice(&t.to_le_bytes());
+        head[24..32].copy_from_slice(&((FROZEN_REF_LEN + state.len()) as u64).to_le_bytes());
+        head[32..].copy_from_slice(&reference.to_bytes());
+        let crc = crc32_extend(crc32(&head), &state);
+        let mut f = fs::File::create(&files.temp)?;
+        f.write_all(&head)?;
+        f.write_all(&state)?;
+        f.write_all(&crc.to_le_bytes())?;
+        drop(state);
+        f.sync_data()?;
+        drop(f);
+        fs::rename(&files.temp, &files.sidecar)
     }
 }
 
@@ -1905,6 +2082,27 @@ mod tests {
         }
     }
 
+    /// An I/O thread whose queue is closed before the first request.
+    fn closed_io_thread<J: Send + 'static>() -> IoThread<J> {
+        let (requests, inbox) = mpsc::channel::<J>();
+        let (_outbox, results) = mpsc::channel();
+        drop(inbox);
+        let handle = thread::spawn(|| {});
+        IoThread { requests, results: Mutex::new(results), handle, in_flight: false }
+    }
+
+    /// An I/O thread that panics on its first job.
+    fn panicking_io_thread<J: Send + 'static>() -> IoThread<J> {
+        let (requests, inbox) = mpsc::channel::<J>();
+        let (outbox, results) = mpsc::channel::<io::Result<()>>();
+        let handle = thread::spawn(move || {
+            let _keep = outbox;
+            let _ = inbox.recv();
+            panic!("injected I/O thread panic");
+        });
+        IoThread { requests, results: Mutex::new(results), handle, in_flight: false }
+    }
+
     /// An I/O thread that is gone — its channel closed before a request,
     /// or it panicked with a sync in flight — is `WalError::Io`, never a
     /// hang or a panic of the caller; dropping the writer still joins it.
@@ -1914,23 +2112,10 @@ mod tests {
         let batches = sample_batches();
         let mut w = WalWriter::create(&path, 42, 0xDEAD_BEEF, FsyncPolicy::EveryBatch).unwrap();
 
-        let (requests, inbox) = mpsc::channel::<()>();
-        let (_outbox, results) = mpsc::channel();
-        drop(inbox);
-        let handle = thread::spawn(|| {});
-        w.syncer =
-            Some(SyncThread { requests, results: Mutex::new(results), handle, in_flight: false });
+        w.syncer = Some(closed_io_thread());
         assert!(matches!(w.append_deferred(0, &batches[0]), Err(WalError::Io(_))));
 
-        let (requests, inbox) = mpsc::channel::<()>();
-        let (outbox, results) = mpsc::channel::<io::Result<()>>();
-        let handle = thread::spawn(move || {
-            let _keep = outbox;
-            let _ = inbox.recv();
-            panic!("injected I/O thread panic");
-        });
-        w.syncer =
-            Some(SyncThread { requests, results: Mutex::new(results), handle, in_flight: false });
+        w.syncer = Some(panicking_io_thread());
         w.append_deferred(1, &batches[1]).unwrap();
         assert!(matches!(w.wait_sync(), Err(WalError::Io(_))));
         drop(w);
@@ -2074,6 +2259,105 @@ mod tests {
             assert!(load_checkpoint(&ckpt, 9).is_err(), "flip at {offset} accepted");
         }
         let _ = fs::remove_file(&ckpt);
+    }
+
+    /// The checkpoint I/O thread starts with the first checkpoint, not
+    /// with the checkpointer, an off-interval call, or an engine that has
+    /// nothing to checkpoint; one thread serves every later save.
+    #[test]
+    fn checkpoint_thread_starts_lazily() {
+        let path = temp_path("ckpt-lazy");
+        let ckpt = Checkpointer::new(&path, 4);
+        let started = |c: &Checkpointer| c.io.lock().unwrap().is_some();
+        assert!(!started(&ckpt), "new() started the I/O thread");
+        let mut released = compacted_engine(8);
+        released.release();
+        assert!(!ckpt.save(&released).unwrap(), "a released engine has no checkpoint");
+        assert!(!started(&ckpt), "a save with nothing to write started the I/O thread");
+        let engine = compacted_engine(6);
+        assert!(!ckpt.maybe_save(&engine).unwrap(), "t=6 is off the interval of 4");
+        assert!(!started(&ckpt), "an off-interval call started the I/O thread");
+        assert!(ckpt.save(&engine).unwrap());
+        assert!(started(&ckpt), "the first checkpoint runs on the I/O thread");
+        let thread_id =
+            |c: &Checkpointer| c.io.lock().unwrap().as_ref().unwrap().handle.thread().id();
+        let first = thread_id(&ckpt);
+        assert!(ckpt.save(&compacted_engine(8)).unwrap());
+        assert_eq!(thread_id(&ckpt), first, "a second save started another thread");
+        drop(ckpt);
+        for file in [Checkpointer::sidecar(&path), Checkpointer::frozen_file(&path)] {
+            let _ = fs::remove_file(file);
+        }
+    }
+
+    /// The public `save` returns only after the rename: the sidecar reads
+    /// back at once with the engine's timestamp and state, no temporary
+    /// file is left, and the frozen file holds every referenced block.
+    /// A deferred save writes the same bytes once it is waited for.
+    #[test]
+    fn public_save_returns_after_the_rename() {
+        let path = temp_path("ckpt-sync");
+        let engine = compacted_engine(24);
+        let fingerprint = engine.fingerprint();
+        let ckpt = Checkpointer::new(&path, 8);
+        let sidecar = Checkpointer::sidecar(&path);
+        let (state, _) = engine.checkpoint_by_ref().expect("engine checkpoints");
+        for round in 0..3 {
+            assert!(ckpt.save(&engine).unwrap(), "round {round}");
+            assert!(!Checkpointer::temp(&sidecar).exists(), "round {round}: temp file left");
+            let (t, payload) = load_checkpoint(&sidecar, fingerprint).unwrap().expect("sidecar");
+            assert_eq!(t, 24, "round {round}");
+            let (_, stored) = FrozenRef::split(&payload).unwrap();
+            assert_eq!(stored, &state[..], "round {round}");
+            let mut restored = compacted_engine(1);
+            restore_sidecar(&mut restored, &payload, &Checkpointer::frozen_file(&path)).unwrap();
+            assert_eq!(restored.checkpoint_bytes(), engine.checkpoint_bytes(), "round {round}");
+        }
+        let saved =
+            (fs::read(&sidecar).unwrap(), fs::read(Checkpointer::frozen_file(&path)).unwrap());
+        fs::remove_file(&sidecar).unwrap();
+        fs::remove_file(Checkpointer::frozen_file(&path)).unwrap();
+        assert!(ckpt.save_deferred(&engine).unwrap());
+        ckpt.wait().unwrap();
+        let deferred =
+            (fs::read(&sidecar).unwrap(), fs::read(Checkpointer::frozen_file(&path)).unwrap());
+        assert!(saved == deferred, "a deferred save wrote different bytes");
+        drop(ckpt);
+        let _ = fs::remove_file(&sidecar);
+        let _ = fs::remove_file(Checkpointer::frozen_file(&path));
+    }
+
+    /// A checkpoint I/O thread that is gone — its channel closed, or it
+    /// panicked with a checkpoint in flight — is `WalError::Io` from the
+    /// save (or the wait) that meets it, never a hang or a panic of the
+    /// caller; so is a job that fails. Dropping the checkpointer still
+    /// joins the thread.
+    #[test]
+    fn lost_checkpoint_thread_is_an_io_error() {
+        let path = temp_path("ckpt-lost");
+        let engine = compacted_engine(8);
+        let ckpt = Checkpointer::new(&path, 8);
+        *ckpt.io.lock().unwrap() = Some(closed_io_thread());
+        assert!(matches!(ckpt.save(&engine), Err(WalError::Io(_))));
+        assert!(matches!(ckpt.maybe_save_deferred(&engine), Err(WalError::Io(_))));
+
+        *ckpt.io.lock().unwrap() = Some(panicking_io_thread());
+        assert!(ckpt.save_deferred(&engine).unwrap(), "the request itself is accepted");
+        assert!(matches!(ckpt.wait(), Err(WalError::Io(_))));
+        assert!(matches!(ckpt.save(&engine), Err(WalError::Io(_))), "the thread stays gone");
+
+        // A real thread whose job fails: the temporary file is a directory.
+        *ckpt.io.lock().unwrap() = None;
+        let temp = Checkpointer::temp(&Checkpointer::sidecar(&path));
+        fs::create_dir(&temp).unwrap();
+        assert!(ckpt.save_deferred(&engine).unwrap());
+        assert!(matches!(ckpt.wait(), Err(WalError::Io(_))));
+        assert!(!Checkpointer::sidecar(&path).exists());
+        fs::remove_dir(&temp).unwrap();
+        assert!(ckpt.save(&engine).unwrap(), "the thread outlives a failed job");
+        drop(ckpt);
+        let _ = fs::remove_file(Checkpointer::sidecar(&path));
+        let _ = fs::remove_file(Checkpointer::frozen_file(&path));
     }
 
     /// A small compacting session's engine, stepped `steps` times.

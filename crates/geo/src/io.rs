@@ -23,6 +23,11 @@
 //! get the unit square; re-discretize against the original box to recover
 //! continuous centers.
 //!
+//! The reader compiles the header's grid before the first body line, so
+//! a uniform header's `K` is capped at [`MAX_GRIDDED_K`]: a few bytes of
+//! header cannot ask for more cells than that. A K×K grid is written for
+//! any `K`, but only one within the cap reads back.
+//!
 //! The parser streams straight into the columnar layout
 //! ([`GriddedDataset::from_columns`]): ids, starts, offsets and cells are
 //! appended as lines arrive and validated inline, so loading never
@@ -71,6 +76,12 @@ pub fn save_gridded<P: AsRef<Path>>(dataset: &GriddedDataset, path: P) -> io::Re
     w.flush()
 }
 
+/// The largest uniform-grid `K` [`read_gridded`] accepts: 1024, a grid of
+/// ≈1M cells whose topology compiles in well under a second. Past it the
+/// header alone would size the tables (`K = 65535` is ≈4.3G cells), so a
+/// larger `K` is an error before anything is allocated.
+pub const MAX_GRIDDED_K: u32 = 1024;
+
 fn parse_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -94,8 +105,8 @@ pub fn read_gridded<R: BufRead>(reader: R) -> io::Result<GriddedDataset> {
                 }
             }
             let k = k.ok_or_else(|| parse_err("missing k"))?;
-            if !(1..=65535).contains(&k) {
-                return Err(parse_err(format!("k={k} out of range [1, 65535]")));
+            if !(1..=MAX_GRIDDED_K).contains(&k) {
+                return Err(parse_err(format!("k={k} out of range [1, {MAX_GRIDDED_K}]")));
             }
             let horizon = horizon.ok_or_else(|| parse_err("missing horizon"))?;
             let topology = UniformGrid::unit(k).compile_shared();
@@ -291,10 +302,27 @@ mod tests {
     fn rejects_bad_header() {
         invalid("nonsense v1 k=4 horizon=5\n");
         invalid("retrasyn-gridded v1 horizon=5\n");
-        // K outside the grid's range [1, 65535].
+        // K outside the reader's range [1, MAX_GRIDDED_K].
         assert!(invalid("retrasyn-gridded v1 k=0 horizon=5\n").to_string().contains("k=0"));
         invalid("retrasyn-gridded v1 k=65536 horizon=5\n");
         invalid("retrasyn-gridded v1 k=4294967296 horizon=5\n");
+    }
+
+    /// A header naming a grid past the cap is an error before the grid is
+    /// compiled: a 40-byte `k=65535` file would otherwise ask for ≈4.3G
+    /// cells. The cap itself still reads.
+    #[test]
+    fn rejects_oversized_grid_before_compiling_it() {
+        let header = "retrasyn-gridded v1 k=65535 horizon=5\n";
+        assert!(header.len() <= 40);
+        let err = invalid(header);
+        assert!(err.to_string().contains("k=65535"), "{err}");
+        let past = format!("retrasyn-gridded v1 k={} horizon=5\n0 0 0\n", MAX_GRIDDED_K + 1);
+        invalid(&past);
+        let at = format!("retrasyn-gridded v1 k={MAX_GRIDDED_K} horizon=5\n0 0 0 1\n");
+        let ds = read_gridded(io::BufReader::new(at.as_bytes())).unwrap();
+        assert_eq!(ds.topology().uniform_k(), Some(MAX_GRIDDED_K));
+        assert_eq!(ds.num_streams(), 1);
     }
 
     #[test]
@@ -344,14 +372,15 @@ mod tests {
 
     /// Header values: small valid ones, the edges of every field's type,
     /// and malformed numbers. Valid K stay small (a K×K grid compiles
-    /// K² cells).
-    const TOKENS: [&str; 14] = [
+    /// K² cells); `65535` is past the reader's cap.
+    const TOKENS: [&str; 15] = [
         "0",
         "1",
         "2",
         "3",
         "5",
         "8",
+        "65535",
         "65536",
         "4294967295",
         "4294967296",

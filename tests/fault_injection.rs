@@ -220,6 +220,9 @@ struct FaultyEngine {
     /// many batches it already held (in `logged_at_fault`).
     probe_wal: Option<PathBuf>,
     logged_at_fault: std::cell::Cell<Option<usize>>,
+    /// The timestamp of the checkpoint the last recovery restored, if it
+    /// restored one (cleared by `reset`, which every recovery starts with).
+    restored_at: Option<u64>,
 }
 
 impl FaultyEngine {
@@ -231,6 +234,7 @@ impl FaultyEngine {
             poison_user: None,
             probe_wal: None,
             logged_at_fault: std::cell::Cell::new(None),
+            restored_at: None,
         }
     }
 
@@ -242,6 +246,7 @@ impl FaultyEngine {
             poison_user: Some(user),
             probe_wal: None,
             logged_at_fault: std::cell::Cell::new(None),
+            restored_at: None,
         }
     }
 
@@ -291,6 +296,7 @@ impl StreamingEngine for FaultyEngine {
         self.inner.ledger()
     }
     fn reset(&mut self) {
+        self.restored_at = None;
         self.inner.reset()
     }
     fn fingerprint(&self) -> u64 {
@@ -300,7 +306,9 @@ impl StreamingEngine for FaultyEngine {
         self.inner.checkpoint_bytes()
     }
     fn restore_checkpoint(&mut self, payload: &[u8]) -> Result<(), String> {
-        self.inner.restore_checkpoint(payload)
+        self.inner.restore_checkpoint(payload)?;
+        self.restored_at = Some(self.inner.next_timestamp());
+        Ok(())
     }
 }
 
@@ -535,6 +543,141 @@ fn every_acknowledged_batch_is_logged_however_the_supervisor_ends() {
             );
             cleanup_supervised(&path);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Deferred checkpoints: a supervised checkpoint step only encodes; the
+// checkpointer's I/O thread writes the checkpoint while later steps run.
+
+/// Checkpoint interval of the deferred-checkpoint drills (HORIZON = 3 × 6).
+const EVERY: u64 = 6;
+
+#[test]
+fn panic_right_after_a_checkpoint_step_restores_that_checkpoint() {
+    let gridded = dataset();
+    let expected = engine().run_gridded(&gridded);
+    for policy in POLICIES {
+        let path = temp_path("after-ckpt");
+        // Step EVERY − 1 hands the checkpoint at EVERY to the I/O thread;
+        // step EVERY panics at once.
+        let faulty = FaultyEngine::transient(engine(), EVERY);
+        let mut sup = Supervisor::create(faulty, &path, 13, policy)
+            .expect("create supervisor")
+            .with_checkpoints(EVERY);
+        let mut verdicts = Vec::new();
+        let mut source = TimelineSource::from_gridded(&gridded);
+        while let Some(batch) = source.next_batch() {
+            verdicts.push(sup.step(batch).expect("supervised step"));
+        }
+        assert!(
+            matches!(verdicts[EVERY as usize], StepVerdict::Recovered { attempts: 2, .. }),
+            "{policy:?}: {:?}",
+            verdicts[EVERY as usize]
+        );
+        // The rollback waited for the checkpoint: recovery restored it
+        // rather than replaying the log from the start.
+        assert_eq!(sup.engine().restored_at, Some(EVERY), "{policy:?}: checkpoint not restored");
+        let stats = *sup.stats();
+        assert_eq!((stats.recovered, stats.poisoned, stats.steps), (1, 0, HORIZON as u64));
+        assert_eq!(stats.checkpoints, HORIZON as u64 / EVERY, "{policy:?}");
+        assert_eq!(sup.release().expect("release"), expected, "{policy:?}: bits differ");
+
+        let mut replayed = engine();
+        let recovery = replayed.recover(&path).expect("recover the supervised WAL");
+        assert_eq!(recovery.checkpoint, CheckpointUse::Restored { at: HORIZON as u64 });
+        assert_eq!(replayed.release(), expected, "{policy:?}: replay not bit-identical");
+        cleanup_supervised(&path);
+    }
+}
+
+#[test]
+fn dropping_the_supervisor_mid_checkpoint_leaves_a_restorable_sidecar() {
+    let stream = batches();
+    let refs = prefix_references();
+    for upto in [EVERY, 2 * EVERY] {
+        let path = temp_path("drop-ckpt");
+        let mut sup = Supervisor::create(engine(), &path, 13, FsyncPolicy::EveryBatch)
+            .expect("create supervisor")
+            .with_checkpoints(EVERY);
+        for batch in &stream[..upto as usize] {
+            sup.step(batch).expect("supervised step");
+        }
+        assert_eq!(sup.stats().checkpoints, upto / EVERY);
+        // The last step handed its checkpoint off; the drop must finish it.
+        drop(sup);
+        let mut e = engine();
+        let recovery = e.recover(&path).expect("recover after the drop");
+        assert_eq!(recovery.checkpoint, CheckpointUse::Restored { at: upto }, "upto={upto}");
+        assert_eq!(recovery.replayed, 0, "upto={upto}");
+        assert_eq!(e.release(), refs[upto as usize], "upto={upto}: not bit-identical");
+        cleanup_supervised(&path);
+    }
+}
+
+#[test]
+fn a_failed_checkpoint_surfaces_at_the_next_wait_point() {
+    let stream = batches();
+    let expected = engine().run_gridded(&dataset());
+    for wait_point in ["step", "rollback", "release"] {
+        let path = temp_path("ckpt-fail");
+        // Only the rollback case crashes a step: the one after the
+        // checkpoint step.
+        let fault_at = if wait_point == "rollback" { EVERY } else { u64::MAX };
+        let faulty = FaultyEngine::transient(engine(), fault_at);
+        let mut sup = Supervisor::create(faulty, &path, 13, FsyncPolicy::EveryBatch)
+            .expect("create supervisor")
+            .with_checkpoints(EVERY);
+        // A directory holds the name of the checkpoint's temporary file, so
+        // the I/O thread cannot create it.
+        let sidecar = Checkpointer::sidecar(&path);
+        let mut blocker = sidecar.clone().into_os_string();
+        blocker.push(".tmp");
+        let blocker = PathBuf::from(blocker);
+        std::fs::create_dir(&blocker).expect("block the temporary file");
+        for batch in &stream[..EVERY as usize] {
+            let verdict = sup.step(batch).expect("a checkpoint step only encodes");
+            assert!(matches!(verdict, StepVerdict::Stepped(_)), "{verdict:?}");
+        }
+        assert_eq!(sup.stats().checkpoints, 1);
+        let logged = match wait_point {
+            "step" => {
+                let next = 2 * EVERY as usize;
+                for batch in &stream[EVERY as usize..next - 1] {
+                    sup.step(batch).expect("steps between checkpoints do not wait");
+                }
+                let err = sup.step(&stream[next - 1]).expect_err("the next checkpoint step waits");
+                assert!(matches!(err, SuperviseError::Wal(WalError::Io(_))), "{err}");
+                next
+            }
+            "rollback" => {
+                let err = sup.step(&stream[EVERY as usize]).expect_err("the rollback waits");
+                assert!(matches!(err, SuperviseError::Wal(WalError::Io(_))), "{err}");
+                // Reported after the rollback: the crashing batch is gone.
+                let contents = WalContents::read(&path).expect("read WAL");
+                assert_eq!(contents.batches, &stream[..EVERY as usize]);
+                EVERY as usize
+            }
+            _ => {
+                let err = sup.release().expect_err("release waits for the checkpoint");
+                assert!(matches!(err, SuperviseError::Wal(WalError::Io(_))), "{err}");
+                EVERY as usize
+            }
+        };
+        drop(sup);
+        assert!(!sidecar.exists(), "{wait_point}: a failed checkpoint left a sidecar");
+
+        // Every stepped batch is in the log: resume and finish the stream.
+        let (mut resumed, recovery) =
+            Supervisor::resume(engine(), &path, FsyncPolicy::EveryBatch).expect("resume");
+        assert_eq!(recovery.next_timestamp(), logged as u64, "{wait_point}");
+        assert_eq!(recovery.checkpoint, CheckpointUse::None, "{wait_point}");
+        for batch in &stream[logged..] {
+            resumed.step(batch).expect("resumed step");
+        }
+        assert_eq!(resumed.release().expect("release"), expected, "{wait_point}: bits differ");
+        std::fs::remove_dir(&blocker).expect("remove the blocker");
+        cleanup_supervised(&path);
     }
 }
 
