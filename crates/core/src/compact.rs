@@ -23,7 +23,7 @@
 //! id, which is unique).
 //!
 //! Frozen epochs are also persisted once. A checkpoint carries only the
-//! epoch marks; each epoch's streams travel as one CRC-framed block
+//! epoch marks; each epoch's streams travel as one framed block
 //! (`FrozenStore::encode_block`, the one block codec), which a
 //! [`Checkpointer`](crate::wal::Checkpointer) appends to the WAL's
 //! `<wal>.frozen` file the first time it sees the epoch and references from
@@ -39,7 +39,7 @@
 //! (graceful degradation — log and compact, never abort).
 
 use crate::store::{SnapshotStream, StreamStore, TailArena, TailNode, NO_LINK};
-use crate::wal::{crc32, le_u32, le_u64, Dec, Enc};
+use crate::wal::codec::{open, seal, Dec, Enc, CRC_LEN};
 use retrasyn_geo::CellId;
 
 /// When to run epoch compaction: once the store's resident cells (arena
@@ -208,12 +208,12 @@ impl FrozenStore {
     /// Byte length of every epoch block together.
     pub(crate) fn blocks_len(&self) -> usize {
         let (streams, cells) = (self.num_streams(), self.total_cells());
-        self.epochs.len() * (BLOCK_HEADER_LEN + 4) + 20 * streams + 4 * cells
+        self.epochs.len() * (BLOCK_HEADER_LEN + CRC_LEN) + 20 * streams + 4 * cells
     }
 
-    /// Append epoch `i` as one CRC-framed block to `out`: the header, the
-    /// id, start and length columns of its streams, its flat cell column,
-    /// and the CRC32 of all of that, which is returned.
+    /// Append epoch `i` as one frame to `out`: the header, the id, start
+    /// and length columns of its streams and its flat cell column, closed
+    /// by their CRC32, which is returned.
     pub(crate) fn encode_block(&self, i: usize, out: &mut Vec<u8>) -> u32 {
         let (s0, c0) = self.epoch_start(i);
         let (s1, c1) = (self.epochs[i].streams_end, self.epochs[i].cells_end);
@@ -238,9 +238,7 @@ impl FrozenStore {
         for &c in &self.cells[c0..c1] {
             out.extend_from_slice(&c.0.to_le_bytes());
         }
-        let crc = crc32(&out[start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        crc
+        seal(out, start)
     }
 
     /// Fill the frozen columns from `bytes`, which must hold exactly one
@@ -269,38 +267,27 @@ impl FrozenStore {
         if streams > 0 {
             self.offsets.push(0);
         }
-        let mut rest = bytes;
+        let mut rest = Dec::new(bytes);
         for i in 0..self.epochs.len() {
             let want = self.block_header(i);
-            let Some(head) = rest.first_chunk::<BLOCK_HEADER_LEN>() else {
+            let len = want.block_len().and_then(|l| usize::try_from(l).ok());
+            let Some(frame) = len.and_then(|len| rest.take(len).ok()) else {
                 return Err(format!("epoch block {i} is truncated"));
             };
-            let got = BlockHeader::parse(head);
+            let mut block = Dec::new(open(frame).map_err(|e| format!("epoch block {i}: {e}"))?);
+            let got = BlockHeader::decode(&mut block)?;
             if got != want {
                 return Err(format!("epoch block {i} is {got:?}, its mark says {want:?}"));
             }
-            let len = want.block_len().and_then(|l| usize::try_from(l).ok());
-            let Some(block) = len.and_then(|len| rest.get(..len)) else {
-                return Err(format!("epoch block {i} is truncated"));
-            };
-            rest = &rest[block.len()..];
-            let (body, crc) = block.split_at(block.len() - 4);
-            if crc32(body) != le_u32(crc, 0) {
-                return Err(format!("epoch block {i} checksum mismatch"));
-            }
             let n = want.streams as usize;
-            let (ids, body) = body[BLOCK_HEADER_LEN..].split_at(8 * n);
-            let (starts, body) = body.split_at(8 * n);
-            let (lens, cell_bytes) = body.split_at(4 * n);
-            self.ids.extend(ids.chunks_exact(8).map(|c| le_u64(c, 0)));
-            self.starts.extend(starts.chunks_exact(8).map(|c| le_u64(c, 0)));
+            self.ids.extend(block.column(n, u64::from_le_bytes)?);
+            self.starts.extend(block.column(n, u64::from_le_bytes)?);
             let mut end = *self.offsets.last().expect("seeded above");
-            for len in lens.chunks_exact(4) {
-                let len = le_u32(len, 0) as usize;
+            for len in block.column(n, u32::from_le_bytes)? {
                 if len == 0 {
                     return Err(format!("epoch block {i} holds a stream of length 0"));
                 }
-                end = end.saturating_add(len);
+                end = end.saturating_add(len as usize);
                 self.offsets.push(end);
             }
             if end != self.epochs[i].cells_end {
@@ -308,10 +295,11 @@ impl FrozenStore {
                     "stream lengths of epoch block {i} disagree with its cell count"
                 ));
             }
-            self.cells.extend(cell_bytes.chunks_exact(4).map(|c| CellId(le_u32(c, 0))));
+            let cells = block.column(want.cells as usize, u32::from_le_bytes)?;
+            self.cells.extend(cells.map(CellId));
         }
-        if !rest.is_empty() {
-            return Err(format!("{} trailing bytes after the last epoch block", rest.len()));
+        if rest.remaining() > 0 {
+            return Err(format!("{} trailing bytes after the last epoch block", rest.remaining()));
         }
         Ok(())
     }
@@ -330,18 +318,18 @@ pub(crate) struct BlockHeader {
 }
 
 impl BlockHeader {
-    /// Read the fields from a block's first bytes.
-    pub(crate) fn parse(bytes: &[u8; BLOCK_HEADER_LEN]) -> Self {
-        BlockHeader { epoch: le_u64(bytes, 0), streams: le_u64(bytes, 8), cells: le_u64(bytes, 16) }
+    /// Read the fields opening a block's body.
+    pub(crate) fn decode(dec: &mut Dec) -> Result<Self, String> {
+        Ok(BlockHeader { epoch: dec.u64()?, streams: dec.u64()?, cells: dec.u64()? })
     }
 
-    /// Byte length of the whole block — fixed fields, columns and CRC —
-    /// or `None` if the counts overflow it.
+    /// Byte length of the whole frame — fixed fields, columns and CRC
+    /// trailer — or `None` if the counts overflow it.
     pub(crate) fn block_len(&self) -> Option<u64> {
         self.streams
             .checked_mul(20)?
             .checked_add(self.cells.checked_mul(4)?)?
-            .checked_add(BLOCK_HEADER_LEN as u64 + 4)
+            .checked_add((BLOCK_HEADER_LEN + CRC_LEN) as u64)
     }
 }
 
@@ -352,27 +340,12 @@ impl BlockHeader {
 /// The default holds no epochs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FrozenEpochs<'a> {
-    store: Option<&'a FrozenStore>,
+    pub(crate) store: Option<&'a FrozenStore>,
 }
 
 impl<'a> FrozenEpochs<'a> {
     pub(crate) fn new(store: &'a FrozenStore) -> Self {
         FrozenEpochs { store: Some(store) }
-    }
-
-    /// Number of epochs.
-    pub(crate) fn len(&self) -> usize {
-        self.store.map_or(0, |s| s.epochs.len())
-    }
-
-    /// The fixed fields of epoch `i`'s block.
-    pub(crate) fn header(&self, i: usize) -> BlockHeader {
-        self.store.expect("index within len()").block_header(i)
-    }
-
-    /// Append epoch `i`'s block to `out` and return its CRC.
-    pub(crate) fn encode_block(&self, i: usize, out: &mut Vec<u8>) -> u32 {
-        self.store.expect("index within len()").encode_block(i, out)
     }
 }
 

@@ -88,7 +88,9 @@ use std::path::{Path, PathBuf};
 use retrasyn_geo::{GriddedDataset, UserEvent};
 
 use crate::session::{EventSource, SessionError, StepOutcome, StreamingEngine};
-use crate::wal::{recover_wal, Checkpointer, FsyncPolicy, Recovery, WalError, WalWriter};
+use crate::wal::{
+    poison_file, recover_wal, Checkpointer, FsyncPolicy, Recovery, WalError, WalWriter,
+};
 
 /// Failure of the supervision machinery itself (never of a supervised
 /// step — those are retried, recovered or quarantined).
@@ -251,7 +253,8 @@ impl<E: StreamingEngine> Supervisor<E> {
         let wal_path = wal_path.as_ref().to_path_buf();
         let mut engine = engine;
         let (recovery, valid_len) = recover_wal(&mut engine, &wal_path)?;
-        let wal = WalWriter::reopen_at(&wal_path, valid_len, recovery.next_timestamp(), policy)?;
+        let (fingerprint, next_t) = (engine.fingerprint(), recovery.next_timestamp());
+        let wal = WalWriter::reopen_at(&wal_path, fingerprint, valid_len, next_t, policy)?;
         let supervisor = Supervisor {
             engine,
             wal,
@@ -266,9 +269,7 @@ impl<E: StreamingEngine> Supervisor<E> {
 
     /// The conventional poison sidecar path for a WAL: `<wal>.poison`.
     pub fn poison_sidecar(wal_path: impl AsRef<Path>) -> PathBuf {
-        let mut os = wal_path.as_ref().as_os_str().to_os_string();
-        os.push(".poison");
-        PathBuf::from(os)
+        poison_file(wal_path.as_ref())
     }
 
     /// Checkpoint the engine every `every` timestamps (`every ≥ 1`) into
@@ -456,5 +457,38 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{RetraSyn, RetraSynConfig};
+    use retrasyn_geo::{CellId, TransitionState, UniformGrid};
+
+    /// A supervised session created over a path that still holds a dead
+    /// session's `<wal>.poison` starts a poison sidecar of its own: after
+    /// one batch is quarantined it holds exactly that one record.
+    #[test]
+    fn create_removes_a_stale_poison_sidecar() {
+        let path = std::env::temp_dir()
+            .join(format!("retrasyn-supervise-{}-stale-poison.wal", std::process::id()));
+        let poison = Supervisor::<RetraSyn>::poison_sidecar(&path);
+        fs::write(&poison, "t=3 attempts=2 events=1 fault=an earlier session\n").unwrap();
+
+        let engine =
+            RetraSyn::population_division(RetraSynConfig::new(1.0, 4), UniformGrid::unit(4), 5);
+        let mut sup = Supervisor::create(engine, &path, 5, FsyncPolicy::Never).unwrap();
+        let enter = |user, cell| UserEvent { user, state: TransitionState::Enter(CellId(cell)) };
+        assert!(matches!(sup.step(&[enter(1, 2)]).unwrap(), StepVerdict::Stepped(_)));
+        let verdict = sup.step(&[enter(2, 999)]).unwrap();
+        assert!(matches!(verdict, StepVerdict::Poisoned { t: 1, .. }), "{verdict:?}");
+
+        let records = fs::read_to_string(&poison).unwrap();
+        let _ = fs::remove_file(&poison);
+        drop(sup);
+        let _ = fs::remove_file(&path);
+        assert_eq!(records.lines().count(), 1, "{records:?}");
+        assert!(records.starts_with("t=1 "), "{records:?}");
     }
 }

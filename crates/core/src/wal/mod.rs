@@ -7,56 +7,19 @@
 //! itself, a tee adapter so any [`EventSource`] gains durability, and the
 //! checkpoint sidecar that bounds replay time.
 //!
-//! # On-disk format
-//!
-//! All integers are little-endian. A WAL file is a 28-byte header followed
-//! by zero or more records, one per timestamp, in timestamp order:
-//!
-//! ```text
-//! header: magic "RSWAL002" (8) | seed u64 | fingerprint u64 | crc32 u32
-//! record: len u32 | payload (len bytes) | crc32 u32
-//! payload: t u64 | count u32 | count × event
-//! event:  user u64 | tag u8 (0=Move 1=Enter 2=Quit) | a u32 | b u32
-//! ```
-//!
-//! (Format 002 widened the cell operands from u16 to u32 so adaptive
-//! discretizations can exceed 65 535 cells; 001 logs are not readable.)
-//!
-//! Two files sit beside the log: the checkpoint sidecar `<wal>.ckpt` and
-//! the frozen-epoch file `<wal>.frozen` (see [Checkpoints](#checkpoints)):
-//!
-//! ```text
-//! sidecar: magic "RSCKPT02" (8) | fingerprint u64 | t u64 | len u64
-//!          | payload (len bytes) | crc32 u32
-//! payload: blocks u64 | frozen_len u64 | frozen_crc u32 | engine state
-//! frozen:  magic "RSFRZ001" (8) | fingerprint u64 | block*
-//! block:   epoch u64 | streams u64 | cells u64 | streams × id u64
-//!          | streams × start u64 | streams × length u32
-//!          | cells × cell u32 | crc32 u32
-//! ```
-//!
-//! The sidecar CRC covers every byte before it. The engine state is
-//! [`StreamingEngine::checkpoint_by_ref`]: the engine's whole mutable
-//! state, with the frozen region's epoch marks but without its cells. One
-//! block holds one compaction epoch (the streams it froze, oldest cell
-//! first) and its CRC covers the block. `blocks` and `frozen_len`
-//! reference the frozen file's first `frozen_len` bytes: the header and
-//! the first `blocks` blocks. `frozen_crc` is the CRC32 of that prefix
-//! with each block's CRC field left out. (Over the whole prefix it would
-//! bind nothing: a CRC appended to its data cancels the data out of the
-//! running register, so swapping a block for any other well-formed one
-//! of the same length would keep it.) All three are 0 when the checkpoint
-//! holds no epoch apart. The self-contained
-//! [`StreamingEngine::checkpoint_bytes`] are the same engine state with
-//! every block appended inline. Sidecars of format 01, which held the
-//! frozen cells themselves, are ignored by recovery (a full replay).
-//!
-//! The header CRC covers the magic and both fields; each record CRC covers
-//! the length prefix *and* the payload, so any single-bit corruption —
-//! including in the framing — is detected. The `fingerprint` is the
-//! engine's [`StreamingEngine::fingerprint`]: an FNV-1a hash over seed,
-//! engine kind, configuration and the discretization descriptor, so a WAL
-//! can only be replayed into an identically configured session.
+//! A WAL file is a header naming the session, then one record per
+//! timestamp, in timestamp order. Two files sit beside it: the checkpoint
+//! sidecar `<wal>.ckpt` and the frozen-epoch file `<wal>.frozen` (see
+//! [Checkpoints](#checkpoints)). A supervised session adds the write-only
+//! `<wal>.poison`. The byte layout of every file is tabled once, under
+//! *On-disk formats* in the [crate docs](crate). Each header, record,
+//! sidecar and epoch block is a *frame*, closed by the CRC32 of its bytes,
+//! so any single-bit corruption — the framing included — is detected. The
+//! header's `fingerprint` is the engine's
+//! [`fingerprint`](crate::StreamingEngine::fingerprint): an FNV-1a hash
+//! over seed, engine kind, configuration and the discretization
+//! descriptor, so a WAL can only be replayed into an identically
+//! configured session.
 //!
 //! # Torn and corrupt tails
 //!
@@ -95,9 +58,9 @@
 //! the engine's full mutable state (store columns, model, ledger,
 //! registry, allocator, RNG) to an atomically replaced sidecar file every
 //! `k` timestamps; the frozen compaction epochs go to the frozen file,
-//! once each. [`StreamingEngine::recover`] then reads only the
-//! 28-byte header, the checkpoint and the records after it: it hops over
-//! the 4-byte length prefixes of the records the checkpoint covers
+//! once each. [`recover`](crate::StreamingEngine::recover) then reads
+//! only the WAL header, the checkpoint and the records after it: it hops
+//! over the 4-byte length prefixes of the records the checkpoint covers
 //! (no payload read, no CRC) and accepts the landing if it is the end of
 //! the file or an intact record carrying the checkpoint's timestamp.
 //! Recovery time is proportional to the tail, not to the history.
@@ -115,9 +78,9 @@
 //! detected once a usable checkpoint covers it. The CRC-checked checkpoint
 //! *is* the session state for that prefix, so the recovered session is
 //! still the uninterrupted one; [`Recovery::truncated`] describes only the
-//! replayed records. [`WalWriter::create`] deletes any sidecar and frozen
-//! file left by an earlier session at the same path, so a checkpoint
-//! always belongs to the log beside it.
+//! replayed records. [`WalWriter::create`] deletes any sidecar, frozen
+//! file and poison file left by an earlier session at the same path, so a
+//! checkpoint always belongs to the log beside it.
 //!
 //! Compacted history is written once, not into every checkpoint. Each
 //! [`Checkpointer::save`] first brings `<wal>.frozen` in line with the
@@ -127,7 +90,7 @@
 //! the engine's remaining epochs and syncs the file. Only then is the
 //! sidecar written to a temporary file, synced and renamed over the old
 //! one. Everything the save needs is read from the file itself, so no
-//! state goes stale across [`reset`](StreamingEngine::reset), a crash, a
+//! state goes stale across [`reset`](crate::StreamingEngine::reset), a crash, a
 //! resumed session or a reused `Checkpointer`.
 //!
 //! A save is split between two threads. The saving thread waits for the
@@ -161,151 +124,42 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Mutex, PoisonError};
+use std::sync::{mpsc, Mutex};
 use std::thread;
 
-use crate::compact::{BlockHeader, FrozenEpochs, BLOCK_HEADER_LEN};
-use crate::session::{EventSource, StreamingEngine};
-use retrasyn_geo::{CellId, SpaceDescriptor, Topology, TransitionState, UserEvent};
+mod checkpoint;
+pub(crate) mod codec;
+mod recover;
+
+pub use checkpoint::Checkpointer;
+pub(crate) use codec::{Dec, Enc};
+pub(crate) use recover::recover_wal;
+pub use recover::{CheckpointUse, Recovery};
+
+use crate::session::EventSource;
+use codec::{open, seal, CRC_LEN};
+use retrasyn_geo::{CellId, SpaceDescriptor, TransitionState, UserEvent};
 
 /// Magic bytes opening every WAL file.
 const WAL_MAGIC: &[u8; 8] = b"RSWAL002";
-/// Magic bytes opening every checkpoint sidecar.
-const CKPT_MAGIC: &[u8; 8] = b"RSCKPT02";
-/// Sidecar fixed fields: magic + fingerprint + t + payload length.
-const CKPT_HEAD_LEN: usize = 8 + 8 + 8 + 8;
-/// Magic bytes opening every frozen-epoch file.
-const FROZEN_MAGIC: &[u8; 8] = b"RSFRZ001";
-/// Frozen-epoch file header: magic + fingerprint.
-const FROZEN_HEADER_LEN: usize = 8 + 8;
-/// A sidecar's reference to the frozen file: blocks u64 + length u64 +
-/// crc32 u32.
-const FROZEN_REF_LEN: usize = 8 + 8 + 4;
 /// Header: magic + seed + fingerprint + crc32.
-const HEADER_LEN: usize = 8 + 8 + 8 + 4;
+const HEADER_LEN: usize = 8 + 8 + 8 + CRC_LEN;
 /// Fixed per-event encoding size: user u64 + tag u8 + two u32 operands.
 const EVENT_LEN: usize = 8 + 1 + 4 + 4;
 /// Fixed payload prefix: t u64 + count u32.
 const PAYLOAD_PREFIX: usize = 8 + 4;
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected), hand-rolled — no external crates.
-
-/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table and
-/// `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k` zero bytes, so
-/// eight input bytes fold into the state with eight independent lookups.
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut i = 0;
-    while i < 256 {
-        let mut k = 1;
-        while k < 8 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            k += 1;
-        }
-        i += 1;
-    }
-    tables
+/// A file beside the WAL at `wal`: `<wal><suffix>`.
+fn beside(wal: &Path, suffix: &str) -> PathBuf {
+    let mut os = wal.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
 }
 
-/// IEEE CRC32 of `bytes` (the polynomial used by zip/PNG/Ethernet).
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    crc32_extend(0, bytes)
-}
-
-/// CRC32 of `a ‖ bytes` given `crc = crc32(a)`, so a checksum can cover
-/// data that was read into two buffers.
-fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = !crc;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-/// CRC32 of `a ‖ b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and
-/// `len_b = b.len()`, without reading either (zlib's `crc32_combine`).
-/// Running `crc_a` over `len_b` zero bytes is a linear map over GF(2); its
-/// 32×32 matrix for one zero byte is squared once per bit of `len_b`, so a
-/// file's checksum can chain the stored checksums of blocks it never
-/// reads.
-fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    /// `mat` (column `i` is the image of bit `i`) applied to `vec`.
-    fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
-        let mut sum = 0;
-        let mut i = 0;
-        while vec != 0 {
-            if vec & 1 != 0 {
-                sum ^= mat[i];
-            }
-            vec >>= 1;
-            i += 1;
-        }
-        sum
-    }
-    fn square(mat: &[u32; 32]) -> [u32; 32] {
-        std::array::from_fn(|i| times(mat, mat[i]))
-    }
-    // One zero bit: shift right, folding the polynomial in on a carry.
-    let mut op: [u32; 32] =
-        std::array::from_fn(|i| if i == 0 { 0xEDB8_8320 } else { 1 << (i - 1) });
-    for _ in 0..3 {
-        op = square(&op);
-    }
-    let (mut crc, mut len) = (crc_a, len_b);
-    while len != 0 {
-        if len & 1 != 0 {
-            crc = times(&op, crc);
-        }
-        len >>= 1;
-        if len != 0 {
-            op = square(&op);
-        }
-    }
-    crc ^ crc_b
-}
-
-/// Little-endian `u32` at `off`. Callers bounds-check the enclosing
-/// region before decoding fixed fields, so this centralizes the
-/// fixed-width reads that would otherwise each carry a
-/// `try_into().expect(…)` on the recovery path.
-pub(crate) fn le_u32(bytes: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]])
-}
-
-/// Little-endian `u64` at `off`; same contract as [`le_u32`].
-pub(crate) fn le_u64(bytes: &[u8], off: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[off..off + 8]);
-    u64::from_le_bytes(b)
+/// The poison sidecar of the WAL at `wal`: `<wal>.poison` (see
+/// [`Supervisor::poison_sidecar`](crate::Supervisor::poison_sidecar)).
+pub(crate) fn poison_file(wal: &Path) -> PathBuf {
+    beside(wal, ".poison")
 }
 
 // ---------------------------------------------------------------------------
@@ -425,98 +279,6 @@ impl From<io::Error> for WalError {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian encode/decode helpers (shared with engine checkpoints).
-
-/// Append-only little-endian byte encoder.
-#[derive(Debug, Default)]
-pub(crate) struct Enc {
-    pub(crate) buf: Vec<u8>,
-}
-
-impl Enc {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-}
-
-/// Cursor-style little-endian decoder with descriptive errors.
-#[derive(Debug)]
-pub(crate) struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.bytes.len() - self.pos < n {
-            return Err(format!(
-                "unexpected end of data: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        Ok(le_u32(self.take(4)?, 0))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        Ok(le_u64(self.take(8)?, 0))
-    }
-    pub(crate) fn usize(&mut self) -> Result<usize, String> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| format!("value {v} does not fit in usize"))
-    }
-    pub(crate) fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Bytes left to decode. Decoders cap any reservation sized by an
-    /// untrusted count with it, so a crafted count cannot over-allocate.
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Take every byte left.
-    pub(crate) fn rest(&mut self) -> &'a [u8] {
-        let rest = &self.bytes[self.pos..];
-        self.pos = self.bytes.len();
-        rest
-    }
-
-    /// Assert the payload was consumed exactly.
-    pub(crate) fn finish(&self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("{} trailing bytes after payload", self.bytes.len() - self.pos))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Event encoding.
 
 fn encode_event(enc: &mut Enc, e: &UserEvent) {
@@ -596,23 +358,27 @@ pub struct WalWriter {
 impl WalWriter {
     /// Create (truncating) a WAL at `path` for a session identified by
     /// `(seed, fingerprint)`. The header is written and synced
-    /// immediately. A checkpoint sidecar, its temporary file and the
-    /// frozen-epoch file left at `path` by an earlier session are deleted
-    /// first: recovery would otherwise restore that session's state into
-    /// this one whenever the two fingerprints agree.
+    /// immediately. A checkpoint sidecar, its temporary file, the
+    /// frozen-epoch file and the poison sidecar left at `path` by an
+    /// earlier session are deleted first: recovery would otherwise
+    /// restore that session's state into this one whenever the two
+    /// fingerprints agree, and a supervisor would append its quarantine
+    /// records after the dead session's.
     pub fn create(
         path: impl AsRef<Path>,
         seed: u64,
         fingerprint: u64,
         policy: FsyncPolicy,
     ) -> Result<Self, WalError> {
-        if let FsyncPolicy::EveryN(k) = policy {
-            assert!(k >= 1, "FsyncPolicy::EveryN requires k >= 1");
-        }
         let path = path.as_ref().to_path_buf();
         let sidecar = Checkpointer::sidecar(&path);
         let mut removed = false;
-        for stale in [Checkpointer::temp(&sidecar), sidecar, Checkpointer::frozen_file(&path)] {
+        for stale in [
+            Checkpointer::temp(&sidecar),
+            sidecar,
+            Checkpointer::frozen_file(&path),
+            poison_file(&path),
+        ] {
             match fs::remove_file(&stale) {
                 Ok(()) => removed = true,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -626,24 +392,14 @@ impl WalWriter {
         }
         let mut file =
             fs::OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&seed.to_le_bytes());
-        header.extend_from_slice(&fingerprint.to_le_bytes());
-        let crc = crc32(&header);
-        header.extend_from_slice(&crc.to_le_bytes());
-        file.write_all(&header)?;
+        let mut header = Enc { buf: Vec::with_capacity(HEADER_LEN) };
+        header.buf.extend_from_slice(WAL_MAGIC);
+        header.u64(seed);
+        header.u64(fingerprint);
+        seal(&mut header.buf, 0);
+        file.write_all(&header.buf)?;
         file.sync_data()?;
-        Ok(WalWriter {
-            file,
-            path,
-            policy,
-            next_t: 0,
-            since_sync: 0,
-            buf: Vec::new(),
-            offset: HEADER_LEN as u64,
-            syncer: None,
-        })
+        Ok(Self::at(file, path, policy, 0, HEADER_LEN as u64))
     }
 
     /// Reopen an existing WAL to continue appending after recovery. The
@@ -657,34 +413,34 @@ impl WalWriter {
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
     ) -> Result<Self, WalError> {
-        Self::reopen_at(path.as_ref(), contents.valid_len, contents.batches.len() as u64, policy)
+        let next_t = contents.batches.len() as u64;
+        Self::reopen_at(path.as_ref(), contents.fingerprint, contents.valid_len, next_t, policy)
     }
 
-    /// [`reopen`](Self::reopen) from a valid prefix of `valid_len` bytes
-    /// holding timestamps `0..next_t`, as recovery found it.
+    /// [`reopen`](Self::reopen) the WAL of session `fingerprint` from a
+    /// valid prefix of `valid_len` bytes holding timestamps `0..next_t`,
+    /// as recovery found it.
     pub(crate) fn reopen_at(
         path: &Path,
+        fingerprint: u64,
         valid_len: u64,
         next_t: u64,
         policy: FsyncPolicy,
     ) -> Result<Self, WalError> {
+        let mut file = fs::OpenOptions::new().read(true).write(true).open(path)?;
+        file.set_len(valid_len)?;
+        checkpoint::trim_frozen(&Checkpointer::frozen_file(path), fingerprint, next_t)?;
+        file.seek(SeekFrom::End(0))?;
+        Ok(Self::at(file, path.to_path_buf(), policy, next_t, valid_len))
+    }
+
+    /// A writer appending at `offset` of `file`, timestamp `next_t` next.
+    fn at(file: fs::File, path: PathBuf, policy: FsyncPolicy, next_t: u64, offset: u64) -> Self {
         if let FsyncPolicy::EveryN(k) = policy {
             assert!(k >= 1, "FsyncPolicy::EveryN requires k >= 1");
         }
-        let mut file = fs::OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(valid_len)?;
-        trim_frozen(&Checkpointer::frozen_file(path), next_t)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(WalWriter {
-            file,
-            path: path.to_path_buf(),
-            policy,
-            next_t,
-            since_sync: 0,
-            buf: Vec::new(),
-            offset: valid_len,
-            syncer: None,
-        })
+        let buf = Vec::new();
+        WalWriter { file, path, policy, next_t, since_sync: 0, buf, offset, syncer: None }
     }
 
     /// Append the batch for timestamp `t`, which must be the next
@@ -722,29 +478,25 @@ impl WalWriter {
     /// to the I/O thread, if one is in flight, and return its result. A
     /// failed sync, or an I/O thread that is gone, is [`WalError::Io`].
     pub(crate) fn wait_sync(&mut self) -> Result<(), WalError> {
-        if let Some(syncer) = &mut self.syncer {
-            syncer.wait()?;
-        }
-        Ok(())
+        Ok(self.syncer.as_mut().map_or(Ok(()), IoThread::wait)?)
     }
 
-    /// Encode, frame and write the record for `t`, handing it to the OS.
-    /// Returns whether the policy wants it synced now.
+    /// Encode, frame and write the record for `t`, handing it to the OS
+    /// in one write. Returns whether the policy wants it synced now.
     fn write_record(&mut self, t: u64, events: &[UserEvent]) -> Result<bool, WalError> {
         assert_eq!(t, self.next_t, "WAL batches must cover consecutive timestamps");
         let payload_len = PAYLOAD_PREFIX + EVENT_LEN * events.len();
         assert!(payload_len <= u32::MAX as usize, "batch too large for WAL framing");
-        self.buf.clear();
-        self.buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
         let mut enc = Enc { buf: std::mem::take(&mut self.buf) };
+        enc.buf.clear();
+        enc.u32(payload_len as u32);
         enc.u64(t);
         enc.u32(events.len() as u32);
         for e in events {
             encode_event(&mut enc, e);
         }
+        seal(&mut enc.buf, 0);
         self.buf = enc.buf;
-        let crc = crc32(&self.buf);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
         self.file.write_all(&self.buf)?;
         self.offset += self.buf.len() as u64;
         self.next_t += 1;
@@ -916,11 +668,8 @@ impl WalContents {
     /// [`WalContents::truncated`].
     pub fn read(path: impl AsRef<Path>) -> Result<Self, WalError> {
         let wal = WalFile::open(path.as_ref())?;
-        Self::collect(
-            wal.seed,
-            wal.fingerprint,
-            Records::new(wal.src, HEADER_LEN as u64, wal.len, 0),
-        )
+        let records = Records::new(wal.src, HEADER_LEN as u64, wal.len, 0);
+        Self::collect(wal.seed, wal.fingerprint, records)
     }
 
     /// Parse an in-memory WAL image (see [`WalContents::read`]).
@@ -952,28 +701,18 @@ impl WalContents {
 /// Check a WAL header — `head` is the file's first `HEADER_LEN` bytes, or
 /// all of it if the file is shorter — and return its seed and fingerprint.
 fn parse_header(head: &[u8]) -> Result<(u64, u64), WalError> {
+    let corrupt = |offset: u64, detail: String| WalError::Corrupt { offset, detail };
     if head.len() < HEADER_LEN {
-        return Err(WalError::Corrupt {
-            offset: head.len() as u64,
-            detail: format!(
-                "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
-                head.len()
-            ),
-        });
+        let detail =
+            format!("file is {} bytes, shorter than the {HEADER_LEN}-byte header", head.len());
+        return Err(corrupt(head.len() as u64, detail));
     }
     if &head[..8] != WAL_MAGIC {
-        return Err(WalError::Corrupt {
-            offset: 0,
-            detail: format!("bad magic {:02x?}, expected \"RSWAL002\"", &head[..8]),
-        });
+        return Err(corrupt(0, format!("bad magic {:02x?}, expected \"RSWAL002\"", &head[..8])));
     }
-    if crc32(&head[..HEADER_LEN - 4]) != le_u32(head, HEADER_LEN - 4) {
-        return Err(WalError::Corrupt {
-            offset: 0,
-            detail: "header checksum mismatch".to_string(),
-        });
-    }
-    Ok((le_u64(head, 8), le_u64(head, 16)))
+    let body = open(&head[..HEADER_LEN]).map_err(|e| corrupt(0, format!("header {e}")))?;
+    let mut dec = Dec::new(&body[8..]);
+    dec.u64().and_then(|seed| Ok((seed, dec.u64()?))).map_err(|e| corrupt(8, e))
 }
 
 /// An open WAL file whose header checked out, positioned at its first
@@ -1017,7 +756,7 @@ impl WalFile {
                 return Ok(None);
             }
             self.src.read_exact(&mut prefix)?;
-            let skip = u64::from(le_u32(&prefix, 0)) + 4;
+            let skip = u64::from(u32::from_le_bytes(prefix)) + CRC_LEN as u64;
             offset += 4 + skip;
             if offset > self.len {
                 return Ok(None);
@@ -1082,19 +821,6 @@ impl<R: Read> Records<R> {
         Ok(None)
     }
 
-    /// [`next_batch`](Self::next_batch), with the batch's timestamp, after
-    /// [`validate_batch`] accepted it for `topo`.
-    fn next_valid(&mut self, topo: &Topology) -> Result<Option<(u64, &[UserEvent])>, WalError> {
-        let (t, offset) = (self.next_t, self.valid_len);
-        match self.next_batch()? {
-            Some(batch) => {
-                validate_batch(topo, t, offset, batch)?;
-                Ok(Some((t, batch)))
-            }
-            None => Ok(None),
-        }
-    }
-
     /// Read the record at `valid_len` into `self.record`; `false` if it is
     /// torn (runs past the end of the image).
     fn read_record(&mut self) -> io::Result<bool> {
@@ -1104,7 +830,7 @@ impl<R: Read> Records<R> {
         }
         let mut prefix = [0u8; 4];
         self.src.read_exact(&mut prefix)?;
-        let len = 4 + u64::from(le_u32(&prefix, 0)) + 4;
+        let len = 4 + u64::from(u32::from_le_bytes(prefix)) + CRC_LEN as u64;
         if len > left {
             return Ok(false);
         }
@@ -1119,11 +845,8 @@ impl<R: Read> Records<R> {
 /// Parse one framed record (length prefix, payload, CRC) into `events`,
 /// or describe why it is corrupt.
 fn parse_record(record: &[u8], expected_t: u64, events: &mut Vec<UserEvent>) -> Result<(), String> {
-    let payload_len = record.len() - 8;
-    if crc32(&record[..4 + payload_len]) != le_u32(record, 4 + payload_len) {
-        return Err("record checksum mismatch".to_string());
-    }
-    let mut dec = Dec::new(&record[4..4 + payload_len]);
+    let mut dec = Dec::new(open(record)?);
+    let payload_len = dec.u32()? as usize;
     let t = dec.u64()?;
     if t != expected_t {
         return Err(format!("record timestamp {t}, expected {expected_t}"));
@@ -1191,773 +914,14 @@ impl<S: EventSource> EventSource for WalSource<S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoints.
-
-/// Writes the engine's serialized state to an atomically replaced sidecar
-/// file (`<wal>.ckpt`) every `every` timestamps, bounding recovery replay
-/// to the last checkpoint interval. Frozen compaction epochs are written
-/// once each to `<wal>.frozen` and referenced from the sidecar (see the
-/// [module docs](self)). The file I/O runs on the checkpointer's own I/O
-/// thread, started by the first save and joined on drop; dropping a
-/// checkpointer waits for a checkpoint still being written.
-#[derive(Debug)]
-pub struct Checkpointer {
-    files: CheckpointFiles,
-    every: u64,
-    /// The I/O thread, started by the first save. Every save locks it;
-    /// one owner saves at a time, so it is uncontended.
-    io: Mutex<Option<IoThread<CheckpointJob>>>,
-}
-
-/// The files a checkpoint writes.
-#[derive(Debug, Clone)]
-struct CheckpointFiles {
-    sidecar: PathBuf,
-    temp: PathBuf,
-    frozen: PathBuf,
-}
-
-impl Checkpointer {
-    /// Checkpoint the session of the WAL at `wal_path` every `every`
-    /// timestamps (`every ≥ 1`) into the conventional sidecar path.
-    pub fn new(wal_path: impl AsRef<Path>, every: u64) -> Self {
-        assert!(every >= 1, "checkpoint interval must be >= 1");
-        let wal_path = wal_path.as_ref();
-        let sidecar = Self::sidecar(wal_path);
-        let files = CheckpointFiles {
-            temp: Self::temp(&sidecar),
-            sidecar,
-            frozen: Self::frozen_file(wal_path),
-        };
-        Checkpointer { files, every, io: Mutex::default() }
-    }
-
-    /// The conventional checkpoint sidecar path for a WAL: `<wal>.ckpt`.
-    pub fn sidecar(wal_path: impl AsRef<Path>) -> PathBuf {
-        let mut os = wal_path.as_ref().as_os_str().to_os_string();
-        os.push(".ckpt");
-        PathBuf::from(os)
-    }
-
-    /// The frozen-epoch file beside a WAL: `<wal>.frozen`.
-    pub fn frozen_file(wal_path: impl AsRef<Path>) -> PathBuf {
-        let mut os = wal_path.as_ref().as_os_str().to_os_string();
-        os.push(".frozen");
-        PathBuf::from(os)
-    }
-
-    /// The temporary file a checkpoint is written to before it is renamed
-    /// over `sidecar`: `<wal>.ckpt.tmp`.
-    fn temp(sidecar: &Path) -> PathBuf {
-        let mut os = sidecar.as_os_str().to_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
-    }
-
-    /// The sidecar file this checkpointer writes.
-    pub fn path(&self) -> &Path {
-        &self.files.sidecar
-    }
-
-    /// Save a checkpoint if the engine's clock is on the interval. Call
-    /// after each `step`. Returns whether a checkpoint was written
-    /// (`false` off-interval or for engines without checkpoint support).
-    pub fn maybe_save<E: StreamingEngine + ?Sized>(&self, engine: &E) -> Result<bool, WalError> {
-        if !self.due(engine) {
-            return Ok(false);
-        }
-        self.save(engine)
-    }
-
-    /// Save a checkpoint unconditionally (`false` only for engines
-    /// without checkpoint support). Epochs not yet in the frozen file are
-    /// appended to it and synced first. The sidecar is then written to a
-    /// temporary file, synced, and renamed over the old checkpoint — a
-    /// crash mid-write leaves the previous checkpoint intact. Returns
-    /// after the rename.
-    pub fn save<E: StreamingEngine + ?Sized>(&self, engine: &E) -> Result<bool, WalError> {
-        let saved = self.save_deferred(engine)?;
-        self.wait()?;
-        Ok(saved)
-    }
-
-    /// Whether the engine's clock is on the interval.
-    fn due<E: StreamingEngine + ?Sized>(&self, engine: &E) -> bool {
-        let t = engine.next_timestamp();
-        t != 0 && t.is_multiple_of(self.every)
-    }
-
-    /// [`maybe_save`](Self::maybe_save), deferred like
-    /// [`save_deferred`](Self::save_deferred).
-    pub(crate) fn maybe_save_deferred<E: StreamingEngine + ?Sized>(
-        &self,
-        engine: &E,
-    ) -> Result<bool, WalError> {
-        if !self.due(engine) {
-            return Ok(false);
-        }
-        self.save_deferred(engine)
-    }
-
-    /// [`save`](Self::save), except that the file I/O runs on the I/O
-    /// thread and this returns once the checkpoint is encoded. It first
-    /// waits for the previous checkpoint and returns that one's error, if
-    /// it failed. The frozen file is hopped here, so the job appends
-    /// exactly the blocks it lacks. The checkpoint is on disk once
-    /// [`wait`](Self::wait) returns `Ok`; dropping the checkpointer waits
-    /// too.
-    pub(crate) fn save_deferred<E: StreamingEngine + ?Sized>(
-        &self,
-        engine: &E,
-    ) -> Result<bool, WalError> {
-        let mut io = self.lock()?;
-        if let Some(thread) = io.as_mut() {
-            thread.wait()?;
-        }
-        let Some((state, frozen)) = engine.checkpoint_by_ref() else {
-            return Ok(false);
-        };
-        let fingerprint = engine.fingerprint();
-        let (reference, frozen) = plan_frozen(&self.files.frozen, fingerprint, &frozen)?;
-        let job =
-            CheckpointJob { fingerprint, t: engine.next_timestamp(), reference, state, frozen };
-        let thread = match io.take() {
-            Some(thread) => thread,
-            None => {
-                let files = self.files.clone();
-                IoThread::spawn("wal-checkpoint", move |job: CheckpointJob| job.run(&files))?
-            }
-        };
-        io.insert(thread).request(job)?;
-        Ok(true)
-    }
-
-    /// Wait for the checkpoint [`save_deferred`](Self::save_deferred)
-    /// handed to the I/O thread, if one is in flight, and return its
-    /// result. A failed checkpoint, or an I/O thread that is gone, is
-    /// [`WalError::Io`].
-    pub(crate) fn wait(&self) -> Result<(), WalError> {
-        match self.lock()?.as_mut() {
-            Some(thread) => Ok(thread.wait()?),
-            None => Ok(()),
-        }
-    }
-
-    fn lock(&self) -> Result<std::sync::MutexGuard<'_, Option<IoThread<CheckpointJob>>>, WalError> {
-        self.io.lock().map_err(|_| {
-            WalError::Io(io::Error::other(
-                "a checkpoint save panicked; the checkpointer is unusable",
-            ))
-        })
-    }
-}
-
-impl Drop for Checkpointer {
-    /// Wait for a checkpoint still being written, then stop and join the
-    /// I/O thread. Its error has no caller left to reach here.
-    fn drop(&mut self) {
-        let io = self.io.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if let Some(thread) = io.take() {
-            thread.shut_down();
-        }
-    }
-}
-
-/// One checkpoint: encoded by the saving thread, written by the
-/// checkpoint I/O thread.
-#[derive(Debug)]
-struct CheckpointJob {
-    fingerprint: u64,
-    t: u64,
-    reference: FrozenRef,
-    /// The engine state.
-    state: Vec<u8>,
-    /// The frozen file's edit, if the checkpoint references any epoch.
-    frozen: Option<FrozenEdit>,
-}
-
-/// How a checkpoint job brings the frozen file in line with the engine.
-#[derive(Debug)]
-struct FrozenEdit {
-    /// End of the blocks the file keeps. The file is cut here if `cut`,
-    /// and `appended` is written here.
-    end: u64,
-    /// The file holds bytes past `end`.
-    cut: bool,
-    /// The file is started anew: `appended` opens with its header, and
-    /// its directory entry is synced.
-    created: bool,
-    /// The file header if the file is started anew, then the epoch
-    /// blocks the file lacks.
-    appended: Vec<u8>,
-}
-
-/// Find what the frozen file at `path` lacks of the engine's epochs and
-/// encode it, returning the reference the sidecar makes to the file once
-/// the edit is written, and the edit (`None` when the engine has no
-/// epoch). The blocks already there are found by hopping their fixed
-/// fields; the file is kept up to the first block that disagrees with the
-/// engine's epoch (which also drops unreferenced bytes a crash left after
-/// the last save), and the engine's remaining epochs follow it.
-fn plan_frozen(
-    path: &Path,
-    fingerprint: u64,
-    frozen: &FrozenEpochs<'_>,
-) -> Result<(FrozenRef, Option<FrozenEdit>), WalError> {
-    let epochs = frozen.len();
-    if epochs == 0 {
-        return Ok((FrozenRef::default(), None));
-    }
-    let header = frozen_header(fingerprint);
-    let (size, kept, end, mut crc) = match fs::File::open(path) {
-        Ok(mut file) => {
-            let size = file.metadata()?.len();
-            let mut head = [0u8; FROZEN_HEADER_LEN];
-            let intact = size >= FROZEN_HEADER_LEN as u64 && {
-                file.read_exact(&mut head)?;
-                head == header
-            };
-            let (kept, end, crc) = if intact {
-                let start = (FROZEN_HEADER_LEN as u64, crc32(&header));
-                hop_blocks(&mut file, start, size, epochs, |i, h| *h == frozen.header(i))?
-            } else {
-                (0, 0, 0)
-            };
-            (size, kept, end, crc)
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => (0, 0, 0, 0),
-        Err(e) => return Err(e.into()),
-    };
-    let created = end == 0;
-    let mut appended = Vec::new();
-    if created {
-        appended.extend_from_slice(&header);
-        crc = crc32(&header);
-    }
-    for i in kept..epochs {
-        let start = appended.len();
-        let stored = frozen.encode_block(i, &mut appended);
-        crc = crc32_combine(crc, stored, (appended.len() - start) as u64 - 4);
-    }
-    let reference = FrozenRef { blocks: epochs as u64, len: end + appended.len() as u64, crc };
-    Ok((reference, Some(FrozenEdit { end, cut: end < size, created, appended })))
-}
-
-impl CheckpointJob {
-    /// Persist the checkpoint, on the I/O thread: cut the frozen file,
-    /// append the blocks it lacks and sync it; then CRC the sidecar,
-    /// write it to a temporary file, sync that and rename it over the old
-    /// sidecar. Each buffer is freed once the OS has its bytes, before
-    /// the sync: the steps running meanwhile need not hold it too.
-    fn run(self, files: &CheckpointFiles) -> io::Result<()> {
-        let CheckpointJob { fingerprint, t, reference, state, frozen } = self;
-        if let Some(FrozenEdit { end, cut, created, appended }) = frozen {
-            let mut file = fs::OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&files.frozen)?;
-            if cut {
-                file.set_len(end)?;
-            }
-            file.seek(SeekFrom::Start(end))?;
-            file.write_all(&appended)?;
-            let dirty = cut || !appended.is_empty();
-            drop(appended);
-            if dirty {
-                file.sync_data()?;
-            }
-            if created {
-                sync_parent_dir(&files.frozen)?;
-            }
-        }
-        let mut head = [0u8; CKPT_HEAD_LEN + FROZEN_REF_LEN];
-        head[..8].copy_from_slice(CKPT_MAGIC);
-        head[8..16].copy_from_slice(&fingerprint.to_le_bytes());
-        head[16..24].copy_from_slice(&t.to_le_bytes());
-        head[24..32].copy_from_slice(&((FROZEN_REF_LEN + state.len()) as u64).to_le_bytes());
-        head[32..].copy_from_slice(&reference.to_bytes());
-        let crc = crc32_extend(crc32(&head), &state);
-        let mut f = fs::File::create(&files.temp)?;
-        f.write_all(&head)?;
-        f.write_all(&state)?;
-        f.write_all(&crc.to_le_bytes())?;
-        drop(state);
-        f.sync_data()?;
-        drop(f);
-        fs::rename(&files.temp, &files.sidecar)
-    }
-}
-
-/// The header of a frozen-epoch file for session `fingerprint`.
-fn frozen_header(fingerprint: u64) -> [u8; FROZEN_HEADER_LEN] {
-    let mut header = [0u8; FROZEN_HEADER_LEN];
-    header[..8].copy_from_slice(FROZEN_MAGIC);
-    header[8..].copy_from_slice(&fingerprint.to_le_bytes());
-    header
-}
-
-/// What a checkpoint stands on in the frozen file: its first `len` bytes,
-/// the header and `blocks` epoch blocks, and `crc`, the CRC32 of those
-/// bytes without the blocks' CRC fields (see the [module docs](self)).
-/// All zero when the checkpoint holds no epoch apart.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct FrozenRef {
-    blocks: u64,
-    len: u64,
-    crc: u32,
-}
-
-impl FrozenRef {
-    fn to_bytes(self) -> [u8; FROZEN_REF_LEN] {
-        let mut out = [0u8; FROZEN_REF_LEN];
-        out[..8].copy_from_slice(&self.blocks.to_le_bytes());
-        out[8..16].copy_from_slice(&self.len.to_le_bytes());
-        out[16..].copy_from_slice(&self.crc.to_le_bytes());
-        out
-    }
-
-    /// Split a sidecar payload into the reference and the engine state.
-    fn split(payload: &[u8]) -> Result<(FrozenRef, &[u8]), String> {
-        if payload.len() < FROZEN_REF_LEN {
-            return Err(format!(
-                "checkpoint payload of {} bytes has no frozen reference",
-                payload.len()
-            ));
-        }
-        let (head, state) = payload.split_at(FROZEN_REF_LEN);
-        let reference =
-            FrozenRef { blocks: le_u64(head, 0), len: le_u64(head, 8), crc: le_u32(head, 16) };
-        Ok((reference, state))
-    }
-}
-
-/// Walk the epoch blocks of a frozen file by their fixed fields alone,
-/// from `start = (offset, crc)`: the offset just past what is already
-/// walked and the reference CRC of the bytes before it. For each block
-/// the fixed fields and the stored CRC are read and the columns skipped;
-/// the stored CRC extends the reference CRC by [`crc32_combine`]. Stops
-/// after `max` blocks, before the first block `keep` rejects, or before
-/// one that runs past `end`; returns the blocks walked, the offset after
-/// them and the reference CRC up to it (see [`FrozenRef`]).
-fn hop_blocks<R: Read + Seek>(
-    src: &mut R,
-    start: (u64, u32),
-    end: u64,
-    max: usize,
-    mut keep: impl FnMut(usize, &BlockHeader) -> bool,
-) -> io::Result<(usize, u64, u32)> {
-    let (mut offset, mut crc) = start;
-    let mut fixed = [0u8; BLOCK_HEADER_LEN];
-    let mut stored = [0u8; 4];
-    src.seek(SeekFrom::Start(offset))?;
-    for i in 0..max {
-        if end - offset < BLOCK_HEADER_LEN as u64 {
-            return Ok((i, offset, crc));
-        }
-        src.read_exact(&mut fixed)?;
-        let header = BlockHeader::parse(&fixed);
-        let len = header.block_len().filter(|&len| len <= end - offset);
-        let Some(len) = len.filter(|_| keep(i, &header)) else {
-            return Ok((i, offset, crc));
-        };
-        src.seek(SeekFrom::Start(offset + len - 4))?;
-        src.read_exact(&mut stored)?;
-        crc = crc32_combine(crc, u32::from_le_bytes(stored), len - 4);
-        offset += len;
-    }
-    Ok((max, offset, crc))
-}
-
-/// Check `prefix`, a frozen file's first bytes in memory, against the
-/// `reference` a checkpoint of session `fingerprint` made to it and return
-/// its epoch blocks: the header must name the session, `reference.blocks`
-/// whole blocks must end exactly at the end of the prefix, and the CRC
-/// chained from their stored CRCs must match. The engine then decodes
-/// each block, checking its stored CRC against its bytes and its fixed
-/// fields against its epoch mark.
-fn frozen_blocks(prefix: &[u8], fingerprint: u64, reference: FrozenRef) -> Result<&[u8], String> {
-    if reference.blocks == 0 {
-        return match reference == FrozenRef::default() && prefix.is_empty() {
-            true => Ok(&[]),
-            false => Err("a reference to no epoch block must be empty".to_string()),
-        };
-    }
-    if prefix.len() as u64 != reference.len {
-        return Err(format!(
-            "prefix is {} bytes, the checkpoint references {}",
-            prefix.len(),
-            reference.len
-        ));
-    }
-    let header = frozen_header(fingerprint);
-    match prefix.get(..FROZEN_HEADER_LEN) {
-        Some(head) if head == header => {}
-        Some(head) if head[..8] == FROZEN_MAGIC[..] => {
-            return Err(format!(
-                "fingerprint {:#018x} does not match session {fingerprint:#018x}",
-                le_u64(head, 8)
-            ));
-        }
-        _ => return Err("bad magic".to_string()),
-    }
-    let blocks = usize::try_from(reference.blocks).unwrap_or(usize::MAX);
-    let start = (FROZEN_HEADER_LEN as u64, crc32(&header));
-    let (walked, end, crc) =
-        hop_blocks(&mut io::Cursor::new(prefix), start, reference.len, blocks, |_, _| true)
-            .map_err(|e| e.to_string())?;
-    if walked != blocks || end != reference.len {
-        return Err(format!(
-            "the checkpoint references {} blocks in {} bytes, the file frames {walked} in {end}",
-            reference.blocks, reference.len
-        ));
-    }
-    if crc != reference.crc {
-        return Err("checksum of the referenced prefix mismatch".to_string());
-    }
-    Ok(&prefix[FROZEN_HEADER_LEN..])
-}
-
-/// The first `reference.len` bytes of the frozen file at `path`, or
-/// nothing when the reference names no block. A missing or shorter file
-/// is an `Err`; the length read is bounded by the file's size.
-fn load_frozen(path: &Path, reference: FrozenRef) -> Result<Vec<u8>, String> {
-    if reference.blocks == 0 {
-        return Ok(Vec::new());
-    }
-    let file = fs::File::open(path).map_err(|e| e.to_string())?;
-    let size = file.metadata().map_err(|e| e.to_string())?.len();
-    if size < reference.len {
-        return Err(format!("file is {size} bytes, the checkpoint references {}", reference.len));
-    }
-    let mut prefix = Vec::with_capacity(usize::try_from(reference.len).map_err(|e| e.to_string())?);
-    file.take(reference.len).read_to_end(&mut prefix).map_err(|e| e.to_string())?;
-    if prefix.len() as u64 != reference.len {
-        return Err("file shrank while being read".to_string());
-    }
-    Ok(prefix)
-}
-
-/// Restore `engine` from a sidecar `payload`: the frozen reference, then
-/// the engine state with the epoch blocks the reference names, read from
-/// the frozen file at `frozen`.
-fn restore_sidecar<E: StreamingEngine + ?Sized>(
-    engine: &mut E,
-    payload: &[u8],
-    frozen: &Path,
-) -> Result<(), String> {
-    let (reference, state) = FrozenRef::split(payload)?;
-    let in_file = |e: String| format!("frozen epochs {}: {e}", frozen.display());
-    let prefix = load_frozen(frozen, reference).map_err(in_file)?;
-    let blocks = frozen_blocks(&prefix, engine.fingerprint(), reference).map_err(in_file)?;
-    engine.restore_checkpoint_by_ref(state, blocks)
-}
-
-/// Cut the frozen file at `path` back to the epoch blocks stamped before
-/// `next_t`, the timestamp a reopened WAL continues at. Those blocks were
-/// compacted from records the log still holds. A later one may come from
-/// records a host crash took from the log, and the continued session
-/// could freeze different streams under the same stamp and counts. A file
-/// whose magic is wrong is emptied.
-fn trim_frozen(path: &Path, next_t: u64) -> Result<(), WalError> {
-    let mut file = match fs::OpenOptions::new().read(true).write(true).open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e.into()),
-    };
-    let size = file.metadata()?.len();
-    let mut head = [0u8; FROZEN_HEADER_LEN];
-    let intact = size >= FROZEN_HEADER_LEN as u64 && {
-        file.read_exact(&mut head)?;
-        head[..8] == FROZEN_MAGIC[..]
-    };
-    let end = match intact {
-        true => {
-            let start = (FROZEN_HEADER_LEN as u64, 0);
-            hop_blocks(&mut file, start, size, usize::MAX, |_, h| h.epoch < next_t)?.1
-        }
-        false => 0,
-    };
-    if end < size {
-        file.set_len(end)?;
-        file.sync_data()?;
-    }
-    Ok(())
-}
-
-/// Load and validate a checkpoint sidecar. `Ok(None)` if the file does
-/// not exist; `Err` if it exists but is corrupt or belongs to a different
-/// session (callers fall back to full WAL replay). The payload is handed
-/// back in the buffer it was read into.
-pub(crate) fn load_checkpoint(
-    path: &Path,
-    fingerprint: u64,
-) -> Result<Option<(u64, Vec<u8>)>, WalError> {
-    let mut file = match fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let corrupt = |offset: u64, detail: String| WalError::Corrupt {
-        offset,
-        detail: format!("checkpoint {}: {detail}", path.display()),
-    };
-    let size = file.metadata()?.len();
-    if size < CKPT_HEAD_LEN as u64 + 4 {
-        return Err(corrupt(size, "file shorter than fixed fields".to_string()));
-    }
-    let mut head = [0u8; CKPT_HEAD_LEN];
-    file.read_exact(&mut head)?;
-    if &head[..8] != CKPT_MAGIC {
-        return Err(corrupt(0, format!("bad magic {:02x?}", &head[..8])));
-    }
-    let payload_len = le_u64(&head, 24);
-    if size - CKPT_HEAD_LEN as u64 - 4 != payload_len {
-        return Err(corrupt(
-            24,
-            format!("payload length field {payload_len} disagrees with file size"),
-        ));
-    }
-    // Payload and CRC in one read; the CRC is then trimmed off in place.
-    let capacity = usize::try_from(payload_len + 4)
-        .map_err(|_| corrupt(24, format!("payload length {payload_len} exceeds memory")))?;
-    let mut payload = Vec::with_capacity(capacity);
-    file.take(payload_len + 4).read_to_end(&mut payload)?;
-    if payload.len() as u64 != payload_len + 4 {
-        return Err(corrupt(size, "file shrank while being read".to_string()));
-    }
-    let stored_crc = le_u32(&payload, capacity - 4);
-    payload.truncate(capacity - 4);
-    if crc32_extend(crc32(&head), &payload) != stored_crc {
-        return Err(corrupt(0, "checksum mismatch".to_string()));
-    }
-    let fp = le_u64(&head, 8);
-    if fp != fingerprint {
-        return Err(WalError::Mismatch {
-            detail: format!(
-                "checkpoint {} fingerprint {fp:#018x} does not match session {fingerprint:#018x}",
-                path.display()
-            ),
-        });
-    }
-    Ok(Some((le_u64(&head, 16), payload)))
-}
-
-// ---------------------------------------------------------------------------
-// Recovery.
-
-/// How a recovery used the checkpoint sidecar.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointUse {
-    /// No checkpoint sidecar existed.
-    None,
-    /// State was restored from a checkpoint taken after timestamp
-    /// `at − 1`; only the WAL suffix from `at` was replayed.
-    Restored {
-        /// First replayed timestamp.
-        at: u64,
-    },
-    /// A sidecar existed but could not be used (corrupt, mismatched, or
-    /// ahead of the WAL's valid prefix); recovery fell back to full
-    /// replay.
-    Ignored {
-        /// Why the checkpoint was unusable.
-        reason: String,
-    },
-}
-
-/// Outcome of [`StreamingEngine::recover`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recovery {
-    /// First timestamp replayed from the WAL (0 unless a checkpoint was
-    /// restored).
-    pub resumed_from: u64,
-    /// Number of batches replayed through `step`.
-    pub replayed: u64,
-    /// Whether a torn/corrupt WAL tail was discarded — the session is the
-    /// bit-identical prefix up to the last intact timestamp. Only the
-    /// replayed records are read, so after a checkpoint restore this says
-    /// nothing about the records the checkpoint covers.
-    pub truncated: bool,
-    /// Checkpoint usage.
-    pub checkpoint: CheckpointUse,
-}
-
-impl Recovery {
-    /// The session's next timestamp after recovery (= batches replayed +
-    /// checkpoint base).
-    pub fn next_timestamp(&self) -> u64 {
-        self.resumed_from + self.replayed
-    }
-}
-
-/// Validate that a batch only contains events the engine can ingest
-/// without panicking: cells inside the discretization and movements
-/// between adjacent cells. CRC framing makes reaching this check with bad
-/// data astronomically unlikely; it converts the residual risk into a
-/// descriptive error instead of a replay panic. `offset` is where the
-/// batch's record starts.
-fn validate_batch(
-    topo: &Topology,
-    t: u64,
-    offset: u64,
-    events: &[UserEvent],
-) -> Result<(), WalError> {
-    let cells = topo.num_cells();
-    let bad = |detail: String| WalError::Corrupt {
-        offset,
-        detail: format!("batch t={t} passed its checksum but is semantically invalid: {detail}"),
-    };
-    for e in events {
-        match e.state {
-            TransitionState::Move { from, to } => {
-                if from.index() >= cells || to.index() >= cells {
-                    return Err(bad(format!("move {from:?}->{to:?} outside the grid")));
-                }
-                if !topo.are_adjacent(from, to) {
-                    return Err(bad(format!("move {from:?}->{to:?} between non-adjacent cells")));
-                }
-            }
-            TransitionState::Enter(c) | TransitionState::Quit(c) => {
-                if c.index() >= cells {
-                    return Err(bad(format!("cell {c:?} outside the grid")));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Step every batch `records` yields into `engine`, each validated before
-/// it is stepped, and return how many were stepped.
-fn replay<E: StreamingEngine + ?Sized, R: Read>(
-    engine: &mut E,
-    records: &mut Records<R>,
-) -> Result<u64, WalError> {
-    let mut replayed = 0;
-    while let Some((t, batch)) = records.next_valid(engine.topology())? {
-        engine.step(t, batch);
-        replayed += 1;
-    }
-    Ok(replayed)
-}
-
-/// Whether records `0..t` of `wal` are all intact (and valid for `topo`),
-/// read from the header.
-fn reaches(wal: &mut WalFile, t: u64, topo: &Topology) -> Result<bool, WalError> {
-    let mut records = wal.records()?;
-    while records.next_t < t {
-        if records.next_valid(topo)?.is_none() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Shared implementation behind [`StreamingEngine::recover`] and
-/// [`Supervisor::resume`](crate::Supervisor::resume): recover `engine`
-/// from the WAL at `wal_path` and return the byte length of the WAL prefix
-/// the session now covers, where a writer continues.
-///
-/// A WAL that fails its header or fingerprint check leaves the engine
-/// untouched; any later error resets it, so a half-replayed session is
-/// never handed back.
-pub(crate) fn recover_wal<E: StreamingEngine + ?Sized>(
-    engine: &mut E,
-    wal_path: &Path,
-) -> Result<(Recovery, u64), WalError> {
-    let mut wal = WalFile::open(wal_path)?;
-    let fingerprint = engine.fingerprint();
-    if wal.fingerprint != fingerprint {
-        return Err(WalError::Mismatch {
-            detail: format!(
-                "WAL {} was recorded by session {:#018x}, this engine is {fingerprint:#018x} \
-                 (seed, engine kind, config and discretization must all match)",
-                wal_path.display(),
-                wal.fingerprint
-            ),
-        });
-    }
-    engine.reset();
-    let files = (Checkpointer::sidecar(wal_path), Checkpointer::frozen_file(wal_path));
-    let result = restore_and_replay(engine, &mut wal, &files);
-    if result.is_err() {
-        engine.reset();
-    }
-    result
-}
-
-/// Recovery after the header checked out, into a freshly reset `engine`.
-///
-/// With a usable checkpoint for timestamp `t`, only the checkpoint and the
-/// records from `t` on are read: [`WalFile::hop`] skips records `0..t`, and
-/// the landing is accepted if it is the end of the file or an intact
-/// record carrying timestamp `t`. A hop past the end of the file, or a
-/// failed landing check, falls back to reading the prefix, and to a full
-/// replay from the header if the prefix does not reach `t`.
-fn restore_and_replay<E: StreamingEngine + ?Sized>(
-    engine: &mut E,
-    wal: &mut WalFile,
-    (sidecar, frozen): &(PathBuf, PathBuf),
-) -> Result<(Recovery, u64), WalError> {
-    let mut checkpoint = CheckpointUse::None;
-    // Set when the WAL could not be followed to the checkpoint's
-    // timestamp; the reason names the valid length once replay knows it.
-    let mut unreached = None;
-    match load_checkpoint(sidecar, engine.fingerprint()) {
-        Ok(None) => {}
-        Err(e) => checkpoint = CheckpointUse::Ignored { reason: e.to_string() },
-        Ok(Some((t, payload))) => match wal.hop(t)? {
-            None => unreached = Some(t),
-            Some(at) => match restore_sidecar(engine, &payload, frozen) {
-                // A partial restore may have touched state: start over
-                // from a clean reset and replay everything.
-                Err(reason) => {
-                    engine.reset();
-                    checkpoint = CheckpointUse::Ignored { reason };
-                }
-                Ok(()) => {
-                    debug_assert_eq!(engine.next_timestamp(), t);
-                    drop(payload);
-                    let mut tail = Records::new(&mut wal.src, at, wal.len, t);
-                    let replayed = replay(engine, &mut tail)?;
-                    let (truncated, valid_len) = (tail.truncated, tail.valid_len);
-                    // Nothing replayed and a bad record at the landing:
-                    // either record `t` is torn, or a damaged length
-                    // prefix sent the hop astray. Only the prefix tells.
-                    if replayed > 0 || !truncated || reaches(wal, t, engine.topology())? {
-                        let recovery = Recovery {
-                            resumed_from: t,
-                            replayed,
-                            truncated,
-                            checkpoint: CheckpointUse::Restored { at: t },
-                        };
-                        return Ok((recovery, valid_len));
-                    }
-                    engine.reset();
-                    unreached = Some(t);
-                }
-            },
-        },
-    }
-
-    let mut records = wal.records()?;
-    let replayed = replay(engine, &mut records)?;
-    if let Some(t) = unreached {
-        checkpoint = CheckpointUse::Ignored {
-            reason: format!(
-                "checkpoint covers t={t} but the WAL only has {replayed} valid timestamps"
-            ),
-        };
-    }
-    let recovery = Recovery { resumed_from: 0, replayed, truncated: records.truncated, checkpoint };
-    Ok((recovery, records.valid_len))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::checkpoint::{
+        frozen_blocks, frozen_header, load_checkpoint, restore_sidecar, FrozenRef, CKPT_MAGIC,
+    };
+    use super::codec::{crc32, crc32_combine, CRC_TABLES};
     use super::*;
+    use crate::session::StreamingEngine;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Unique temp path per test invocation (no tempfile crate offline).
@@ -2248,7 +1212,8 @@ mod tests {
         let crc = crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
         fs::write(&ckpt, &bytes).unwrap();
-        assert_eq!(load_checkpoint(&ckpt, 9).unwrap(), Some((17, payload)));
+        let saved = load_checkpoint(&ckpt, 9).unwrap().expect("sidecar");
+        assert_eq!((saved.t, saved.payload()), (17, &payload[..]));
         // Fingerprint mismatch.
         assert!(matches!(load_checkpoint(&ckpt, 8), Err(WalError::Mismatch { .. })));
         // Any single-bit flip: descriptive error, never Ok.
@@ -2305,12 +1270,13 @@ mod tests {
         for round in 0..3 {
             assert!(ckpt.save(&engine).unwrap(), "round {round}");
             assert!(!Checkpointer::temp(&sidecar).exists(), "round {round}: temp file left");
-            let (t, payload) = load_checkpoint(&sidecar, fingerprint).unwrap().expect("sidecar");
-            assert_eq!(t, 24, "round {round}");
-            let (_, stored) = FrozenRef::split(&payload).unwrap();
+            let saved = load_checkpoint(&sidecar, fingerprint).unwrap().expect("sidecar");
+            assert_eq!(saved.t, 24, "round {round}");
+            let (_, stored) = FrozenRef::split(saved.payload()).unwrap();
             assert_eq!(stored, &state[..], "round {round}");
             let mut restored = compacted_engine(1);
-            restore_sidecar(&mut restored, &payload, &Checkpointer::frozen_file(&path)).unwrap();
+            let frozen = Checkpointer::frozen_file(&path);
+            restore_sidecar(&mut restored, saved.payload(), &frozen).unwrap();
             assert_eq!(restored.checkpoint_bytes(), engine.checkpoint_bytes(), "round {round}");
         }
         let saved =
@@ -2435,9 +1401,10 @@ mod tests {
             // frozen reference), and a real checkpoint cut at `cut` with
             // `body` as its tail.
             let mut engine = compacted_engine(1);
-            let mut payload = FrozenRef::default().to_bytes().to_vec();
-            payload.extend_from_slice(&body);
-            proptest::prop_assert!(restore_sidecar(&mut engine, &payload, Path::new("")).is_err());
+            let mut payload = Enc::default();
+            FrozenRef::default().encode_into(&mut payload);
+            payload.buf.extend_from_slice(&body);
+            proptest::prop_assert!(restore_sidecar(&mut engine, &payload.buf, Path::new("")).is_err());
             let real = compacted_engine(24).checkpoint_bytes().expect("engine checkpoints");
             let mut spliced = real[..cut % real.len()].to_vec();
             spliced.extend_from_slice(&body);

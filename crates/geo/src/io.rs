@@ -24,9 +24,10 @@
 //! continuous centers.
 //!
 //! The reader compiles the header's grid before the first body line, so
-//! a uniform header's `K` is capped at [`MAX_GRIDDED_K`]: a few bytes of
-//! header cannot ask for more cells than that. A K×K grid is written for
-//! any `K`, but only one within the cap reads back.
+//! a uniform header's `K` is capped at [`MAX_GRIDDED_K`] and a quad
+//! header's leaf count at [`MAX_QUAD_LEAVES`]: a few bytes of header cannot
+//! ask for a grid larger than that. Any grid is written, but only one
+//! within the caps reads back.
 //!
 //! The parser streams straight into the columnar layout
 //! ([`GriddedDataset::from_columns`]): ids, starts, offsets and cells are
@@ -82,6 +83,14 @@ pub fn save_gridded<P: AsRef<Path>>(dataset: &GriddedDataset, path: P) -> io::Re
 /// larger `K` is an error before anything is allocated.
 pub const MAX_GRIDDED_K: u32 = 1024;
 
+/// The most leaves a quad header may name for [`read_gridded`]: 16 384,
+/// a full depth-7 tree (4⁷). Compiling a quad topology compares every
+/// pair of leaves, so the count bounds the load time: at the cap the
+/// compile takes 0.34–0.45 s in release on a 2-vCPU VM, and 4× the leaves
+/// take ≈16× as long. A larger count is an error before any leaf line is
+/// read.
+pub const MAX_QUAD_LEAVES: usize = 16_384;
+
 fn parse_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -127,6 +136,9 @@ pub fn read_gridded<R: BufRead>(reader: R) -> io::Result<GriddedDataset> {
             }
             let depth = depth.ok_or_else(|| parse_err("missing depth"))?;
             let leaves_n = leaves_n.ok_or_else(|| parse_err("missing leaves"))?;
+            if leaves_n > MAX_QUAD_LEAVES {
+                return Err(parse_err(format!("leaves={leaves_n} exceeds {MAX_QUAD_LEAVES}")));
+            }
             let horizon = horizon.ok_or_else(|| parse_err("missing horizon"))?;
             // Grown line by line: the header's count is untrusted.
             let mut leaves = Vec::new();
@@ -325,6 +337,16 @@ mod tests {
         assert_eq!(ds.num_streams(), 1);
     }
 
+    /// A quad header naming more leaves than the cap is an error before a
+    /// leaf line is read; the cap is a full depth-7 tree.
+    #[test]
+    fn rejects_oversized_quad_before_reading_leaves() {
+        assert_eq!(MAX_QUAD_LEAVES, 4usize.pow(7));
+        let past = format!("retrasyn-quad v1 depth=7 leaves={} horizon=2\n", MAX_QUAD_LEAVES + 1);
+        let err = invalid(&past);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+    }
+
     #[test]
     fn rejects_out_of_range_cell() {
         let bad = "retrasyn-gridded v1 k=2 horizon=3\n0 0 7\n";
@@ -356,9 +378,11 @@ mod tests {
             invalid("retrasyn-quad v1 depth=1 leaves=3 horizon=2\n0 0 1\n1 0 1\n0 1 1\n0 0 0\n");
         assert!(err.to_string().contains("quad"));
         // A leaf count no input backs: nothing is reserved from it.
-        let err =
-            invalid("retrasyn-quad v1 depth=1 leaves=18446744073709551615 horizon=2\n0 0 1\n");
+        let err = invalid(&format!(
+            "retrasyn-quad v1 depth=1 leaves={MAX_QUAD_LEAVES} horizon=2\n0 0 1\n"
+        ));
         assert!(err.to_string().contains("missing leaf line"));
+        invalid("retrasyn-quad v1 depth=1 leaves=18446744073709551615 horizon=2\n0 0 1\n");
         // A leaf anchored at the edge of u32 overflows no bounds check.
         invalid("retrasyn-quad v1 depth=1 leaves=2 horizon=2\n4294967295 0 1\n0 0 1\n");
     }
@@ -372,7 +396,8 @@ mod tests {
 
     /// Header values: small valid ones, the edges of every field's type,
     /// and malformed numbers. Valid K stay small (a K×K grid compiles
-    /// K² cells); `65535` is past the reader's cap.
+    /// K² cells); `65535` is past the reader's cap. [`token`] adds one
+    /// more: the first leaf count past [`MAX_QUAD_LEAVES`].
     const TOKENS: [&str; 15] = [
         "0",
         "1",
@@ -392,6 +417,11 @@ mod tests {
     ];
     const FIELDS: [&str; 4] = ["k", "depth", "leaves", "horizon"];
 
+    /// Token `i`: [`TOKENS`], then `MAX_QUAD_LEAVES + 1`.
+    fn token(i: usize) -> String {
+        TOKENS.get(i).map_or((MAX_QUAD_LEAVES + 1).to_string(), |t| t.to_string())
+    }
+
     proptest::proptest! {
         /// Arbitrary header fields plus body lines: the reader returns
         /// `Ok` or `Err`, never panics.
@@ -399,21 +429,21 @@ mod tests {
         fn parser_never_panics_on_arbitrary_input(
             quad in 0u8..2,
             header in proptest::prop::collection::vec(
-                (0usize..FIELDS.len(), 0usize..TOKENS.len()),
+                (0usize..FIELDS.len(), 0usize..=TOKENS.len()),
                 0..6,
             ),
             body in proptest::prop::collection::vec(
-                proptest::prop::collection::vec(0usize..TOKENS.len(), 0..5),
+                proptest::prop::collection::vec(0usize..=TOKENS.len(), 0..5),
                 0..6,
             ),
         ) {
             let mut text =
                 String::from(if quad == 1 { "retrasyn-quad v1" } else { "retrasyn-gridded v1" });
             for (field, value) in header {
-                text += &format!(" {}={}", FIELDS[field], TOKENS[value]);
+                text += &format!(" {}={}", FIELDS[field], token(value));
             }
             for line in body {
-                let tokens: Vec<&str> = line.iter().map(|&t| TOKENS[t]).collect();
+                let tokens: Vec<String> = line.into_iter().map(token).collect();
                 text += &format!("\n{}", tokens.join(" "));
             }
             if let Ok(ds) = read_gridded(io::BufReader::new(text.as_bytes())) {
