@@ -7,12 +7,16 @@
 //! fixes that by draining the finished region out of the arena into
 //! epoch-stamped **frozen** storage:
 //!
-//! 1. every finished stream's chain is walked once, backward, and written
-//!    forward into a flat cell column (`FrozenStore`) stamped with the
-//!    timestamp the compaction ran at;
-//! 2. the arena is rebuilt to hold only the live chains (O(live cells)),
-//!    and the spare arena's chunks are recycled between runs so steady-state
-//!    compaction allocates nothing.
+//! 1. the finished streams are appended to a flat cell column
+//!    (`FrozenStore`) stamped with the timestamp the compaction ran at:
+//!    each stream's range follows from its length, so the column grows
+//!    once and the chains are walked straight into place, interleaved
+//!    ([`TailArena::walk_chains`](crate::store));
+//! 2. the arena is rebuilt to hold only the live chains (O(live cells)):
+//!    each chain's addresses in the spare arena are reserved from the
+//!    lengths before it and its nodes written in place by the same
+//!    interleaved walk, and the spare arena's chunks are recycled between
+//!    runs so steady-state compaction allocates nothing.
 //!
 //! After a compaction, resident arena memory is exactly the live
 //! population's history; frozen cells are flat, contiguous, and never
@@ -36,9 +40,11 @@
 //! mark on resident cells, checked after each step. If the *live*
 //! population alone exceeds the mark, compaction cannot get below it; the
 //! engine records the overflow in [`CompactionStats`] and keeps going
-//! (graceful degradation — log and compact, never abort).
+//! (graceful degradation — log, never abort). Every later step that ends
+//! above the mark compacts again, rebuilding every live chain, so a mark
+//! below the live population costs a full compaction per step.
 
-use crate::store::{SnapshotStream, StreamStore, TailArena, TailNode, NO_LINK};
+use crate::store::{Addr, ChainJob, SnapshotStream, StreamStore, TailArena, TailNode, NO_LINK};
 use crate::wal::codec::{open, seal, Dec, Enc, CRC_LEN};
 use retrasyn_geo::CellId;
 
@@ -134,17 +140,6 @@ impl FrozenStore {
         self.offsets.clear();
         self.cells.clear();
         self.epochs.clear();
-    }
-
-    /// Append one stream's cells (oldest first).
-    fn push_stream(&mut self, id: u64, start: u64, cells: &[CellId]) {
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
-        }
-        self.ids.push(id);
-        self.starts.push(start);
-        self.cells.extend_from_slice(cells);
-        self.offsets.push(self.cells.len());
     }
 
     /// Serialize the epoch marks (checkpoint format). The marks are the
@@ -354,70 +349,79 @@ impl StreamStore {
     /// finished region into the frozen store and rebuild the tail arena
     /// with only the live chains. `spare` is the arena to rebuild into
     /// (swapped with the current one, so chunk allocations are recycled
-    /// across runs); `scratch` is a reusable cell buffer.
+    /// across runs).
     ///
     /// Returns `(streams_frozen, cells_frozen)`. Snapshots and release
     /// output are bit-for-bit unchanged by this call.
-    pub(crate) fn compact(
-        &mut self,
-        epoch: u64,
-        spare: &mut TailArena,
-        scratch: &mut Vec<CellId>,
-    ) -> (usize, usize) {
-        // Phase 1: freeze the finished region.
-        let n = self.finished.len();
-        let cells_before = self.frozen.total_cells();
-        for i in 0..n {
-            let len = self.finished.lens[i] as usize;
-            scratch.clear();
-            scratch.resize(len, CellId(0));
-            self.write_cells(self.finished.heads[i], len, self.finished.links[i], scratch);
-            let (id, start) = (self.finished.ids[i], self.finished.starts[i]);
-            self.frozen.push_stream(id, start, scratch);
+    pub(crate) fn compact(&mut self, epoch: u64, spare: &mut TailArena) -> (usize, usize) {
+        let StreamStore { live, finished, tail, frozen } = self;
+
+        // Phase 1: freeze the finished region. Each stream's range of the
+        // flat cell column is known from its length, so the column grows
+        // once, the heads go to the ends of their ranges and the chains
+        // are walked, interleaved, straight into place.
+        let n = finished.len();
+        let cells_before = frozen.total_cells();
+        if n > 0 && frozen.offsets.is_empty() {
+            frozen.offsets.push(0);
         }
+        frozen.ids.extend_from_slice(&finished.ids);
+        frozen.starts.extend_from_slice(&finished.starts);
+        let mut end = cells_before;
+        frozen.offsets.extend(finished.lens.iter().map(|&len| {
+            end += len as usize;
+            end
+        }));
+        frozen.cells.resize(end, CellId(0));
+        let ends = &frozen.offsets[frozen.offsets.len() - n..];
+        for (&head, &end) in finished.heads.iter().zip(ends) {
+            frozen.cells[end - 1] = head;
+        }
+        let jobs =
+            finished.links.iter().zip(&finished.lens).zip(ends).map(|((&link, &len), &end)| {
+                ChainJob { link, end: end - 1, count: len as usize - 1 }
+            });
+        tail.walk_chains(jobs, |pos, cell, _| frozen.cells[pos] = cell);
         if n > 0 {
-            self.frozen.epochs.push(EpochMark {
+            frozen.epochs.push(EpochMark {
                 epoch,
-                streams_end: self.frozen.num_streams(),
-                cells_end: self.frozen.total_cells(),
+                streams_end: frozen.num_streams(),
+                cells_end: frozen.total_cells(),
             });
         }
-        self.finished.clear();
+        finished.clear();
 
-        // Phase 2: rebuild the arena with only the live chains. Each chain
-        // is walked backward into `scratch` (oldest first), then re-linked
-        // forward into `spare` — addresses change, lengths and cells do
-        // not.
+        // Phase 2: rebuild the arena with only the live chains, in live
+        // order, each oldest first. A chain's addresses in `spare` follow
+        // from the lengths before it, so they are reserved up front and
+        // every node is written in place with its backward link: the same
+        // layout, byte for byte, as pushing each chain oldest first.
         spare.clear();
-        for i in 0..self.live.len() {
-            let len = self.live.lens[i] as usize;
-            if len == 1 {
-                debug_assert_eq!(self.live.links[i], NO_LINK);
-                continue;
-            }
-            scratch.clear();
-            scratch.resize(len - 1, CellId(0));
-            let mut addr = self.live.links[i];
-            for slot in scratch.iter_mut().rev() {
-                let node = self.tail.get(addr);
-                *slot = node.cell;
-                addr = node.prev;
-            }
-            debug_assert_eq!(addr, NO_LINK, "chain length disagrees with len column");
-            let mut link = NO_LINK;
-            for &cell in scratch.iter() {
-                link = spare.push(TailNode { cell, prev: link });
-            }
-            self.live.links[i] = link;
+        spare.push_placeholders(live.lens.iter().map(|&len| len as usize - 1).sum());
+        let mut end = 0;
+        let jobs = live.links.iter().zip(&live.lens).map(|(&link, &len)| {
+            let count = len as usize - 1;
+            end += count;
+            ChainJob { link, end, count }
+        });
+        tail.walk_chains(jobs, |pos, cell, lo| {
+            let prev = if pos == lo { NO_LINK } else { (pos - 1) as Addr };
+            spare.set(pos, TailNode { cell, prev });
+        });
+        let mut end = 0;
+        for (link, &len) in live.links.iter_mut().zip(&live.lens) {
+            end += len as usize - 1;
+            *link = if len == 1 { NO_LINK } else { (end - 1) as Addr };
         }
-        std::mem::swap(&mut self.tail, spare);
-        (n, self.frozen.total_cells() - cells_before)
+        std::mem::swap(tail, spare);
+        (n, frozen.total_cells() - cells_before)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{Columns, LANES};
     use retrasyn_geo::UniformGrid;
 
     /// Build a store with a mix of finished and live streams, extended
@@ -466,8 +470,7 @@ mod tests {
 
         let before = snapshot_sorted(&compacted);
         let mut spare = TailArena::default();
-        let mut scratch = Vec::new();
-        let (streams, cells) = compacted.compact(4, &mut spare, &mut scratch);
+        let (streams, cells) = compacted.compact(4, &mut spare);
         assert_eq!(streams, plain.finished.len());
         assert!(cells >= streams); // every stream has >= 1 cell
         assert_eq!(compacted.finished.len(), 0);
@@ -497,12 +500,11 @@ mod tests {
         let grid = UniformGrid::unit(4);
         let mut store = build_store(&grid);
         let mut spare = TailArena::default();
-        let mut scratch = Vec::new();
-        store.compact(4, &mut spare, &mut scratch);
+        store.compact(4, &mut spare);
         let snap = snapshot_sorted(&store);
         let resident = store.resident_cells();
         // Nothing finished since: freezes nothing, no new epoch mark.
-        let (streams, cells) = store.compact(5, &mut spare, &mut scratch);
+        let (streams, cells) = store.compact(5, &mut spare);
         assert_eq!((streams, cells), (0, 0));
         assert_eq!(store.frozen.epochs.len(), 1);
         assert_eq!(store.resident_cells(), resident);
@@ -514,13 +516,266 @@ mod tests {
         let grid = UniformGrid::unit(4);
         let mut store = build_store(&grid);
         let mut spare = TailArena::default();
-        let mut scratch = Vec::new();
-        store.compact(4, &mut spare, &mut scratch);
+        store.compact(4, &mut spare);
         assert!(store.frozen.num_streams() > 0);
         store.reset();
         assert_eq!(store.frozen.num_streams(), 0);
         assert_eq!(store.resident_cells(), 0);
         assert!(store.snapshot(0).is_empty());
+    }
+
+    /// The chain-at-a-time compaction the lane kernel replaced: each
+    /// finished chain walked into a buffer and appended to the frozen
+    /// region, each live chain walked into a buffer and re-pushed into the
+    /// spare arena. Compaction must match it byte for byte.
+    fn reference_compact(store: &mut StreamStore, epoch: u64, spare: &mut TailArena) {
+        let StreamStore { live, finished, tail, frozen } = store;
+        let chain = |cols: &Columns, i: usize| {
+            let mut cells = vec![cols.heads[i]];
+            let mut addr = cols.links[i];
+            for _ in 1..cols.lens[i] {
+                let node = tail.get(addr);
+                cells.push(node.cell);
+                addr = node.prev;
+            }
+            assert_eq!(addr, NO_LINK, "chain length disagrees with len column");
+            cells.reverse();
+            cells
+        };
+        for i in 0..finished.len() {
+            if frozen.offsets.is_empty() {
+                frozen.offsets.push(0);
+            }
+            frozen.ids.push(finished.ids[i]);
+            frozen.starts.push(finished.starts[i]);
+            frozen.cells.extend(chain(finished, i));
+            frozen.offsets.push(frozen.cells.len());
+        }
+        if finished.len() > 0 {
+            let (streams_end, cells_end) = (frozen.num_streams(), frozen.total_cells());
+            frozen.epochs.push(EpochMark { epoch, streams_end, cells_end });
+        }
+        finished.clear();
+        spare.clear();
+        for i in 0..live.len() {
+            let cells = chain(live, i);
+            let mut link = NO_LINK;
+            for &cell in &cells[..cells.len() - 1] {
+                link = spare.push(TailNode { cell, prev: link });
+            }
+            live.links[i] = link;
+        }
+        std::mem::swap(tail, spare);
+    }
+
+    /// Everything a store holds, as a checkpoint carries it: the arena in
+    /// address order, both row regions and the epoch marks, then every
+    /// frozen epoch's block.
+    fn image(store: &StreamStore) -> Vec<u8> {
+        let mut enc = Enc::default();
+        store.encode_into(&mut enc);
+        for i in 0..store.frozen.epochs.len() {
+            store.frozen.encode_block(i, &mut enc.buf);
+        }
+        enc.buf
+    }
+
+    /// Compact both stores at `t`, `lanes` with the lane kernel and
+    /// `reference` with [`reference_compact`]: they must come out
+    /// identical, and `lanes` must show the snapshot it showed before.
+    fn compact_both(
+        t: u64,
+        (lanes, spare_lanes): (&mut StreamStore, &mut TailArena),
+        (reference, spare_reference): (&mut StreamStore, &mut TailArena),
+    ) -> Result<(), String> {
+        let before = snapshot_sorted(lanes);
+        lanes.compact(t, spare_lanes);
+        reference_compact(reference, t, spare_reference);
+        if image(lanes) != image(reference) {
+            return Err(format!("compaction at t={t} diverged from the reference"));
+        }
+        if snapshot_sorted(lanes) != before {
+            return Err(format!("compaction at t={t} changed the snapshot"));
+        }
+        Ok(())
+    }
+
+    /// Replay a random store history on two stores in lockstep, one
+    /// compacted by the lane kernel and one by the reference, checking
+    /// after every compaction that they agree byte for byte, then release
+    /// both. `shape` picks the history: 0 a random mix, 1 only length-1
+    /// chains, 2 one very long chain among short ones, 3 an empty store,
+    /// 4 a store whose every stream ends frozen.
+    fn lane_history(seed: u64, shape: u8, streams: usize) -> Result<(), String> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let grid = UniformGrid::unit(4);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lanes = StreamStore::default();
+        let mut reference = StreamStore::default();
+        let (mut spare_lanes, mut spare_reference) = (TailArena::default(), TailArena::default());
+        let mut next_id = 0u64;
+        let mut t = 0u64;
+        let steps = match shape {
+            3 => 0,
+            2 => 3 * LANES,
+            _ => 6 * streams + 1,
+        };
+        // A cell inside a 2×2 block, so any sequence is a valid path.
+        let cell = |rng: &mut StdRng| grid.cell_at(rng.random_range(0..2), rng.random_range(0..2));
+        let both = |a: &mut StreamStore, b: &mut StreamStore, f: &dyn Fn(&mut StreamStore)| {
+            f(a);
+            f(b);
+        };
+        for _ in 0..steps {
+            t += 1;
+            let op = rng.random_range(0..100u32);
+            let rows = lanes.live.len();
+            if (next_id as usize) < streams && (op < 30 || rows == 0) {
+                let (id, c) = (next_id, cell(&mut rng));
+                both(&mut lanes, &mut reference, &|s| s.spawn(id, t, c));
+                next_id += 1;
+            } else if op < 70 && shape != 1 && rows > 0 {
+                // One step: every live stream moves (interleaving chains
+                // in the arena, as the synthesizer does), or one does.
+                let moves: Vec<(usize, CellId)> = if op < 55 {
+                    (0..rows).map(|row| (row, cell(&mut rng))).collect()
+                } else {
+                    vec![(rng.random_range(0..rows), cell(&mut rng))]
+                };
+                both(&mut lanes, &mut reference, &|s| {
+                    for &(row, to) in &moves {
+                        let StreamStore { live, tail, .. } = s;
+                        live.extend_row(row, to, tail);
+                    }
+                });
+            } else if op < 90 && shape != 2 && rows > 0 {
+                let row = rng.random_range(0..rows);
+                both(&mut lanes, &mut reference, &|s| {
+                    let StreamStore { live, finished, .. } = s;
+                    live.swap_remove_into(row, finished);
+                });
+            } else {
+                compact_both(
+                    t,
+                    (&mut lanes, &mut spare_lanes),
+                    (&mut reference, &mut spare_reference),
+                )?;
+            }
+        }
+        if shape == 2 {
+            // One chain far longer than the rest: it outlives every lane
+            // refill and is walked alone at the end.
+            if lanes.live.len() == 0 {
+                both(&mut lanes, &mut reference, &|s| s.spawn(next_id, t, grid.cell_at(0, 0)));
+                next_id += 1;
+            }
+            let to = grid.cell_at(1, 1);
+            for _ in 0..5000 {
+                let StreamStore { live, tail, .. } = &mut lanes;
+                live.extend_row(0, to, tail);
+                let StreamStore { live, tail, .. } = &mut reference;
+                live.extend_row(0, to, tail);
+            }
+        }
+        if shape == 4 {
+            for s in [&mut lanes, &mut reference] {
+                while s.live.len() > 0 {
+                    let StreamStore { live, finished, .. } = s;
+                    live.swap_remove_into(0, finished);
+                }
+            }
+        }
+        if shape >= 2 {
+            compact_both(
+                t + 1,
+                (&mut lanes, &mut spare_lanes),
+                (&mut reference, &mut spare_reference),
+            )?;
+        }
+        if shape == 4 && (lanes.tail.len() != 0 || lanes.finished.len() != 0) {
+            return Err("an all-frozen store kept arena nodes or finished rows".into());
+        }
+        lanes.check_dense_ids(next_id)?;
+        let want = snapshot_sorted(&lanes);
+        if snapshot_sorted(&reference) != want {
+            return Err("snapshots diverged from the reference".into());
+        }
+        let horizon = want.iter().map(|(_, start, cells)| start + cells.len() as u64).max();
+        let horizon = horizon.unwrap_or(0);
+        for store in [lanes, reference] {
+            let ds = store.into_dataset(grid.clone(), horizon);
+            let got: Vec<(u64, u64, Vec<CellId>)> =
+                ds.iter().map(|s| (s.id, s.start, s.cells.to_vec())).collect();
+            if got != want {
+                return Err("release differs from the id-sorted snapshot".into());
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The lane kernel against the chain-at-a-time reference over
+        /// random store histories: compaction leaves the same arena, rows,
+        /// marks and frozen columns, and release equals the snapshot's
+        /// streams sorted by id. Up to 5 × `LANES` streams, so lanes refill
+        /// many times; the shapes cover length-1 chains, one very long
+        /// chain, an empty store and an all-frozen one.
+        #[test]
+        fn lane_kernel_matches_the_chain_at_a_time_reference(
+            seed in 0u64..u64::MAX,
+            shape in 0u8..5,
+            streams in 0usize..5 * LANES,
+        ) {
+            if let Err(e) = lane_history(seed, shape, streams) {
+                proptest::prop_assert!(false, "seed {seed} shape {shape} streams {streams}: {e}");
+            }
+        }
+
+        /// Whole sessions in both divisions, compacting at a random mark:
+        /// the release equals the last snapshot's streams sorted by id.
+        #[test]
+        fn lane_kernel_release_matches_the_last_snapshot_in_both_divisions(
+            seed in 0u64..u64::MAX,
+            mark in 0usize..400,
+            budget in 0u8..2,
+        ) {
+            use crate::{EventSource, RetraSyn, RetraSynConfig, StreamingEngine, TimelineSource};
+            use rand::SeedableRng;
+            let gridded = retrasyn_datagen::RandomWalkConfig {
+                users: 40,
+                timestamps: 24,
+                churn: 0.2,
+                ..Default::default()
+            }
+            .generate(&mut rand::rngs::StdRng::seed_from_u64(seed))
+            .discretize(&UniformGrid::unit(4));
+            let config = RetraSynConfig::new(1.0, 4).with_lambda(6.0).with_compaction(mark);
+            let grid = UniformGrid::unit(4);
+            let mut engine = if budget == 1 {
+                RetraSyn::budget_division(config, grid, seed)
+            } else {
+                RetraSyn::population_division(config, grid, seed)
+            };
+            let mut source = TimelineSource::from_gridded(&gridded);
+            while let Some(batch) = source.next_batch() {
+                engine.step(engine.next_timestamp(), batch);
+            }
+            let mut want: Vec<(u64, u64, Vec<CellId>)> = engine
+                .snapshot()
+                .streams()
+                .map(|s| {
+                    let mut cells = Vec::new();
+                    s.cells_into(&mut cells);
+                    (s.id(), s.start(), cells)
+                })
+                .collect();
+            want.sort_by_key(|&(id, ..)| id);
+            let released = engine.release();
+            let got: Vec<(u64, u64, Vec<CellId>)> =
+                released.iter().map(|s| (s.id, s.start, s.cells.to_vec())).collect();
+            proptest::prop_assert!(got == want, "seed {seed} mark {mark} budget {budget}");
+        }
     }
 
     /// A crafted cell count used to size the cell reservation directly
@@ -547,12 +802,11 @@ mod tests {
         let grid = UniformGrid::unit(4);
         let mut store = build_store(&grid);
         let mut spare = TailArena::default();
-        let mut scratch = Vec::new();
-        store.compact(4, &mut spare, &mut scratch);
+        store.compact(4, &mut spare);
         let StreamStore { live, finished, tail, .. } = &mut store;
         live.extend_row(0, grid.cell_at(1, 1), tail);
         live.swap_remove_into(0, finished);
-        store.compact(5, &mut spare, &mut scratch);
+        store.compact(5, &mut spare);
         let frozen = &store.frozen;
         assert_eq!(frozen.epochs.len(), 2);
 

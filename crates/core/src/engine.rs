@@ -30,6 +30,7 @@ use crate::allocation::{AllocationKind, Allocator};
 use crate::compact::{CompactionStats, FrozenEpochs};
 use crate::config::{Division, RetraSynConfig};
 use crate::dmu;
+use crate::ids::UNRESOLVED;
 use crate::model::GlobalMobilityModel;
 use crate::population::{UserRegistry, UserStatus};
 use crate::session::{resolve_events, SessionError, StepOutcome, StreamingEngine};
@@ -142,6 +143,9 @@ pub struct RetraSyn {
     /// Reused per-step event scratch: each event's domain index, written
     /// by the validating resolve pre-pass.
     scratch_resolved: Vec<usize>,
+    /// Reused per-step event scratch: each event's registry slot where a
+    /// batched lookup found it, else [`UNRESOLVED`].
+    scratch_slots: Vec<u32>,
     /// Reused per-step event scratch: (registry slot, domain index)
     /// states; the slot is [`NO_SLOT`] under budget division.
     scratch_states: Vec<(u32, usize)>,
@@ -204,6 +208,7 @@ impl RetraSyn {
             overflow_warned: false,
             scratch_values: Vec::new(),
             scratch_resolved: Vec::new(),
+            scratch_slots: Vec::new(),
             scratch_states: Vec::new(),
             scratch_quitters: Vec::new(),
             scratch_eligible: Vec::new(),
@@ -269,8 +274,9 @@ impl RetraSyn {
     /// it never changes what [`StreamingEngine::snapshot`] or
     /// [`StreamingEngine::release`] observe. If the *live* population alone
     /// exceeds the mark the engine degrades gracefully — it logs once,
-    /// counts the overflow and keeps running uncompacted rather than
-    /// aborting the stream.
+    /// counts the overflow and keeps running rather than aborting the
+    /// stream. It does not stop compacting: every step that ends above
+    /// the mark runs a full compaction again, rebuilding every live chain.
     fn maybe_compact(&mut self, t: u64) {
         let Some(policy) = self.config.compaction else { return };
         let mark = policy.high_water_cells;
@@ -288,7 +294,8 @@ impl RetraSyn {
                 self.overflow_warned = true;
                 eprintln!(
                     "retrasyn: live synthetic population ({resident} cells) exceeds the \
-                     compaction high-water mark ({mark}); continuing uncompacted above the mark"
+                     compaction high-water mark ({mark}); continuing, and compacting again \
+                     on every step that ends above the mark"
                 );
             }
         }
@@ -444,7 +451,7 @@ impl RetraSyn {
             }
             None => dec.rest(),
         };
-        self.synthetic.frozen_mut().decode_blocks(blocks)?;
+        self.synthetic.decode_frozen(blocks)?;
 
         self.next_t = next_t;
         self.steps = steps;
@@ -683,22 +690,29 @@ impl StreamingEngine for RetraSyn {
         // event's user is interned into its registry slot at most once
         // here: population division carries the slot through eligibility,
         // sampling and reporting; budget division needs one only to retire
-        // quitters. The event scratch buffers are engine fields, reused
-        // across steps.
+        // quitters. The whole batch is looked up first, its loads
+        // overlapped; only the ids that lookup left unresolved are interned
+        // one by one, in event order. The event scratch buffers are engine
+        // fields, reused across steps.
         let domain = self.domain_len();
         let population = self.division == Division::Population;
         let mut states = std::mem::take(&mut self.scratch_states);
         states.clear();
         self.scratch_quitters.clear();
+        self.registry.slots_of(events.iter().map(|e| e.user), &mut self.scratch_slots);
         let mut target_active = 0usize;
-        for (e, &idx) in events.iter().zip(&self.scratch_resolved) {
+        for ((e, &idx), &found) in
+            events.iter().zip(&self.scratch_resolved).zip(&self.scratch_slots)
+        {
             let quit = matches!(e.state, TransitionState::Quit(_));
             let collected =
                 self.config.enter_quit || matches!(e.state, TransitionState::Move { .. });
-            let slot = if quit || (population && collected) {
-                self.registry.intern(e.user)
-            } else {
+            let slot = if !(quit || (population && collected)) {
                 NO_SLOT
+            } else if found != UNRESOLVED {
+                found
+            } else {
+                self.registry.intern(e.user)
             };
             if quit {
                 self.scratch_quitters.push(slot);
@@ -1013,6 +1027,49 @@ mod tests {
         // Different seeds diverge somewhere.
         let same = a.num_streams() == c.num_streams() && a.iter().eq(c.iter());
         assert!(!same, "different seeds produced identical output");
+    }
+
+    /// Release ranks streams by id, so a restore must refuse a store
+    /// whose ids are not exactly `0..next_id`. The checkpoints below are
+    /// written by the real encoder (their CRCs are valid); only the ids
+    /// of the store behind them were broken.
+    #[test]
+    fn restore_rejects_a_store_whose_ids_are_not_dense() {
+        let ds = walk_dataset(4);
+        let timeline = EventTimeline::build(&ds.discretize(&UniformGrid::unit(5)));
+        let engine = || {
+            let config = RetraSynConfig::new(1.0, 5).with_lambda(10.0).with_compaction(200);
+            RetraSyn::population_division(config, UniformGrid::unit(5), 9)
+        };
+        let session = || {
+            let mut e = engine();
+            for t in 0..20 {
+                e.step(t, timeline.at(t));
+            }
+            assert!(e.compaction_stats().runs > 0, "the session compacts");
+            assert!(e.synthetic.store_mut().live.len() >= 2);
+            e
+        };
+        let intact = session().checkpoint_bytes().expect("engine checkpoints");
+        engine().restore_checkpoint(&intact).expect("the intact checkpoint restores");
+
+        type Break = fn(&mut crate::store::StreamStore);
+        let breaks: [(&str, Break); 4] = [
+            ("a live id repeated", |s| s.live.ids[0] = s.live.ids[1]),
+            ("a live id past next_id", |s| s.live.ids[0] += 1 << 40),
+            ("a frozen id repeated", |s| s.frozen.ids[0] = s.live.ids[0]),
+            ("a stream missing", |s| {
+                let last = s.live.len() - 1;
+                s.live.swap_remove_into(last, &mut crate::store::Columns::default());
+            }),
+        ];
+        for (what, break_ids) in breaks {
+            let mut broken = session();
+            break_ids(broken.synthetic.store_mut());
+            let bytes = broken.checkpoint_bytes().expect("engine checkpoints");
+            let err = engine().restore_checkpoint(&bytes).expect_err(what);
+            assert!(err.contains("synthetic stream"), "{what}: {err}");
+        }
     }
 
     #[test]

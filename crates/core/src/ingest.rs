@@ -39,17 +39,18 @@
 //! stream passes through bit-identical, and a tainted stream yields
 //! exactly the batches a pre-cleaned copy of it would have.
 //!
-//! Screening state is keyed by a dense per-user slot: each event's id is
-//! looked up once, and the uniqueness and lifecycle checks read a per-slot
-//! batch stamp and entered flag. Only events that pass screening intern a
-//! new id, so faulted input cannot grow the index.
+//! Screening state is keyed by a dense per-user slot: each batch's ids are
+//! looked up together (a second, ordered lookup resolves what that misses),
+//! and the uniqueness and lifecycle checks read a per-slot batch stamp and
+//! entered flag. Only events that pass screening intern a new id, so
+//! faulted input cannot grow the index.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use retrasyn_geo::{Topology, TransitionState, UserEvent};
 
-use crate::ids::IdIndex;
+use crate::ids::{IdIndex, UNRESOLVED};
 use crate::session::{EventFault, EventSource, SessionError};
 
 /// What [`ValidatedSource`] does with a batch containing invalid events.
@@ -149,6 +150,9 @@ pub struct ValidatedSource<S> {
     out: Vec<UserEvent>,
     /// The slot of each event in `out`.
     out_slots: Vec<u32>,
+    /// Per event of the incoming batch: its slot where a batched lookup
+    /// found it, else [`UNRESOLVED`].
+    found: Vec<u32>,
     quarantine: VecDeque<QuarantinedEvent>,
     quarantine_cap: usize,
     stats: IngestStats,
@@ -171,6 +175,7 @@ impl<S: EventSource> ValidatedSource<S> {
             entered: Vec::new(),
             out: Vec::new(),
             out_slots: Vec::new(),
+            found: Vec::new(),
             quarantine: VecDeque::new(),
             quarantine_cap: DEFAULT_QUARANTINE_CAP,
             stats: IngestStats::default(),
@@ -266,8 +271,12 @@ impl<S: EventSource> EventSource for ValidatedSource<S> {
             // Batch numbers start at 1, so a fresh slot's stamp 0 never
             // reads as seen.
             let batch_no = self.stats.batches;
-            for &event in batch {
-                let slot = self.ids.get(event.user);
+            // One batched lookup overlaps the ids' loads; an id it leaves
+            // unresolved (new, displaced, or interned earlier in this
+            // batch) is looked up again in order.
+            self.ids.get_batch(batch.iter().map(|e| e.user), &mut self.found);
+            for (&event, &found) in batch.iter().zip(&self.found) {
+                let slot = if found != UNRESOLVED { Some(found) } else { self.ids.get(event.user) };
                 let (seen, entered) = match slot {
                     Some(s) => (self.stamp[s as usize] == batch_no, self.entered[s as usize]),
                     None => (false, false),
@@ -440,6 +449,39 @@ mod tests {
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].state, TransitionState::Enter(CellId(0)));
         assert_eq!(src.stats().duplicate_reporters, 1);
+    }
+
+    /// The batched id lookup runs before any id of the batch is
+    /// interned, so it reports a new id as unresolved at both of its
+    /// events; the second must still read as seen and be diverted.
+    #[test]
+    fn new_id_twice_in_a_batch_is_a_duplicate_reporter() {
+        let topo = topo();
+        let batches = vec![
+            (1..=40).map(|user| enter(user, 0)).collect(),
+            vec![enter(7, 1), enter(500, 2), enter(41, 3), enter(500, 4), enter(41, 5)],
+        ];
+        let mut src = ValidatedSource::new(
+            IterSource::new(batches.into_iter()),
+            Arc::clone(&topo),
+            IngestPolicy::DropEvents,
+        );
+        assert_eq!(src.next_batch().unwrap().len(), 40);
+        let batch = src.next_batch().unwrap();
+        assert_eq!(batch, &[enter(500, 2), enter(41, 3)]);
+        let stats = *src.stats();
+        assert_eq!((stats.re_enter, stats.duplicate_reporters), (1, 2));
+        let q = src.drain_quarantine();
+        let faults: Vec<(u64, EventFault)> = q.iter().map(|r| (r.event.user, r.fault)).collect();
+        assert_eq!(
+            faults,
+            [
+                (7, EventFault::ReEnter),
+                (500, EventFault::DuplicateReporter),
+                (41, EventFault::DuplicateReporter)
+            ]
+        );
+        assert_eq!(src.ids.len(), 42);
     }
 
     #[test]

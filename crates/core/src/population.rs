@@ -12,10 +12,11 @@
 //! **Slot layout.** Stream ids are opaque `u64`s. The registry interns each
 //! id once into a dense `u32` slot ([`UserRegistry::intern`], first-seen
 //! order) and keeps every per-user field in a flat `Vec` indexed by slot:
-//! the status column, and the report ring below. The engine interns an
-//! event's user once per step and carries the slot through eligibility,
-//! sampling and [`UserRegistry::mark_reported`], so a state transition is
-//! a vector write, not an ordered-map operation. The active population is
+//! the status column, and the report ring below. The engine looks a
+//! step's users up together (`UserRegistry::slots_of`), interns the ones
+//! that lookup leaves unresolved in event order, and carries each slot
+//! through eligibility, sampling and [`UserRegistry::mark_reported`], so a
+//! state transition is a vector write, not an ordered-map operation. The active population is
 //! a counter maintained on every transition, so
 //! [`UserRegistry::active_count`] is O(1).
 //!
@@ -95,6 +96,16 @@ impl UserRegistry {
             self.status.push(None);
         }
         slot
+    }
+
+    /// The slots of a batch of users, [`UNRESOLVED`](crate::ids::UNRESOLVED)
+    /// where one probe did not find it (see [`IdIndex::get_batch`]): the
+    /// caller interns those in order.
+    pub(crate) fn slots_of<I>(&self, users: I, slots: &mut Vec<u32>)
+    where
+        I: Iterator<Item = u64> + Clone,
+    {
+        self.ids.get_batch(users, slots);
     }
 
     /// The slot of `user`, if it was interned.

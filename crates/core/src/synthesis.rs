@@ -97,8 +97,6 @@ pub struct SyntheticDb {
     /// Reused spare arena epoch compaction rebuilds into (swapped with the
     /// store's, so chunk allocations recycle across runs).
     compact_spare: TailArena,
-    /// Reused cell buffer for compaction chain walks.
-    compact_scratch: Vec<CellId>,
 }
 
 impl SyntheticDb {
@@ -130,12 +128,7 @@ impl SyntheticDb {
     /// around the live chains. Returns `(streams_frozen, cells_frozen)`.
     /// Snapshots and released output are bit-for-bit unchanged.
     pub fn compact(&mut self, epoch: u64) -> (usize, usize) {
-        let mut spare = std::mem::take(&mut self.compact_spare);
-        let mut scratch = std::mem::take(&mut self.compact_scratch);
-        let out = self.store.compact(epoch, &mut spare, &mut scratch);
-        self.compact_spare = spare;
-        self.compact_scratch = scratch;
-        out
+        self.store.compact(epoch, &mut self.compact_spare)
     }
 
     /// Reset to a fresh, uninitialized session in place: all stream
@@ -163,7 +156,7 @@ impl SyntheticDb {
 
     /// Restore from [`Self::encode_into`] output, keeping the scratch
     /// buffers. The frozen region then needs its blocks
-    /// ([`FrozenStore::decode_blocks`] through [`Self::frozen_mut`]).
+    /// ([`Self::decode_frozen`]).
     pub(crate) fn decode_from(&mut self, dec: &mut Dec) -> Result<(), String> {
         self.next_id = dec.u64()?;
         self.initialized = dec.u8()? != 0;
@@ -175,9 +168,19 @@ impl SyntheticDb {
         &self.store.frozen
     }
 
-    /// Mutable access to the epoch-compacted region, for a restore.
-    pub(crate) fn frozen_mut(&mut self) -> &mut FrozenStore {
-        &mut self.store.frozen
+    /// Finish a restore: fill the frozen region from its epoch blocks
+    /// ([`FrozenStore::decode_blocks`]), then check that the restored
+    /// stream ids are exactly `0..next_id`, as this database hands them
+    /// out and as release ranks them.
+    pub(crate) fn decode_frozen(&mut self, blocks: &[u8]) -> Result<(), String> {
+        self.store.frozen.decode_blocks(blocks)?;
+        self.store.check_dense_ids(self.next_id)
+    }
+
+    /// The whole stream store, for tests that craft a broken one.
+    #[cfg(test)]
+    pub(crate) fn store_mut(&mut self) -> &mut StreamStore {
+        &mut self.store
     }
 
     /// Per-cell occupancy of the live synthetic population (the real-time
@@ -454,13 +457,14 @@ impl SyntheticDb {
 
     /// Close all live streams and assemble the released synthetic
     /// database: one id-sorted columnar [`GriddedDataset`] built straight
-    /// from the store — no per-stream `Vec` copies (the store's cells move
-    /// into the dataset).
+    /// from the store. Every cell is copied once into the dataset's flat
+    /// column — no per-stream `Vec` — and the store itself (its tail
+    /// arena, row columns and frozen region) is freed here.
     ///
     /// Non-consuming: afterwards the database is reset to a fresh,
-    /// uninitialized session (ids restart at 0) while every scratch buffer
-    /// keeps its capacity, so a long-lived service
-    /// can release one stream and immediately begin the next.
+    /// uninitialized session (ids restart at 0) while the scratch buffers
+    /// and the spare compaction arena keep their capacity, so a long-lived
+    /// service can release one stream and immediately begin the next.
     pub fn release<S: Space>(&mut self, space: S, horizon: u64) -> GriddedDataset {
         let store = std::mem::take(&mut self.store);
         self.initialized = false;
