@@ -8,29 +8,35 @@
 //! rather than map operations.
 //!
 //! The index is an open-addressing table of `slot + 1` entries (0 marks an
-//! empty bucket) over the dense slot → id column. Buckets are addressed by
-//! a fixed 64-bit finalizer, so the layout is a pure function of the ids
-//! interned — no per-process hash seed — and probing is linear, growing
-//! the table whenever it would pass a quarter full (`SPARSITY`). The price
-//! of that determinism: the mixer is public and invertible, so a producer
-//! that knows it can choose ids that share one probe run and make each
-//! lookup linear in their number.
+//! empty bucket) over the dense slot → id column, grown whenever it would
+//! pass a quarter full (`SPARSITY`). The layout is a pure function of the
+//! ids interned, in order — no per-process hash seed.
 //!
-//! A lookup is one mix, one table read and one id compare when the id sits
-//! in its home bucket, but the two reads depend on each other and, on a
-//! large population, both miss the cache. [`IdIndex::get_batch`] therefore
-//! looks a whole batch up in two passes — every home bucket, then every
-//! candidate id — so the misses of different ids overlap, and leaves what
-//! the home bucket does not settle to the ordered [`IdIndex::get`] /
-//! [`IdIndex::intern`]. On `tdrive_live` (241,263 ids, 3.46M lookups per
-//! session, 7.0% of them first sightings) the batch left 39.1% of the
-//! lookups unresolved at a half-full table and 23.1% at a quarter-full one
-//! (17.5% in a session after `clear`, which keeps the table); the quarter
-//! load costs 2 MB more buckets there (4 MB in all).
+//! **Addressing keeps id order.** Correctness never relies on it, but ids
+//! are usually dense in practice (a dataset numbers its streams `0..n`)
+//! and a step's events arrive in id order, so the home bucket of `id` in a table of `2^b` buckets is
+//! `(id + mix(id >> b)) mod 2^b`: ids inside one table-sized window keep
+//! their order and spacing, and only the window number is hashed. A step's
+//! lookups then walk the table, and the slot column, front to back instead
+//! of missing the cache once per id. Dense ids fill runs of adjacent
+//! buckets, so a linear probe — or any fixed stride, which can stay inside
+//! the run — would turn a run into one long cluster. Every probe after the
+//! home therefore re-mixes: probe `i` is `mix(id ^ i·φ) mod 2^b`, a fresh
+//! bucket at a quarter-full table's odds, wherever the home lies. The
+//! price of determinism stays as it was: the mixer is public and
+//! invertible, so a producer that knows it can choose ids whose probe
+//! sequences collide and make each lookup linear in their number.
 //!
-//! The table has no order, so [`IdIndex::iter`] sorts the `(id, slot)`
-//! pairs when it is called: checkpoint encoders, its only callers, write
-//! ids in ascending order.
+//! [`IdIndex::get_batch`] looks a whole batch up in two passes — every home
+//! bucket, then every candidate id — so the loads of different ids
+//! overlap, and leaves what the home bucket does not settle to the ordered
+//! [`IdIndex::get`] / [`IdIndex::intern`]. On `tdrive_live` (241,263 ids,
+//! 3.46M lookups per session, 7.0% of them first sightings) the batch
+//! leaves 6.98% of the lookups unresolved, in the first session and in
+//! one after `clear` alike: about the first sightings alone.
+//!
+//! [`IdIndex::iter`] sorts the `(id, slot)` pairs when it is called:
+//! checkpoint encoders, its only callers, write ids in ascending order.
 
 /// Smallest non-empty table.
 const MIN_BUCKETS: usize = 16;
@@ -53,8 +59,8 @@ pub(crate) struct IdIndex {
 }
 
 /// The murmur3 64-bit finalizer: every input bit flips each output bit
-/// with probability ≈ ½, so sequential and strided ids spread evenly over
-/// the low bits that pick a bucket.
+/// with probability ≈ ½, so sequential and strided inputs spread evenly
+/// over the low bits that pick a bucket.
 #[inline]
 fn mix(mut x: u64) -> u64 {
     x ^= x >> 33;
@@ -64,18 +70,40 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
+/// ⌊2⁶⁴/φ⌋, odd: `i·PROBE_KEY` differs for every probe number `i`.
+const PROBE_KEY: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The home bucket of `id` in a table of `mask + 1` (a power of two)
+/// buckets: the id itself, offset by a mix of its window number, so ids in
+/// one table-sized window keep their order and spacing.
+#[inline]
+fn home(id: u64, mask: usize) -> usize {
+    id.wrapping_add(mix(id >> mask.count_ones())) as usize & mask
+}
+
+/// The bucket a lookup of `id` inspects after `i ≥ 1` occupied ones: a
+/// fresh mix per probe, so probes leave a dense run at once.
+#[inline]
+fn reprobe(id: u64, i: u64, mask: usize) -> usize {
+    mix(id ^ i.wrapping_mul(PROBE_KEY)) as usize & mask
+}
+
 impl IdIndex {
     /// The slot of `id`, or the empty bucket where it would go. The table
     /// must be non-empty.
     #[inline]
     fn find(&self, id: u64) -> Result<u32, usize> {
         let mask = self.buckets.len() - 1;
-        let mut bucket = mix(id) as usize & mask;
+        let mut bucket = home(id, mask);
+        let mut probe = 0;
         loop {
             match self.buckets[bucket] {
                 0 => return Err(bucket),
                 entry if self.ids[(entry - 1) as usize] == id => return Ok(entry - 1),
-                _ => bucket = (bucket + 1) & mask,
+                _ => {
+                    probe += 1;
+                    bucket = reprobe(id, probe, mask);
+                }
             }
         }
     }
@@ -108,7 +136,7 @@ impl IdIndex {
             return;
         };
         let mask = self.buckets.len() - 1;
-        slots.extend(ids.clone().map(|id| self.buckets[mix(id) as usize & mask]));
+        slots.extend(ids.clone().map(|id| self.buckets[home(id, mask)]));
         for (slot, id) in slots.iter_mut().zip(ids) {
             let entry = *slot;
             let candidate = entry.wrapping_sub(1);
@@ -158,9 +186,10 @@ impl IdIndex {
         self.buckets.resize(buckets, 0);
         let mask = buckets - 1;
         for (slot, &id) in self.ids.iter().enumerate() {
-            let mut bucket = mix(id) as usize & mask;
+            let (mut bucket, mut probe) = (home(id, mask), 0);
             while self.buckets[bucket] != 0 {
-                bucket = (bucket + 1) & mask;
+                probe += 1;
+                bucket = reprobe(id, probe, mask);
             }
             self.buckets[bucket] = slot as u32 + 1;
         }
@@ -205,13 +234,13 @@ mod tests {
         /// Buckets a lookup of `id` inspects, counting the final one.
         fn probe_len(&self, id: u64) -> usize {
             let mask = self.buckets.len() - 1;
-            let mut bucket = mix(id) as usize & mask;
+            let mut bucket = home(id, mask);
             let mut probes = 1;
             while self.buckets[bucket] != 0 && self.id(self.buckets[bucket] - 1) != id {
-                bucket = (bucket + 1) & mask;
+                bucket = reprobe(id, probes, mask);
                 probes += 1;
             }
-            probes
+            probes as usize
         }
     }
 
@@ -350,25 +379,86 @@ mod tests {
         assert!(repeats > 0 && displaced > 0 && regrown > 0, "{repeats} {displaced} {regrown}");
     }
 
+    /// Every family interns `2^20` ids (the dense-run family `2^20` plus
+    /// `2^18` random ones), then looks up each of them and `10^5` random
+    /// absent ids. Dense runs fill adjacent home buckets, so a probe
+    /// sequence that steps through the table — linearly or by a fixed
+    /// stride — from a home inside a run stays in it: the dense-run family
+    /// and the absent lookups catch that clustering.
     #[test]
     fn probes_stay_short_on_sequential_and_strided_ids() {
         const N: u64 = 1 << 20;
-        type IdOf = fn(u64) -> u64;
-        let families: [(&str, IdOf); 4] = [
-            ("sequential", |i| i),
-            ("stride 2^32", |i| i << 32),
-            ("stride 1000", |i| i * 1000),
-            ("bijection", |i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        let mut rng = StdRng::seed_from_u64(7);
+        let random: Vec<u64> = (0..N / 4).map(|_| rng.random()).collect();
+        let absent: Vec<u64> = (0..100_000).map(|_| rng.random()).collect();
+        let families: [(&str, Vec<u64>); 5] = [
+            ("sequential", (0..N).collect()),
+            ("stride 2^32", (0..N).map(|i| i << 32).collect()),
+            ("stride 1000", (0..N).map(|i| i * 1000).collect()),
+            ("bijection", (0..N).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect()),
+            ("dense run + random", (0..N).chain(random.iter().copied()).collect()),
         ];
-        for (name, id_of) in families {
+        for (name, ids) in families {
             let mut index = IdIndex::default();
-            for i in 0..N {
-                assert_eq!(index.intern(id_of(i)), i as u32);
+            for (slot, &id) in ids.iter().enumerate() {
+                assert_eq!(index.intern(id), slot as u32, "{name}: distinct ids");
             }
             assert!(SPARSITY * index.len() <= index.buckets.len(), "{name}: load above 1/SPARSITY");
-            let longest = (0..N).map(|i| index.probe_len(id_of(i))).max().unwrap();
+            let longest = ids.iter().map(|&id| index.probe_len(id)).max().unwrap();
             assert!(longest <= 64, "{name}: longest probe {longest}");
+            assert!(absent.iter().all(|&id| index.get(id).is_none()), "{name}: absent ids");
+            let longest = absent.iter().map(|&id| index.probe_len(id)).max().unwrap();
+            assert!(longest <= 64, "{name}: longest absent probe {longest}");
         }
+    }
+
+    /// Ids from one table-sized window each have a home bucket of their
+    /// own, so however they were interned, a batched lookup of them
+    /// resolves every one on its first probe.
+    #[test]
+    fn batches_of_interned_dense_ids_resolve_at_home() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut slots = Vec::new();
+        for base in [0, 7 << 40] {
+            let mut ids: Vec<u64> = (base..base + 5000).collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.random_range(0..=i));
+            }
+            let mut index = IdIndex::default();
+            for &id in &ids {
+                index.intern(id);
+            }
+            index.get_batch(base..base + 5000, &mut slots);
+            assert!(!slots.contains(&UNRESOLVED), "base {base}");
+            let want: Vec<u32> = (base..base + 5000).map(|id| index.get(id).unwrap()).collect();
+            assert_eq!(slots, want, "base {base}");
+        }
+    }
+
+    /// Slots depend on the intern order alone: tables of different sizes
+    /// assign the same slots and list the same `(id, slot)` pairs.
+    #[test]
+    fn table_size_does_not_change_slots() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut ids = hostile_ids();
+        ids.extend(0..3000u64);
+        ids.extend((0..3000).map(|_| rng.random::<u64>()));
+        ids.extend(ids.clone().iter().rev());
+        let mut indexes = [0, ids.len(), 16 * ids.len()].map(|additional| {
+            let mut index = IdIndex::default();
+            index.reserve(additional);
+            index
+        });
+        let slots: Vec<Vec<u32>> = indexes
+            .iter_mut()
+            .map(|index| ids.iter().map(|&id| index.intern(id)).collect())
+            .collect();
+        let buckets: Vec<usize> = indexes.iter().map(|index| index.buckets.len()).collect();
+        assert!(buckets[0] < buckets[1] && buckets[1] < buckets[2], "{buckets:?}");
+        assert!(slots.iter().all(|s| *s == slots[0]));
+        let pairs: Vec<Vec<(u64, u32)>> =
+            indexes.iter().map(|index| index.iter().collect()).collect();
+        assert!(pairs.iter().all(|p| *p == pairs[0]));
     }
 
     #[test]

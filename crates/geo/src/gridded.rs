@@ -237,22 +237,26 @@ impl GriddedDataset {
         let mut offsets = Vec::with_capacity(streams + 1);
         offsets.push(0usize);
         let mut cells: Vec<CellId> = Vec::with_capacity(points);
-        let mut next_id = 0u64;
-        let mut seg: Vec<CellId> = Vec::new();
+        // Cells go straight into `cells`; a stream closes at a
+        // non-adjacent jump and at the end of its trajectory.
+        let mut close = |end: usize, start: u64| {
+            ids.push(ids.len() as u64);
+            starts.push(start);
+            offsets.push(end);
+        };
         for traj in dataset.trajectories() {
-            seg.clear();
-            seg.extend(traj.points.iter().map(|p| topology.cell_of(p)));
-            let mut seg_start_idx = 0usize;
-            for i in 1..=seg.len() {
-                let split = i == seg.len() || !topology.are_adjacent(seg[i - 1], seg[i]);
-                if split {
-                    ids.push(next_id);
-                    starts.push(traj.start + seg_start_idx as u64);
-                    cells.extend_from_slice(&seg[seg_start_idx..i]);
-                    offsets.push(cells.len());
-                    next_id += 1;
-                    seg_start_idx = i;
+            let base = cells.len();
+            let mut seg_start = base;
+            for p in &traj.points {
+                let c = topology.cell_of(p);
+                if cells.len() > seg_start && !topology.are_adjacent(cells[cells.len() - 1], c) {
+                    close(cells.len(), traj.start + (seg_start - base) as u64);
+                    seg_start = cells.len();
                 }
+                cells.push(c);
+            }
+            if cells.len() > seg_start {
+                close(cells.len(), traj.start + (seg_start - base) as u64);
             }
         }
         GriddedDataset { topology, ids, starts, offsets, cells, horizon: dataset.horizon() }

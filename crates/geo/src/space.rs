@@ -246,8 +246,15 @@ impl Topology {
     }
 
     /// Whether two cells are adjacent (a cell is adjacent to itself).
+    ///
+    /// Uniform topologies answer from cell coordinates (Chebyshev distance
+    /// ≤ 1, as their adjacency rows are built); others binary-search the
+    /// adjacency row of `a`.
     #[inline]
     pub fn are_adjacent(&self, a: CellId, b: CellId) -> bool {
+        if let Locator::Uniform { k } = self.locator {
+            return a.index().max(b.index()) < self.num_cells() && chebyshev(k, a, b) <= 1;
+        }
         self.neighbors(a).binary_search(&b).is_ok()
     }
 
@@ -281,9 +288,7 @@ impl Topology {
             return 0;
         }
         if let Locator::Uniform { k } = self.locator {
-            let (ax, ay) = (a.0 % k, a.0 / k);
-            let (bx, by) = (b.0 % k, b.0 / k);
-            return ax.abs_diff(bx).max(ay.abs_diff(by)) as u64;
+            return chebyshev(k, a, b) as u64;
         }
         if self.are_adjacent(a, b) {
             return 1;
@@ -315,6 +320,12 @@ impl Topology {
             SpaceDescriptor::Quad { .. } => None,
         }
     }
+}
+
+/// Chebyshev distance between two cells of a row-major K×K grid.
+#[inline]
+fn chebyshev(k: u32, a: CellId, b: CellId) -> u32 {
+    (a.0 % k).abs_diff(b.0 % k).max((a.0 / k).abs_diff(b.0 / k))
 }
 
 /// Exact tiling rect for the span `[lo, hi]` out of `total` integer units

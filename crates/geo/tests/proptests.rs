@@ -257,3 +257,79 @@ fn bbox_grid_interop_nonunit() {
         assert_eq!(g.cell_of(&g.center(c)), c);
     }
 }
+
+/// The discretizer as it was before uniform adjacency was answered from
+/// coordinates: each trajectory's cells staged in a buffer, split at every
+/// pair the CSR row binary search calls non-adjacent.
+fn discretize_by_csr(dataset: &StreamDataset, space: &UniformGrid) -> Vec<GriddedStream> {
+    let topo = space.compile();
+    let mut out = Vec::new();
+    for traj in dataset.trajectories() {
+        let seg: Vec<CellId> = traj.points.iter().map(|p| topo.cell_of(p)).collect();
+        let mut from = 0;
+        for i in 1..=seg.len() {
+            if i == seg.len() || topo.neighbors(seg[i - 1]).binary_search(&seg[i]).is_err() {
+                let (id, start) = (out.len() as u64, traj.start + from as u64);
+                out.push(GriddedStream { id, start, cells: seg[from..i].to_vec() });
+                from = i;
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    /// Uniform adjacency from cell coordinates agrees with the CSR row
+    /// binary search on every cell pair, and discretization splits
+    /// streams exactly where the staged CSR-based discretizer did, for
+    /// points inside the box, on cell edges and corners, and outside it.
+    #[test]
+    fn uniform_adjacency_matches_csr_search(
+        k in 1u32..=12,
+        (x0, y0) in (-100.0f64..100.0, -100.0f64..100.0),
+        (w, h) in (0.01f64..50.0, 0.01f64..50.0),
+        pts in prop::collection::vec(
+            (0u8..4, (0u32..=12, 0u32..=12), (-0.5f64..1.5, -0.5f64..1.5)),
+            2..60,
+        ),
+    ) {
+        let bbox = BoundingBox::new(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
+        let grid = UniformGrid::new(k, bbox);
+        let topo = grid.compile();
+        for a in topo.cells() {
+            for b in topo.cells() {
+                let csr = topo.neighbors(a).binary_search(&b).is_ok();
+                prop_assert_eq!(topo.are_adjacent(a, b), csr, "k={} {:?} {:?}", k, a, b);
+            }
+        }
+        // A cell edge as the compiled rects place it (outer edges exact).
+        let edge = |i: u32, lo: f64, hi: f64| match i % (k + 1) {
+            0 => lo,
+            i if i == k => hi,
+            i => lo + i as f64 / k as f64 * (hi - lo),
+        };
+        let (min, max) = (bbox.min, bbox.max);
+        let points: Vec<Point> = pts
+            .iter()
+            .map(|&(kind, (i, j), (fx, fy))| {
+                let free = (min.x + fx * w, min.y + fy * h);
+                let (ex, ey) = (edge(i, min.x, max.x), edge(j, min.y, max.y));
+                let (x, y) = match kind {
+                    0 => free,
+                    1 => (ex, free.1),
+                    2 => (free.0, ey),
+                    _ => (ex, ey),
+                };
+                Point::new(x, y)
+            })
+            .collect();
+        let half = points.len() / 2;
+        let dataset = StreamDataset::new(vec![
+            Trajectory::new(0, 3, points[..half].to_vec()),
+            Trajectory::new(1, 0, vec![points[0]]),
+            Trajectory::new(2, 5, points[half..].to_vec()),
+        ]);
+        let gridded = GriddedDataset::from_dataset(&dataset, &grid);
+        prop_assert_eq!(gridded.to_streams(), discretize_by_csr(&dataset, &grid));
+    }
+}
