@@ -10,19 +10,13 @@ use std::hint::black_box;
 use std::time::Duration;
 
 /// Informed model with the alias sampler cache built (the engine's steady
-/// state).
+/// state). `SyntheticDb` draws through the cache; the frozen seed
+/// reference reads the model's O(k) scalar methods.
 fn informed_model(table: &TransitionTable) -> GlobalMobilityModel {
-    let mut model = informed_model_uncached(table);
-    model.rebuild_samplers(table);
-    model
-}
-
-/// Informed model *without* the cache: synthesis falls back to the O(k)
-/// scan the seed implementation used — the before/after comparison.
-fn informed_model_uncached(table: &TransitionTable) -> GlobalMobilityModel {
     let mut model = GlobalMobilityModel::new(table.len());
     let est: Vec<f64> = (0..table.len()).map(|i| ((i % 13) as f64 + 1.0) * 1e-3).collect();
     model.replace_all(&est);
+    model.rebuild_samplers(table);
     model
 }
 
@@ -32,6 +26,7 @@ fn bench_step(c: &mut Criterion) {
     let grid = UniformGrid::unit(6);
     let table = TransitionTable::new(&grid);
     let model = informed_model(&table);
+    let cache = model.sampler().expect("cache built");
     for population in [1000usize, 5000, 20_000] {
         group.bench_with_input(
             BenchmarkId::from_parameter(population),
@@ -42,11 +37,11 @@ fn bench_step(c: &mut Criterion) {
                         // Pre-warm a database of the target size.
                         let mut db = SyntheticDb::new();
                         let mut rng = StdRng::seed_from_u64(7);
-                        db.step(0, &model, &table, population, 30.0, &mut rng);
+                        db.step(0, cache, population, 30.0, &mut rng);
                         (db, StdRng::seed_from_u64(8))
                     },
                     |(mut db, mut rng)| {
-                        db.step(1, &model, &table, black_box(population), 30.0, &mut rng);
+                        db.step(1, cache, black_box(population), 30.0, &mut rng);
                         black_box(db.active_count())
                     },
                     criterion::BatchSize::LargeInput,
@@ -209,8 +204,8 @@ mod vec_reference {
 fn bench_step_100k_grid32(c: &mut Criterion) {
     // The scaling target from the tentpole acceptance criteria: one full
     // synthesis step over 100k live streams on a 32x32 grid. Three arms:
-    // the alias-cached hot path, the (already buffer-reusing) scan
-    // fallback, and the frozen seed implementation. Setups pre-warm six
+    // the alias-cached hot path, the PR-2 Vec-of-structs storage, and the
+    // frozen seed implementation. Setups pre-warm six
     // steps so trajectory vectors have spare capacity and the measured
     // step isolates sampling cost from the amortized growth reallocation.
     let mut group = c.benchmark_group("synthesis_step_100k_grid32");
@@ -224,33 +219,30 @@ fn bench_step_100k_grid32(c: &mut Criterion) {
     // (identical across arms). Reported times are per TWO steps.
     const WARM_STEPS: u64 = 5;
     const MEASURED_STEPS: u64 = 2;
-    for (label, cached) in [("alias", true), ("scan_fallback", false)] {
-        let model = if cached { informed_model(&table) } else { informed_model_uncached(&table) };
-        group.bench_with_input(BenchmarkId::from_parameter(label), &cached, |b, _| {
-            b.iter_batched(
-                || {
-                    let mut db = SyntheticDb::new();
-                    let mut rng = StdRng::seed_from_u64(7);
-                    for t in 0..=WARM_STEPS {
-                        db.step(t, &model, &table, population, 30.0, &mut rng);
-                    }
-                    (db, StdRng::seed_from_u64(8))
-                },
-                |(mut db, mut rng)| {
-                    for k in 0..MEASURED_STEPS {
-                        db.step(WARM_STEPS + 1 + k, &model, &table, population, 30.0, &mut rng);
-                    }
-                    black_box(db.active_count())
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
+    let model = informed_model(&table);
+    let cache = model.sampler().expect("cache built");
+    group.bench_function("alias", |b| {
+        b.iter_batched(
+            || {
+                let mut db = SyntheticDb::new();
+                let mut rng = StdRng::seed_from_u64(7);
+                for t in 0..=WARM_STEPS {
+                    db.step(t, cache, population, 30.0, &mut rng);
+                }
+                (db, StdRng::seed_from_u64(8))
+            },
+            |(mut db, mut rng)| {
+                for k in 0..MEASURED_STEPS {
+                    db.step(WARM_STEPS + 1 + k, cache, population, 30.0, &mut rng);
+                }
+                black_box(db.active_count())
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
     {
         // PR-2 Vec-of-structs storage with the same cached sampling: the
         // memory-layout before/after for the columnar store.
-        let model = informed_model(&table);
-        let cache = model.sampler().expect("cache built").clone();
         group.bench_function("vec_reference", |b| {
             b.iter_batched(
                 || {
@@ -258,14 +250,14 @@ fn bench_step_100k_grid32(c: &mut Criterion) {
                     let mut finished = Vec::new();
                     let mut next_id = 0u64;
                     let mut rng = StdRng::seed_from_u64(7);
-                    vec_reference::spawn(&mut alive, &mut next_id, 0, &cache, population, &mut rng);
+                    vec_reference::spawn(&mut alive, &mut next_id, 0, cache, population, &mut rng);
                     for t in 1..=WARM_STEPS {
                         vec_reference::step(
                             &mut alive,
                             &mut finished,
                             &mut next_id,
                             t,
-                            &cache,
+                            cache,
                             population,
                             30.0,
                             &mut rng,
@@ -280,7 +272,7 @@ fn bench_step_100k_grid32(c: &mut Criterion) {
                             &mut finished,
                             &mut next_id,
                             WARM_STEPS + 1 + k,
-                            &cache,
+                            cache,
                             population,
                             30.0,
                             &mut rng,
@@ -293,7 +285,6 @@ fn bench_step_100k_grid32(c: &mut Criterion) {
         });
     }
     {
-        let model = informed_model_uncached(&table);
         group.bench_function("seed_reference", |b| {
             b.iter_batched(
                 || {
@@ -356,16 +347,17 @@ fn bench_size_adjustment(c: &mut Criterion) {
     let grid = UniformGrid::unit(6);
     let table = TransitionTable::new(&grid);
     let model = informed_model(&table);
+    let cache = model.sampler().expect("cache built");
     group.bench_function("shrink_20pct", |b| {
         b.iter_batched(
             || {
                 let mut db = SyntheticDb::new();
                 let mut rng = StdRng::seed_from_u64(9);
-                db.step(0, &model, &table, 5000, 30.0, &mut rng);
+                db.step(0, cache, 5000, 30.0, &mut rng);
                 (db, StdRng::seed_from_u64(10))
             },
             |(mut db, mut rng)| {
-                db.step(1, &model, &table, 4000, 30.0, &mut rng);
+                db.step(1, cache, 4000, 30.0, &mut rng);
                 black_box(db.active_count())
             },
             criterion::BatchSize::LargeInput,

@@ -404,7 +404,11 @@ impl StreamingEngine for LdpIds {
         self.scratch_states = states;
 
         let size = *self.fixed_size.get_or_insert(target_active.max(1));
-        self.synthetic.step_no_eq(t, &self.model, &self.table, size, &mut self.rng);
+        // One O(domain) build after a publish, a no-op on an
+        // approximation step.
+        self.model.rebuild_samplers(&self.table);
+        let cache = self.model.sampler().expect("the sampler cache was just rebuilt");
+        self.synthetic.step_no_eq(t, cache, size, &mut self.rng);
         Ok(StepOutcome {
             t,
             active: self.synthetic.active_count(),

@@ -744,18 +744,12 @@ impl StreamingEngine for RetraSyn {
 
         // Real-time synthesis (§III-D).
         let timer = telemetry_clock();
+        let cache = self.model.sampler().expect("update_model rebuilds the sampler cache");
         if self.config.enter_quit {
-            self.synthetic.step(
-                t,
-                &self.model,
-                &self.table,
-                target_active,
-                self.config.lambda,
-                &mut self.rng,
-            );
+            self.synthetic.step(t, cache, target_active, self.config.lambda, &mut self.rng);
         } else {
             let size = *self.fixed_size.get_or_insert(target_active);
-            self.synthetic.step_no_eq(t, &self.model, &self.table, size, &mut self.rng);
+            self.synthetic.step_no_eq(t, cache, size, &mut self.rng);
         }
         self.timings.synthesis += timer.elapsed().as_secs_f64();
         self.maybe_compact(t);

@@ -127,7 +127,8 @@ impl GlobalMobilityModel {
 
     /// The current sampler snapshot, if it reflects the latest frequencies.
     /// `None` until [`Self::rebuild_samplers`] has run after the last
-    /// mutation — callers then fall back to the O(k) scan paths.
+    /// mutation. Synthesis draws only through this cache, so every engine
+    /// rebuilds it before it steps its synthetic database.
     #[inline]
     pub fn sampler(&self) -> Option<&SamplerCache> {
         if self.dirty_all || !self.dirty.is_empty() {
@@ -206,23 +207,12 @@ impl GlobalMobilityModel {
     /// to [`TransitionTable::move_targets`]. Falls back to uniform over the
     /// neighbors when the denominator is zero (no information yet).
     pub fn move_probs(&self, table: &TransitionTable, from: CellId) -> Vec<f64> {
-        let mut buf = Vec::new();
-        self.move_probs_into(table, from, &mut buf);
-        buf
-    }
-
-    /// Allocation-free variant of [`Self::move_probs`]: writes the
-    /// probabilities into `buf` (cleared first). Used by the synthesis scan
-    /// fallback so repeated calls reuse one buffer.
-    pub fn move_probs_into(&self, table: &TransitionTable, from: CellId, buf: &mut Vec<f64>) {
         let block = table.move_block(from);
         let denom = self.move_denominator(table, from);
-        buf.clear();
         if denom <= 0.0 {
-            buf.extend(std::iter::repeat_n(1.0 / block.len() as f64, block.len()));
-            return;
+            return vec![1.0 / block.len() as f64; block.len()];
         }
-        buf.extend(self.freqs[block].iter().map(|&f| f.max(0.0) / denom));
+        self.freqs[block].iter().map(|&f| f.max(0.0) / denom).collect()
     }
 
     /// Base (length-independent) termination probability at `from`:

@@ -16,10 +16,11 @@
 //!   (§III-C selects a few percent of the domain per step, so rebuilds are
 //!   proportionally cheap);
 //! - [`sample_weighted`]: the reference O(n) scan sampler, kept for the
-//!   cold paths, the cache-miss fallback, and distributional tests.
+//!   distributional tests and the benchmarks' frozen references.
 //!
 //! The model owns the cache outright and rebuilds its rows in place; a
-//! synthesis step borrows it.
+//! synthesis step borrows it. The cache is synthesis's only draw path, so
+//! every engine rebuilds it before each synthesis step.
 
 use rand::Rng;
 use retrasyn_geo::{CellId, TransitionTable};

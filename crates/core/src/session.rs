@@ -246,33 +246,21 @@ pub(crate) fn resolve_events(
     events: &[UserEvent],
     resolved: &mut Vec<usize>,
 ) -> Result<(), SessionError> {
-    let cells = table.num_cells();
     resolved.clear();
     resolved.reserve(events.len());
     for e in events {
-        let index = match e.state {
-            TransitionState::Move { from, to } => {
-                if from.index() >= cells || to.index() >= cells {
-                    Err(EventFault::OutOfDomain)
-                } else {
-                    // Each block's targets ascend, so a hit's position in
-                    // the block is the move's offset from the block start.
-                    let block = table.move_block(from);
-                    table
-                        .move_targets(from)
-                        .binary_search(&to)
-                        .map(|pos| block.start + pos)
-                        .map_err(|_| EventFault::NonAdjacentMove)
+        let Some(index) = table.index_of(e.state) else {
+            // Only a rejected event tells the two faults apart.
+            let cells = table.num_cells();
+            let fault = match e.state {
+                TransitionState::Move { from, to } if from.index() < cells && to.index() < cells => {
+                    EventFault::NonAdjacentMove
                 }
-            }
-            TransitionState::Enter(c) if c.index() < cells => Ok(table.enter_index(c)),
-            TransitionState::Quit(c) if c.index() < cells => Ok(table.quit_index(c)),
-            TransitionState::Enter(_) | TransitionState::Quit(_) => Err(EventFault::OutOfDomain),
+                _ => EventFault::OutOfDomain,
+            };
+            return Err(SessionError::InvalidEvent { t, user: e.user, fault });
         };
-        match index {
-            Ok(index) => resolved.push(index),
-            Err(fault) => return Err(SessionError::InvalidEvent { t, user: e.user, fault }),
-        }
+        resolved.push(index);
     }
     Ok(())
 }

@@ -49,22 +49,16 @@ use crate::compact::FrozenStore;
 use crate::wal::{Dec, Enc};
 use retrasyn_geo::{CellId, GriddedDataset, Space};
 
-/// Arena address type. The default `u32` keeps `TailNode` at 8 bytes and
-/// caps the arena just below 2³² nodes; the `large-arena` feature widens
-/// addresses (and every link column) to `u64` for sessions whose total
-/// history exceeds that ceiling.
-#[cfg(not(feature = "large-arena"))]
+/// Arena address type: `u32` keeps `TailNode` at 8 bytes and caps the
+/// arena just below 2³² nodes. Epoch compaction bounds the resident
+/// arena, so only a session that never compacts can reach the cap.
 pub(crate) type Addr = u32;
-/// Arena address type (`large-arena`: 64-bit, no practical ceiling).
-#[cfg(feature = "large-arena")]
-pub(crate) type Addr = u64;
 
 /// Sentinel link for a stream with no tail (length 1).
 pub(crate) const NO_LINK: Addr = Addr::MAX;
 
-/// Portable (width-independent) serialized form of an arena link: always a
-/// `u64`, with `NO_LINK` mapped to `u64::MAX` so checkpoints written with
-/// one address width load under the other (as long as they fit).
+/// Serialized form of an arena link: always a `u64`, with `NO_LINK`
+/// mapped to `u64::MAX`.
 pub(crate) fn link_to_u64(link: Addr) -> u64 {
     if link == NO_LINK {
         u64::MAX
@@ -74,14 +68,14 @@ pub(crate) fn link_to_u64(link: Addr) -> u64 {
 }
 
 /// Inverse of [`link_to_u64`]; fails (instead of wrapping) when a link
-/// needs more address bits than this build has.
+/// lies beyond the `u32` arena.
 pub(crate) fn link_from_u64(v: u64) -> Result<Addr, String> {
     if v == u64::MAX {
         Ok(NO_LINK)
     } else if v >= NO_LINK as u64 {
         Err(format!(
-            "arena link {v} exceeds this build's address width; \
-             enable the `large-arena` feature"
+            "arena link {v} exceeds the 32-bit arena address space, \
+             which epoch compaction keeps the resident arena below"
         ))
     } else {
         Ok(v as Addr)
@@ -188,7 +182,8 @@ impl TailArena {
         assert!(
             (self.len + CHUNK_LEN) as u128 <= NO_LINK as u128,
             "tail arena address space exhausted ({} nodes); \
-             enable the `large-arena` feature for 64-bit addresses",
+             enable epoch compaction (`RetraSynConfig::with_compaction`) \
+             to bound the resident arena",
             self.len
         );
         let idx = self.len >> CHUNK_BITS;

@@ -16,24 +16,24 @@
 //! node per survivor — no per-stream heap pointer chase, O(1) retirement,
 //! and a release path that never materializes a per-stream `Vec`.
 //!
-//! **Hot-path cost.** When the model's [`SamplerCache`] is fresh (the
-//! engine rebuilds it after every model update), each per-user decision is
-//! O(1): a cached quit probability and one alias draw, with no heap
-//! allocation. Without a fresh cache the code falls back to the O(k) scan
-//! over a reused scratch buffer, so standalone callers that never call
-//! [`GlobalMobilityModel::rebuild_samplers`] still get correct output.
+//! **Hot-path cost.** Every draw reads the model's alias [`SamplerCache`],
+//! which each engine rebuilds
+//! ([`GlobalMobilityModel::rebuild_samplers`]) after every model update
+//! and before every step, so each per-user decision is O(1): a cached quit
+//! probability and one alias draw, with no heap allocation.
+//!
+//! [`GlobalMobilityModel::rebuild_samplers`]: crate::model::GlobalMobilityModel::rebuild_samplers
 //!
 //! The *NoEQ* mode ([`SyntheticDb::step_no_eq`]) reproduces the baselines
 //! and the Table-IV ablation: a fixed-size database initialized at random
 //! whose streams never terminate.
 
 use crate::compact::FrozenStore;
-use crate::model::GlobalMobilityModel;
-use crate::sampler::{sample_weighted, SamplerCache};
+use crate::sampler::SamplerCache;
 use crate::store::{Columns, SnapshotView, StreamStore, TailArena};
 use crate::wal::{Dec, Enc};
 use rand::Rng;
-use retrasyn_geo::{CellId, GriddedDataset, Space, TransitionTable};
+use retrasyn_geo::{CellId, GriddedDataset, Space};
 use std::cmp::Ordering;
 
 /// Floor for Efraimidis–Spirakis weights so zero-mass cells keep a strict
@@ -88,8 +88,6 @@ pub struct SyntheticDb {
     store: StreamStore,
     next_id: u64,
     initialized: bool,
-    /// Reused O(k) probability buffer for the scan fallback.
-    scan_buf: Vec<f64>,
     /// Reused `(key, position)` buffer for the shrink cut.
     keyed: Vec<(f64, u32)>,
     /// Reused victim-position buffer for the shrink path.
@@ -194,149 +192,54 @@ impl SyntheticDb {
         counts
     }
 
-    /// Advance one timestamp with full enter/quit modelling (§III-D).
-    /// `target` is the real active-stream count at `t` (known to the
-    /// curator from participation metadata, not from reports).
+    /// Advance one timestamp with full enter/quit modelling (§III-D),
+    /// drawing from `cache`, the model's sampler rebuilt after its latest
+    /// update. `target` is the real active-stream count at `t` (known to
+    /// the curator from participation metadata, not from reports).
     pub fn step<R: Rng + ?Sized>(
         &mut self,
         t: u64,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
+        cache: &SamplerCache,
         target: usize,
         lambda: f64,
         rng: &mut R,
     ) {
-        let cache = model.sampler();
         if !self.initialized {
             // Initialization of T_syn (Alg. 1 line 5): spawn `target`
             // streams from the entering distribution.
-            self.spawn(t, model, table, cache, target, rng);
+            self.spawn(t, cache, target, rng);
             self.initialized = true;
             return;
         }
-        if self.store.live.len() <= target {
-            // Fast path (the steady state: the population is not
-            // shrinking, so downward adjustment is impossible no matter
-            // how the quit draws fall): termination and extension fuse
-            // into ONE compacting pass — per stream, one cached quit
-            // probability, one alias draw, zero allocations, contiguous
-            // column traffic.
-            self.quit_and_extend_fused(model, table, cache, lambda, rng);
-        } else {
-            // Phase 1a: natural termination via Eq. 8.
-            self.quit_phase(model, table, cache, lambda, rng);
+        // Phase 1a: natural termination via Eq. 8. In the steady state the
+        // population is not shrinking, so no downward adjustment can follow
+        // however the quit draws fall, and extension (phase 1b) fuses into
+        // the same pass: per stream one cached quit probability, one alias
+        // draw, zero allocations, contiguous column traffic.
+        let fused = self.store.live.len() <= target;
+        let StreamStore { live, finished, tail, .. } = &mut self.store;
+        quit_pass_cols(live, finished, tail, cache, lambda, fused, rng);
+        if !fused {
             // Phase 2a: size adjustment downward *before* extension, so
             // the terminated streams end at their `t−1` location.
-            self.shrink_to_target(model, table, cache, target, rng);
+            self.shrink_to_target(cache, target, rng);
             // Phase 1b: extension — survivors move to a neighbor drawn
             // from the movement distribution conditioned on not quitting.
-            self.extend_all(model, table, cache, rng);
+            self.extend_all(cache, rng);
         }
         // Phase 2b: size adjustment upward via the entering distribution.
         if self.store.live.len() < target {
             let missing = target - self.store.live.len();
-            self.spawn(t, model, table, cache, missing, rng);
-        }
-    }
-
-    /// Fused phases 1a + 1b for steps that cannot shrink: decide
-    /// termination and extend survivors in a single in-place pass. Only
-    /// valid when no downward size adjustment can occur
-    /// (`live.len() <= target` before the quit draws).
-    ///
-    /// Survivors stay in place; a quitter's columns are `swap_remove`d and
-    /// the row swapped into its slot is decided next, so the pass moves
-    /// O(quits) rows instead of compacting all n. The draw order is a
-    /// deterministic function of the quit pattern — identical for a fixed
-    /// seed.
-    fn quit_and_extend_fused<R: Rng + ?Sized>(
-        &mut self,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        cache: Option<&SamplerCache>,
-        lambda: f64,
-        rng: &mut R,
-    ) {
-        let StreamStore { live, finished, tail, .. } = &mut self.store;
-        match cache {
-            Some(cache) => {
-                quit_pass_cols(live, finished, tail, cache, lambda, true, rng);
-            }
-            None => {
-                let mut buf = std::mem::take(&mut self.scan_buf);
-                let mut i = 0;
-                while i < live.len() {
-                    let from = live.heads[i];
-                    let q = model.quit_prob(table, from, live.lens[i] as u64, lambda);
-                    if rng.random::<f64>() >= q {
-                        model.move_probs_into(table, from, &mut buf);
-                        let pos = sample_weighted(&buf, rng);
-                        live.extend_row(i, table.move_targets(from)[pos], tail);
-                        i += 1;
-                    } else {
-                        live.swap_remove_into(i, finished); // xtask:allow(DET003, retirement visits rows in deterministic index order; the row permutation is seed-determined)
-                    }
-                }
-                self.scan_buf = buf;
-            }
+            self.spawn(t, cache, missing, rng);
         }
     }
 
     /// Phase 1b: extend every live stream by one movement draw.
-    fn extend_all<R: Rng + ?Sized>(
-        &mut self,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        cache: Option<&SamplerCache>,
-        rng: &mut R,
-    ) {
+    fn extend_all<R: Rng + ?Sized>(&mut self, cache: &SamplerCache, rng: &mut R) {
         let StreamStore { live, tail, .. } = &mut self.store;
-        match cache {
-            Some(cache) => {
-                for i in 0..live.len() {
-                    let to = cache.sample_move(live.heads[i], rng);
-                    live.extend_row(i, to, tail);
-                }
-            }
-            None => {
-                let mut buf = std::mem::take(&mut self.scan_buf);
-                for i in 0..live.len() {
-                    let from = live.heads[i];
-                    model.move_probs_into(table, from, &mut buf);
-                    let pos = sample_weighted(&buf, rng);
-                    live.extend_row(i, table.move_targets(from)[pos], tail);
-                }
-                self.scan_buf = buf;
-            }
-        }
-    }
-
-    /// Phase 1a: draw per-stream termination decisions and retire quitters.
-    ///
-    /// One in-place pass moving O(quits) rows: survivors stay put, a
-    /// quitter is `swap_remove`d and the swapped-in stream decided next —
-    /// deterministic for a fixed seed, no per-step allocation.
-    fn quit_phase<R: Rng + ?Sized>(
-        &mut self,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        cache: Option<&SamplerCache>,
-        lambda: f64,
-        rng: &mut R,
-    ) {
-        let StreamStore { live, finished, tail, .. } = &mut self.store;
-        if let Some(cache) = cache {
-            return quit_pass_cols(live, finished, tail, cache, lambda, false, rng);
-        }
-        let mut i = 0;
-        while i < live.len() {
-            let from = live.heads[i];
-            let q = model.quit_prob(table, from, live.lens[i] as u64, lambda);
-            if rng.random::<f64>() >= q {
-                i += 1;
-            } else {
-                live.swap_remove_into(i, finished); // xtask:allow(DET003, retirement visits rows in deterministic index order; the row permutation is seed-determined)
-            }
+        for i in 0..live.len() {
+            let to = cache.sample_move(live.heads[i], rng);
+            live.extend_row(i, to, tail);
         }
     }
 
@@ -345,16 +248,13 @@ impl SyntheticDb {
     /// their `t−1` location with probability proportional to the quitting
     /// distribution.
     ///
-    /// With a fresh cache the per-stream weight is an O(1) lookup into the
-    /// cached quitting distribution; only the cold fallback allocates the
-    /// O(cells) vector. Victim selection is a partial
-    /// `select_nth_unstable_by` — only the `excess` largest keys are
-    /// needed, not a full sort.
+    /// The per-stream weight is an O(1) lookup into the cache's quitting
+    /// distribution, so the shrink allocates nothing. Victim selection is
+    /// a partial `select_nth_unstable_by` — only the `excess` largest keys
+    /// are needed, not a full sort.
     fn shrink_to_target<R: Rng + ?Sized>(
         &mut self,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        cache: Option<&SamplerCache>,
+        cache: &SamplerCache,
         target: usize,
         rng: &mut R,
     ) {
@@ -363,22 +263,10 @@ impl SyntheticDb {
         }
         let excess = self.store.live.len() - target;
         self.keyed.clear();
-        match cache {
-            Some(cache) => {
-                for (i, &head) in self.store.live.heads.iter().enumerate() {
-                    let w = cache.quit_weight(head).max(MIN_SHRINK_WEIGHT);
-                    let u: f64 = rng.random::<f64>();
-                    self.keyed.push((u.ln() / w, i as u32));
-                }
-            }
-            None => {
-                let quit_dist = model.quit_distribution(table);
-                for (i, &head) in self.store.live.heads.iter().enumerate() {
-                    let w = quit_dist[head.index()].max(MIN_SHRINK_WEIGHT);
-                    let u: f64 = rng.random::<f64>();
-                    self.keyed.push((u.ln() / w, i as u32));
-                }
-            }
+        for (i, &head) in self.store.live.heads.iter().enumerate() {
+            let w = cache.quit_weight(head).max(MIN_SHRINK_WEIGHT);
+            let u: f64 = rng.random::<f64>();
+            self.keyed.push((u.ln() / w, i as u32));
         }
         if excess < self.keyed.len() {
             self.keyed.select_nth_unstable_by(excess - 1, cmp_keys_desc);
@@ -398,17 +286,17 @@ impl SyntheticDb {
 
     /// Advance one timestamp in NoEQ / baseline mode: fixed size
     /// (`init_size` at the first call), random initialization, no
-    /// termination, no size adjustment.
+    /// termination, no size adjustment. Moves draw from `cache`, the
+    /// model's sampler rebuilt after its latest update.
     pub fn step_no_eq<R: Rng + ?Sized>(
         &mut self,
         t: u64,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
+        cache: &SamplerCache,
         init_size: usize,
         rng: &mut R,
     ) {
         if !self.initialized {
-            let cells = table.num_cells() as u32;
+            let cells = cache.num_cells() as u32;
             for _ in 0..init_size {
                 self.store.spawn(self.next_id, t, CellId(rng.random_range(0..cells)));
                 self.next_id += 1;
@@ -416,34 +304,14 @@ impl SyntheticDb {
             self.initialized = true;
             return;
         }
-        self.extend_all(model, table, model.sampler(), rng);
+        self.extend_all(cache, rng);
     }
 
-    fn spawn<R: Rng + ?Sized>(
-        &mut self,
-        t: u64,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        cache: Option<&SamplerCache>,
-        count: usize,
-        rng: &mut R,
-    ) {
-        match cache {
-            Some(cache) => {
-                for _ in 0..count {
-                    let cell = cache.sample_enter(rng);
-                    self.store.spawn(self.next_id, t, cell);
-                    self.next_id += 1;
-                }
-            }
-            None => {
-                let enter_dist = model.enter_distribution(table);
-                for _ in 0..count {
-                    let cell = CellId(sample_weighted(&enter_dist, rng) as u32);
-                    self.store.spawn(self.next_id, t, cell);
-                    self.next_id += 1;
-                }
-            }
+    fn spawn<R: Rng + ?Sized>(&mut self, t: u64, cache: &SamplerCache, count: usize, rng: &mut R) {
+        for _ in 0..count {
+            let cell = cache.sample_enter(rng);
+            self.store.spawn(self.next_id, t, cell);
+            self.next_id += 1;
         }
     }
 
@@ -476,20 +344,26 @@ impl SyntheticDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::GlobalMobilityModel;
+    use crate::sampler::sample_weighted;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrasyn_geo::{TransitionState, UniformGrid};
+    use retrasyn_geo::{TransitionState, TransitionTable, UniformGrid};
 
-    fn setup() -> (UniformGrid, TransitionTable, GlobalMobilityModel) {
+    /// A 4×4 grid and the sampler cache of the uninformed model (uniform
+    /// fallbacks everywhere).
+    fn setup() -> (UniformGrid, TransitionTable, SamplerCache) {
         let grid = UniformGrid::unit(4);
         let table = TransitionTable::new(&grid);
-        let model = GlobalMobilityModel::new(table.len());
-        (grid, table, model)
+        let mut model = GlobalMobilityModel::new(table.len());
+        model.rebuild_samplers(&table);
+        let cache = model.sampler().expect("just rebuilt").clone();
+        (grid, table, cache)
     }
 
-    /// Model where everyone enters at (0,0), marches right, and quits at
-    /// the east edge.
-    fn eastward_model(grid: &UniformGrid, table: &TransitionTable) -> GlobalMobilityModel {
+    /// Sampler cache of a model where everyone enters at (0,0), marches
+    /// right, and quits at the east edge.
+    fn eastward(grid: &UniformGrid, table: &TransitionTable) -> SamplerCache {
         let mut est = vec![0.0; table.len()];
         est[table.enter_index(grid.cell_at(0, 0))] = 1.0;
         for y in 0..4 {
@@ -506,23 +380,17 @@ mod tests {
         }
         let mut model = GlobalMobilityModel::new(table.len());
         model.replace_all(&est);
-        model
-    }
-
-    /// Same model with the alias sampler cache built.
-    fn eastward_model_cached(grid: &UniformGrid, table: &TransitionTable) -> GlobalMobilityModel {
-        let mut model = eastward_model(grid, table);
         model.rebuild_samplers(table);
-        model
+        model.sampler().expect("just rebuilt").clone()
     }
 
     #[test]
     fn initialization_spawns_target_from_enter_dist() {
         let (grid, table, _) = setup();
-        let model = eastward_model(&grid, &table);
+        let cache = eastward(&grid, &table);
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(1);
-        db.step(0, &model, &table, 50, 10.0, &mut rng);
+        db.step(0, &cache, 50, 10.0, &mut rng);
         assert_eq!(db.active_count(), 50);
         let released = db.release(&grid, 1);
         for s in released.iter() {
@@ -532,63 +400,37 @@ mod tests {
     }
 
     #[test]
-    fn initialization_spawns_from_cached_enter_dist() {
-        let (grid, table, _) = setup();
-        let model = eastward_model_cached(&grid, &table);
-        let mut db = SyntheticDb::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        db.step(0, &model, &table, 50, 10.0, &mut rng);
-        assert_eq!(db.active_count(), 50);
-        let released = db.release(&grid, 1);
-        for s in released.iter() {
-            assert_eq!(s.first_cell(), grid.cell_at(0, 0));
-        }
-    }
-
-    #[test]
     fn size_adjustment_matches_target_exactly() {
         let (grid, table, _) = setup();
-        for cached in [false, true] {
-            let model = if cached {
-                eastward_model_cached(&grid, &table)
-            } else {
-                eastward_model(&grid, &table)
-            };
-            let mut db = SyntheticDb::new();
-            let mut rng = StdRng::seed_from_u64(2);
-            db.step(0, &model, &table, 30, 100.0, &mut rng);
-            for (t, target) in [(1u64, 45usize), (2, 10), (3, 10), (4, 60), (5, 0), (6, 5)] {
-                db.step(t, &model, &table, target, 100.0, &mut rng);
-                assert_eq!(db.active_count(), target, "cached={cached} t={t}");
-            }
+        let cache = eastward(&grid, &table);
+        let mut db = SyntheticDb::new();
+        let mut rng = StdRng::seed_from_u64(2);
+        db.step(0, &cache, 30, 100.0, &mut rng);
+        for (t, target) in [(1u64, 45usize), (2, 10), (3, 10), (4, 60), (5, 0), (6, 5)] {
+            db.step(t, &cache, target, 100.0, &mut rng);
+            assert_eq!(db.active_count(), target, "t={t}");
         }
     }
 
     #[test]
     fn streams_follow_movement_distribution() {
         let (grid, table, _) = setup();
-        for cached in [false, true] {
-            let model = if cached {
-                eastward_model_cached(&grid, &table)
-            } else {
-                eastward_model(&grid, &table)
-            };
-            let mut db = SyntheticDb::new();
-            let mut rng = StdRng::seed_from_u64(3);
-            for t in 0..4 {
-                db.step(t, &model, &table, 40, 1000.0, &mut rng);
-            }
-            let released = db.release(&grid, 4);
-            // Every move in every stream is rightward (the only nonzero
-            // moves): one hop, same row, larger x.
-            let topo = table.topology();
-            for s in released.iter() {
-                for w in s.cells.windows(2) {
-                    let (a, b) = (topo.center(w[0]), topo.center(w[1]));
-                    assert_eq!(topo.hop_distance(w[0], w[1]), 1, "cached={cached}");
-                    assert_eq!(b.y, a.y, "cached={cached}");
-                    assert!(b.x > a.x, "cached={cached}");
-                }
+        let cache = eastward(&grid, &table);
+        let mut db = SyntheticDb::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        for t in 0..4 {
+            db.step(t, &cache, 40, 1000.0, &mut rng);
+        }
+        let released = db.release(&grid, 4);
+        // Every move in every stream is rightward (the only nonzero
+        // moves): one hop, same row, larger x.
+        let topo = table.topology();
+        for s in released.iter() {
+            for w in s.cells.windows(2) {
+                let (a, b) = (topo.center(w[0]), topo.center(w[1]));
+                assert_eq!(topo.hop_distance(w[0], w[1]), 1);
+                assert_eq!(b.y, a.y);
+                assert!(b.x > a.x);
             }
         }
     }
@@ -596,11 +438,11 @@ mod tests {
     #[test]
     fn eq8_no_quitting_when_lambda_huge() {
         let (grid, table, _) = setup();
-        let model = eastward_model(&grid, &table);
+        let cache = eastward(&grid, &table);
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(4);
-        db.step(0, &model, &table, 20, 1e12, &mut rng);
-        db.step(1, &model, &table, 20, 1e12, &mut rng);
+        db.step(0, &cache, 20, 1e12, &mut rng);
+        db.step(1, &cache, 20, 1e12, &mut rng);
         // With lambda -> inf nothing quits naturally, and target is stable,
         // so no stream finished.
         assert_eq!(db.finished_count(), 0);
@@ -609,11 +451,11 @@ mod tests {
     #[test]
     fn eq8_short_lambda_terminates_streams() {
         let (grid, table, _) = setup();
-        let model = eastward_model_cached(&grid, &table);
+        let cache = eastward(&grid, &table);
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(5);
         for t in 0..10 {
-            db.step(t, &model, &table, 50, 1.0, &mut rng);
+            db.step(t, &cache, 50, 1.0, &mut rng);
         }
         // lambda = 1 makes quitting aggressive once streams hit the east
         // edge; finished streams accumulate while size stays on target.
@@ -623,11 +465,11 @@ mod tests {
 
     #[test]
     fn no_eq_mode_never_terminates_and_keeps_size() {
-        let (grid, table, model) = setup();
+        let (grid, _, cache) = setup();
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(6);
         for t in 0..20 {
-            db.step_no_eq(t, &model, &table, 25, &mut rng);
+            db.step_no_eq(t, &cache, 25, &mut rng);
         }
         assert_eq!(db.active_count(), 25);
         assert_eq!(db.finished_count(), 0);
@@ -640,13 +482,11 @@ mod tests {
 
     #[test]
     fn uninformed_model_still_synthesizes_adjacent_moves() {
-        let (grid, table, mut model) = setup();
-        // Build the cache for the all-zero model: uniform fallbacks.
-        model.rebuild_samplers(&table);
+        let (grid, table, cache) = setup();
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(7);
         for t in 0..6 {
-            db.step(t, &model, &table, 15, 10.0, &mut rng);
+            db.step(t, &cache, 15, 10.0, &mut rng);
         }
         let released = db.release(&grid, 6);
         for s in released.iter() {
@@ -659,11 +499,11 @@ mod tests {
     #[test]
     fn finish_produces_sorted_complete_dataset() {
         let (grid, table, _) = setup();
-        let model = eastward_model(&grid, &table);
+        let cache = eastward(&grid, &table);
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(8);
         for t in 0..5 {
-            db.step(t, &model, &table, 10, 2.0, &mut rng);
+            db.step(t, &cache, 10, 2.0, &mut rng);
         }
         let total_streams = db.finished_count() + db.active_count();
         let released = db.release(&grid, 5);
@@ -687,10 +527,11 @@ mod tests {
         let table = TransitionTable::new(&grid);
         let mut model = GlobalMobilityModel::new(table.len());
         model.rebuild_samplers(&table); // uninformed: uniform fallbacks
+        let cache = model.sampler().expect("just rebuilt");
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(77);
-        db.step(0, &model, &table, 4096, 1e12, &mut rng);
-        db.step(1, &model, &table, 1024, 1e12, &mut rng);
+        db.step(0, cache, 4096, 1e12, &mut rng);
+        db.step(1, cache, 1024, 1e12, &mut rng);
         assert_eq!(db.active_count(), 1024);
         let released = db.release(&grid, 2);
         // Streams were spawned with ids 0..4096 in order and never

@@ -115,10 +115,12 @@ proptest! {
         // Mildly informative model.
         let est: Vec<f64> = (0..table.len()).map(|i| ((i % 7) as f64) * 1e-3).collect();
         model.replace_all(&est);
+        model.rebuild_samplers(&table);
+        let cache = model.sampler().expect("just rebuilt");
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for (t, &target) in targets.iter().enumerate() {
-            db.step(t as u64, &model, &table, target, 8.0, &mut rng);
+            db.step(t as u64, cache, target, 8.0, &mut rng);
             prop_assert_eq!(db.active_count(), target, "t={}", t);
         }
         let horizon = targets.len() as u64;
@@ -137,11 +139,13 @@ proptest! {
     fn occupancy_sums_to_active(targets in prop::collection::vec(0usize..40, 1..15)) {
         let grid = UniformGrid::unit(3);
         let table = TransitionTable::new(&grid);
-        let model = GlobalMobilityModel::new(table.len());
+        let mut model = GlobalMobilityModel::new(table.len());
+        model.rebuild_samplers(&table);
+        let cache = model.sampler().expect("just rebuilt");
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(5);
         for (t, &target) in targets.iter().enumerate() {
-            db.step(t as u64, &model, &table, target, 8.0, &mut rng);
+            db.step(t as u64, cache, target, 8.0, &mut rng);
             let occ = db.occupancy(table.num_cells());
             prop_assert_eq!(occ.iter().sum::<u64>() as usize, db.active_count());
         }

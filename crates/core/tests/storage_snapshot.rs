@@ -13,23 +13,21 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use retrasyn_core::{GlobalMobilityModel, SyntheticDb};
+use retrasyn_core::{GlobalMobilityModel, SamplerCache, SyntheticDb};
 use retrasyn_geo::{GriddedDataset, TransitionTable, UniformGrid};
 use std::fmt::Write as _;
 
 const SNAPSHOT_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/snapshots/synthesis_snapshot.txt");
 
-fn informed_setup(cached: bool) -> (UniformGrid, TransitionTable, GlobalMobilityModel) {
+fn informed_setup() -> (UniformGrid, SamplerCache) {
     let grid = UniformGrid::unit(8);
     let table = TransitionTable::new(&grid);
     let mut model = GlobalMobilityModel::new(table.len());
     let est: Vec<f64> = (0..table.len()).map(|i| ((i * 37 % 11) as f64 + 1.0) * 1e-3).collect();
     model.replace_all(&est);
-    if cached {
-        model.rebuild_samplers(&table);
-    }
-    (grid, table, model)
+    model.rebuild_samplers(&table);
+    (grid, model.sampler().expect("just rebuilt").clone())
 }
 
 /// FNV-1a over the canonical `(id, start, cells…)` serialization, in
@@ -64,45 +62,34 @@ fn run_scenario(name: &str) -> GriddedDataset {
     match name {
         // Sequential cached path: fused steady steps, a shrink, a grow.
         "seq_cached" => {
-            let (grid, table, model) = informed_setup(true);
+            let (grid, cache) = informed_setup();
             let targets = [3000usize, 3000, 2600, 2800, 2200, 2500];
             let mut db = SyntheticDb::new();
             let mut rng = StdRng::seed_from_u64(42);
             for (t, &target) in targets.iter().enumerate() {
-                db.step(t as u64, &model, &table, target, 8.0, &mut rng);
-            }
-            db.release(&grid, targets.len() as u64)
-        }
-        // Sequential scan fallback (no sampler cache built).
-        "seq_uncached" => {
-            let (grid, table, model) = informed_setup(false);
-            let targets = [400usize, 380, 420, 300, 350];
-            let mut db = SyntheticDb::new();
-            let mut rng = StdRng::seed_from_u64(43);
-            for (t, &target) in targets.iter().enumerate() {
-                db.step(t as u64, &model, &table, target, 8.0, &mut rng);
+                db.step(t as u64, &cache, target, 8.0, &mut rng);
             }
             db.release(&grid, targets.len() as u64)
         }
         // Shrink-heavy swings (λ → ∞ disables natural quits, so every
         // retirement is a two-phase shrink selection).
         "seq_shrink" => {
-            let (grid, table, model) = informed_setup(true);
+            let (grid, cache) = informed_setup();
             let targets = [4096usize, 1024, 3000, 800];
             let mut db = SyntheticDb::new();
             let mut rng = StdRng::seed_from_u64(45);
             for (t, &target) in targets.iter().enumerate() {
-                db.step(t as u64, &model, &table, target, 1e12, &mut rng);
+                db.step(t as u64, &cache, target, 1e12, &mut rng);
             }
             db.release(&grid, targets.len() as u64)
         }
         // NoEQ ablation mode: fixed size, no termination.
         "noeq" => {
-            let (grid, table, model) = informed_setup(true);
+            let (grid, cache) = informed_setup();
             let mut db = SyntheticDb::new();
             let mut rng = StdRng::seed_from_u64(46);
             for t in 0..10 {
-                db.step_no_eq(t, &model, &table, 500, &mut rng);
+                db.step_no_eq(t, &cache, 500, &mut rng);
             }
             db.release(&grid, 10)
         }
@@ -110,7 +97,7 @@ fn run_scenario(name: &str) -> GriddedDataset {
     }
 }
 
-const SCENARIOS: [&str; 4] = ["seq_cached", "seq_uncached", "seq_shrink", "noeq"];
+const SCENARIOS: [&str; 3] = ["seq_cached", "seq_shrink", "noeq"];
 
 #[test]
 fn storage_matches_pre_refactor_snapshot() {

@@ -138,17 +138,23 @@ impl TransitionTable {
         self.num_moves() + self.num_cells() + c.index()
     }
 
-    /// Dense index of an arbitrary state. Returns `None` for a movement
-    /// between non-adjacent cells (unreachable, not in the domain).
+    /// Dense index of an arbitrary state. Returns `None` for a state that
+    /// is not in the domain: a cell outside the topology, or a movement
+    /// between non-adjacent cells (unreachable).
     pub fn index_of(&self, state: TransitionState) -> Option<usize> {
+        let cells = self.num_cells();
         match state {
+            TransitionState::Move { from, .. } if from.index() >= cells => None,
             TransitionState::Move { from, to } => {
+                // Each block's targets ascend, so a hit's position in the
+                // block is the move's offset from the block start.
                 let block = self.move_block(from);
-                let targets = self.topology.neighbors(from);
-                targets.iter().position(|&c| c == to).map(|pos| block.start + pos)
+                let pos = self.move_targets(from).binary_search(&to).ok()?;
+                Some(block.start + pos)
             }
-            TransitionState::Enter(c) => Some(self.enter_index(c)),
-            TransitionState::Quit(c) => Some(self.quit_index(c)),
+            TransitionState::Enter(c) if c.index() < cells => Some(self.enter_index(c)),
+            TransitionState::Quit(c) if c.index() < cells => Some(self.quit_index(c)),
+            TransitionState::Enter(_) | TransitionState::Quit(_) => None,
         }
     }
 
@@ -260,6 +266,29 @@ mod tests {
         let t = TransitionTable::new(&grid);
         let state = TransitionState::Move { from: grid.cell_at(0, 0), to: grid.cell_at(3, 3) };
         assert_eq!(t.index_of(state), None);
+    }
+
+    #[test]
+    fn move_from_outside_topology_not_in_domain() {
+        let t = TransitionTable::new(&UniformGrid::unit(3));
+        let outside = CellId(t.num_cells() as u32);
+        assert_eq!(t.index_of(TransitionState::Move { from: outside, to: CellId(0) }), None);
+        assert_eq!(t.index_of(TransitionState::Move { from: CellId(0), to: outside }), None);
+    }
+
+    #[test]
+    fn enter_outside_topology_does_not_alias_a_quit_state() {
+        let t = TransitionTable::new(&UniformGrid::unit(3));
+        let outside = CellId(t.num_cells() as u32);
+        assert_eq!(t.index_of(TransitionState::Enter(outside)), None);
+    }
+
+    #[test]
+    fn quit_outside_topology_not_in_domain() {
+        let t = TransitionTable::new(&UniformGrid::unit(3));
+        for c in [t.num_cells() as u32, u32::MAX] {
+            assert_eq!(t.index_of(TransitionState::Quit(CellId(c))), None);
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ mod tests {
         model.rebuild_samplers(&table);
         let mut db = SyntheticDb::new();
         let mut rng = StdRng::seed_from_u64(3);
-        db.step(0, &model, &table, n, 10.0, &mut rng);
+        db.step(0, model.sampler().expect("just rebuilt"), n, 10.0, &mut rng);
         (Arc::clone(table.topology()), db)
     }
 
