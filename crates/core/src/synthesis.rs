@@ -22,11 +22,11 @@
 //! and before every step, so each per-user decision is O(1): a cached quit
 //! probability and one alias draw, with no heap allocation.
 //!
-//! [`GlobalMobilityModel::rebuild_samplers`]: crate::model::GlobalMobilityModel::rebuild_samplers
-//!
 //! The *NoEQ* mode ([`SyntheticDb::step_no_eq`]) reproduces the baselines
 //! and the Table-IV ablation: a fixed-size database initialized at random
 //! whose streams never terminate.
+//!
+//! [`GlobalMobilityModel::rebuild_samplers`]: crate::model::GlobalMobilityModel::rebuild_samplers
 
 use crate::compact::FrozenStore;
 use crate::sampler::SamplerCache;
