@@ -16,9 +16,14 @@ use super::WalError;
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected), hand-rolled — no external crates.
 
+/// The CRC polynomial, reflected: bit 31 holds the coefficient of x⁰.
+const POLY: u32 = 0xEDB8_8320;
+
 /// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table and
 /// `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k` zero bytes, so
-/// eight input bytes fold into the state with eight independent lookups.
+/// [`step8`] folds eight input bytes into the state with eight independent
+/// lookups. Each step still waits on the previous one's loads, so
+/// [`crc32_extend`] runs [`LANES`] chains side by side.
 pub(super) static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 const fn crc_tables() -> [[u32; 256]; 8] {
@@ -28,7 +33,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         tables[0][i] = c;
@@ -47,75 +52,125 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// Independent CRC chains [`crc32_extend`] interleaves. On an x86-64-v3
+/// VM four ran at 4.0–4.8 GB/s against 1.2–1.5 GB/s for one chain; two,
+/// three, five, six and eight all ran slower than four.
+const LANES: usize = 4;
+
+/// Inputs shorter than this run one chain. The lane join costs ≈120 ns,
+/// so on the VM above the lanes break even only near 400 bytes; at 1 KiB
+/// they take half the time of one chain.
+const LANE_MIN: usize = 1024;
+
 /// IEEE CRC32 of `bytes` (the polynomial used by zip/PNG/Ethernet).
 pub(super) fn crc32(bytes: &[u8]) -> u32 {
     crc32_extend(0, bytes)
 }
 
-/// CRC32 of `a ‖ bytes` given `crc = crc32(a)`, so a checksum can cover
-/// data that passes in pieces.
-fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+/// The inverted CRC register `c` after the 8 bytes `w`.
+#[inline(always)]
+fn step8(c: u32, w: &[u8; 8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = !crc;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// CRC32 of `a ‖ bytes` given `crc = crc32(a)`, so a checksum can cover
+/// data that passes in pieces. An input of at least [`LANE_MIN`] bytes is
+/// cut into [`LANES`] equal lanes, each a multiple of 8 bytes, whose
+/// chains run interleaved in one loop; lane 0 continues `crc`, the others
+/// start afresh, and they are joined the way [`crc32_combine`] joins two
+/// checksums. One chain finishes the tail.
+pub(super) fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let (mut crc, mut rest) = (crc, bytes);
+    if bytes.len() >= LANE_MIN {
+        let lane = bytes.len() / LANES / 8 * 8;
+        let (body, tail) = bytes.split_at(lane * LANES);
+        let lanes: [&[[u8; 8]]; LANES] =
+            std::array::from_fn(|i| body[i * lane..][..lane].as_chunks().0);
+        let mut c = [!0; LANES];
+        c[0] = !crc;
+        for k in 0..lane / 8 {
+            for (ci, words) in c.iter_mut().zip(&lanes) {
+                *ci = step8(*ci, &words[k]);
+            }
+        }
+        let shift = x8n_mod_p(lane as u64);
+        crc = c[1..].iter().fold(!c[0], |joined, &ci| mul_mod_p(shift, joined) ^ !ci);
+        rest = tail;
     }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut c = !crc;
+    let (words, tail) = rest.as_chunks::<8>();
+    for w in words {
+        c = step8(c, w);
+    }
+    for &b in tail {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
 
+/// `a·b` modulo the CRC polynomial, both in its reflected representation
+/// (zlib's `multmodp`).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut i = 0;
+    while i < 32 {
+        // Bit 31 - i of `a` is the coefficient of x^i; `b` is b·x^i.
+        product ^= b & 0u32.wrapping_sub((a >> (31 - i)) & 1);
+        b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
+        i += 1;
+    }
+    product
+}
+
+/// `X2N[k]` is x^(2^k) modulo the polynomial. The polynomial is
+/// irreducible, so x^(2^32) is x again and the table wraps at 32.
+static X2N: [u32; 32] = x2n_table();
+
+const fn x2n_table() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1 << 30; // x¹
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    table
+}
+
+/// x^(8n) modulo the polynomial: the factor a CRC gains over `n` zero
+/// bytes (zlib's `x2nmodp(n, 3)`).
+fn x8n_mod_p(mut n: u64) -> u32 {
+    let mut p = 1 << 31; // x⁰
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = mul_mod_p(X2N[k % 32], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
 /// CRC32 of `a ‖ b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and
 /// `len_b = b.len()`, without reading either (zlib's `crc32_combine`).
-/// Running `crc_a` over `len_b` zero bytes is a linear map over GF(2); its
-/// 32×32 matrix for one zero byte is squared once per bit of `len_b`, so a
-/// file's checksum can chain the stored checksums of blocks it never
-/// reads.
+/// Running `crc_a` over `len_b` zero bytes multiplies it by
+/// x^(8·len_b) modulo the polynomial, so a file's checksum can chain the
+/// stored checksums of blocks it never reads, and [`crc32_extend`] joins
+/// its lanes the same way.
 pub(super) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    /// `mat` (column `i` is the image of bit `i`) applied to `vec`.
-    fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
-        let mut sum = 0;
-        let mut i = 0;
-        while vec != 0 {
-            if vec & 1 != 0 {
-                sum ^= mat[i];
-            }
-            vec >>= 1;
-            i += 1;
-        }
-        sum
-    }
-    fn square(mat: &[u32; 32]) -> [u32; 32] {
-        std::array::from_fn(|i| times(mat, mat[i]))
-    }
-    // One zero bit: shift right, folding the polynomial in on a carry.
-    let mut op: [u32; 32] =
-        std::array::from_fn(|i| if i == 0 { 0xEDB8_8320 } else { 1 << (i - 1) });
-    for _ in 0..3 {
-        op = square(&op);
-    }
-    let (mut crc, mut len) = (crc_a, len_b);
-    while len != 0 {
-        if len & 1 != 0 {
-            crc = times(&op, crc);
-        }
-        len >>= 1;
-        if len != 0 {
-            op = square(&op);
-        }
-    }
-    crc ^ crc_b
+    mul_mod_p(x8n_mod_p(len_b), crc_a) ^ crc_b
 }
 
 // ---------------------------------------------------------------------------

@@ -281,25 +281,18 @@ impl From<io::Error> for WalError {
 // ---------------------------------------------------------------------------
 // Event encoding.
 
-fn encode_event(enc: &mut Enc, e: &UserEvent) {
-    enc.u64(e.user);
-    match e.state {
-        TransitionState::Move { from, to } => {
-            enc.u8(0);
-            enc.u32(from.0);
-            enc.u32(to.0);
-        }
-        TransitionState::Enter(c) => {
-            enc.u8(1);
-            enc.u32(c.0);
-            enc.u32(0);
-        }
-        TransitionState::Quit(c) => {
-            enc.u8(2);
-            enc.u32(c.0);
-            enc.u32(0);
-        }
-    }
+/// Write `e` into its `EVENT_LEN` bytes of a record: user, tag, then the
+/// cells (the second 0 unless a move).
+fn encode_event(out: &mut [u8; EVENT_LEN], e: &UserEvent) {
+    let (tag, a, b) = match e.state {
+        TransitionState::Move { from, to } => (0, from.0, to.0),
+        TransitionState::Enter(c) => (1, c.0, 0),
+        TransitionState::Quit(c) => (2, c.0, 0),
+    };
+    out[..8].copy_from_slice(&e.user.to_le_bytes());
+    out[8] = tag;
+    out[9..13].copy_from_slice(&a.to_le_bytes());
+    out[13..].copy_from_slice(&b.to_le_bytes());
 }
 
 fn decode_event(dec: &mut Dec<'_>) -> Result<UserEvent, String> {
@@ -487,16 +480,17 @@ impl WalWriter {
         assert_eq!(t, self.next_t, "WAL batches must cover consecutive timestamps");
         let payload_len = PAYLOAD_PREFIX + EVENT_LEN * events.len();
         assert!(payload_len <= u32::MAX as usize, "batch too large for WAL framing");
-        let mut enc = Enc { buf: std::mem::take(&mut self.buf) };
-        enc.buf.clear();
-        enc.u32(payload_len as u32);
-        enc.u64(t);
-        enc.u32(events.len() as u32);
-        for e in events {
-            encode_event(&mut enc, e);
+        let buf = &mut self.buf;
+        buf.clear();
+        buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
+        buf.extend_from_slice(&t.to_le_bytes());
+        buf.extend_from_slice(&(events.len() as u32).to_le_bytes());
+        let head = buf.len();
+        buf.resize(head + EVENT_LEN * events.len(), 0);
+        for (out, e) in buf[head..].as_chunks_mut().0.iter_mut().zip(events) {
+            encode_event(out, e);
         }
-        seal(&mut enc.buf, 0);
-        self.buf = enc.buf;
+        seal(buf, 0);
         self.file.write_all(&self.buf)?;
         self.offset += self.buf.len() as u64;
         self.next_t += 1;
@@ -919,7 +913,7 @@ mod tests {
     use super::checkpoint::{
         frozen_blocks, frozen_header, load_checkpoint, restore_sidecar, FrozenRef, CKPT_MAGIC,
     };
-    use super::codec::{crc32, crc32_combine, CRC_TABLES};
+    use super::codec::{crc32, crc32_combine, crc32_extend, CRC_TABLES};
     use super::*;
     use crate::session::StreamingEngine;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -965,33 +959,86 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The sliced CRC equals the bytewise definition at every length and
-    /// alignment, so the 8-byte body and the byte tail meet correctly.
+    /// CRC32 of `a ‖ bytes` given `crc = crc32(a)`, one byte at a time:
+    /// the definition the sliced and laned kernel must equal.
+    fn crc32_bytewise(crc: u32, bytes: &[u8]) -> u32 {
+        let mut c = !crc;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// `len` bytes of a hashed counter.
+    fn crc_data(len: usize) -> Vec<u8> {
+        (0..len as u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect()
+    }
+
+    /// A starting CRC other than 0: lanes 1–3 start from the empty CRC, not
+    /// from this, and only a nonzero start tells the two apart.
+    const CRC_START: u32 = 0x1234_5678;
+
+    /// The kernel equals the bytewise definition at every length from 0 to
+    /// 4,160 (the lane threshold is 1,024) and at 64 KiB + 13 and
+    /// 1 MiB + 5, at every alignment, from 0 and from a nonzero starting
+    /// CRC, so the 8-byte steps, the lanes, their join and the tail meet
+    /// correctly. Miri runs a sample around the threshold.
     #[test]
     fn crc32_matches_bytewise_reference() {
-        let bytewise = |bytes: &[u8]| {
-            let mut c = 0xFFFF_FFFFu32;
-            for &b in bytes {
-                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-            }
-            c ^ 0xFFFF_FFFF
+        let lens: Vec<usize> = if cfg!(miri) {
+            (0..=40).chain([1_023, 1_024, 1_025, 1_031, 1_057, 2_049]).collect()
+        } else {
+            (0..=4_160).chain([65_536 + 13, (1 << 20) + 5]).collect()
         };
-        let data: Vec<u8> =
-            (0..300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
-        for start in 0..9 {
-            for end in start..data.len() {
-                assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]), "{start}..{end}");
+        let data = crc_data(lens.iter().max().unwrap() + 8);
+        for start in 0..8 {
+            for &len in &lens {
+                let bytes = &data[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(0, bytes), "{start}+{len}");
+                assert_eq!(
+                    crc32_extend(CRC_START, bytes),
+                    crc32_bytewise(CRC_START, bytes),
+                    "{start}+{len} from {CRC_START:#x}"
+                );
+            }
+        }
+    }
+
+    /// Extending in pieces equals extending over the whole, at splits on
+    /// and off the lane threshold and the 8-byte grid.
+    #[test]
+    fn crc32_extend_chains_across_uneven_splits() {
+        let data = crc_data(if cfg!(miri) { 2_100 } else { 200_003 });
+        let whole = crc32_extend(CRC_START, &data);
+        let splits = [0, 1, 7, 1_023, 1_024, 1_025, 2_099, 65_541, 199_999];
+        for (i, &a) in splits.iter().enumerate().filter(|&(_, &a)| a <= data.len()) {
+            let head = crc32_extend(CRC_START, &data[..a]);
+            assert_eq!(crc32_extend(head, &data[a..]), whole, "{a}");
+            for &b in splits[i..].iter().filter(|&&b| b <= data.len()) {
+                let mid = crc32_extend(head, &data[a..b]);
+                assert_eq!(crc32_extend(mid, &data[b..]), whole, "{a}, {b}");
             }
         }
     }
 
     #[test]
     fn crc32_combine_matches_crc_of_concatenation() {
-        let data: Vec<u8> =
-            (0..600u32).map(|i| (i.wrapping_mul(2_246_822_519) >> 11) as u8).collect();
-        for split in [0, 1, 7, 8, 9, 255, 256, 300, 599, 600] {
-            let (a, b) = data.split_at(split);
-            assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), crc32(&data), "{split}");
+        let lens_b: &[usize] = if cfg!(miri) {
+            &[0, 1, 7, 8, 9, 1_023, 1_024, 1_025]
+        } else {
+            &[0, 1, 7, 8, 9, 255, 256, 300, 1_023, 1_024, 1_025, 65_537, 1 << 20]
+        };
+        let data = crc_data(600 + lens_b.iter().max().unwrap());
+        for len_a in [0, 1, 300, 600] {
+            for &len_b in lens_b {
+                let (a, b) = data[..len_a + len_b].split_at(len_a);
+                let crc = crc32(&data[..len_a + len_b]);
+                assert_eq!(crc32_combine(crc32(a), crc32(b), len_b as u64), crc, "{len_a}+{len_b}");
+                // x^(8n) repeats when n grows by 2^32 - 1, which the x^(2^k)
+                // table's wrap at 32 relies on.
+                let wrapped = len_b as u64 + 3 * u64::from(u32::MAX);
+                assert_eq!(crc32_combine(crc32(a), crc32(b), wrapped), crc, "{len_a}+{len_b}");
+            }
         }
     }
 

@@ -84,16 +84,35 @@ fn retrasyn_beats_uninformed_control() {
 #[test]
 fn baselines_length_error_is_ln2() {
     // The paper's Table III constant: baselines never terminate synthetic
-    // trajectories, so their travel-distance support is disjoint from the
-    // real one.
+    // trajectories, so their travel distances lie beyond the real ones and
+    // the length error reaches its maximum, ln 2. Swept over 16 engine
+    // seeds, every ledger verified. Never terminating holds on every seed.
+    // Disjoint distances do not: distance counts grid hops, and a
+    // stay-heavy LPD or LPA model walks a few trajectories only 7–10 hops
+    // in 60 steps, into the real distances' top bins (LPD seeds 3, 8, 10
+    // and LPA seed 13 read 0.657–0.692). So ln 2 (within 1e-6) is asserted
+    // on at least 12 of 16 seeds per baseline.
+    const SEEDS: u64 = 16;
     let ds = small_network();
     let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     for kind in BaselineKind::ALL {
-        let mut engine = LdpIds::new(kind, LdpIdsConfig::new(1.0, 10), grid.clone(), 5);
-        let syn = engine.run_gridded(&orig);
-        let err = retrasyn::metrics::length::length_error(&orig, &syn, 20);
-        assert!((err - std::f64::consts::LN_2).abs() < 1e-6, "{}: length error {err}", kind.name());
+        let mut at_ln2 = 0;
+        for seed in 0..SEEDS {
+            let mut engine = LdpIds::new(kind, LdpIdsConfig::new(1.0, 10), grid.clone(), seed);
+            let syn = engine.run_gridded(&orig);
+            engine.ledger().verify().unwrap_or_else(|e| panic!("{kind:?} seed {seed}: {e}"));
+            for s in syn.iter() {
+                assert_eq!(
+                    (s.start, s.cells.len() as u64),
+                    (0, orig.horizon()),
+                    "{kind:?} seed {seed}"
+                );
+            }
+            let err = retrasyn::metrics::length::length_error(&orig, &syn, 20);
+            at_ln2 += u32::from((err - std::f64::consts::LN_2).abs() < 1e-6);
+        }
+        assert!(at_ln2 >= 12, "{}: length error ln 2 in {at_ln2}/{SEEDS} seeds", kind.name());
     }
 }
 
@@ -132,23 +151,31 @@ fn retrasyn_dominates_baselines_on_trajectory_metrics() {
 #[test]
 fn noeq_ablation_degrades_trajectory_metrics_only() {
     // Table IV: NoEQ keeps global metrics close but collapses the length
-    // distribution (ln 2).
+    // distribution (ln 2), on every engine seed; full RetraSyn keeps it
+    // under 0.5 on every seed.
+    const SEEDS: u64 = 16;
     let ds = small_taxi();
     let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
+    for seed in 0..SEEDS {
+        let full_config = RetraSynConfig::new(1.5, 10).with_lambda(orig.avg_length());
+        let mut full = RetraSyn::population_division(full_config, grid.clone(), seed);
+        let full_syn = full.run_gridded(&orig);
+        full.ledger().verify().unwrap_or_else(|e| panic!("full seed {seed}: {e}"));
 
-    let full_config = RetraSynConfig::new(1.5, 10).with_lambda(orig.avg_length());
-    let mut full = RetraSyn::population_division(full_config, grid.clone(), 21);
-    let full_syn = full.run_gridded(&orig);
+        let noeq_config = RetraSynConfig::new(1.5, 10).with_lambda(orig.avg_length()).no_eq();
+        let mut noeq = RetraSyn::population_division(noeq_config, grid.clone(), seed);
+        let noeq_syn = noeq.run_gridded(&orig);
+        noeq.ledger().verify().unwrap_or_else(|e| panic!("NoEQ seed {seed}: {e}"));
 
-    let noeq_config = RetraSynConfig::new(1.5, 10).with_lambda(orig.avg_length()).no_eq();
-    let mut noeq = RetraSyn::population_division(noeq_config, grid, 21);
-    let noeq_syn = noeq.run_gridded(&orig);
-
-    let full_len = retrasyn::metrics::length::length_error(&orig, &full_syn, 20);
-    let noeq_len = retrasyn::metrics::length::length_error(&orig, &noeq_syn, 20);
-    assert!((noeq_len - std::f64::consts::LN_2).abs() < 1e-6, "NoEQ length {noeq_len}");
-    assert!(full_len < 0.5, "full RetraSyn length error {full_len}");
+        let full_len = retrasyn::metrics::length::length_error(&orig, &full_syn, 20);
+        let noeq_len = retrasyn::metrics::length::length_error(&orig, &noeq_syn, 20);
+        assert!(
+            (noeq_len - std::f64::consts::LN_2).abs() < 1e-6,
+            "NoEQ seed {seed}: length error {noeq_len}"
+        );
+        assert!(full_len < 0.5, "full RetraSyn seed {seed}: length error {full_len}");
+    }
 }
 
 #[test]
