@@ -89,15 +89,20 @@ fn baselines_length_error_is_ln2() {
     // seeds, every ledger verified. Never terminating holds on every seed.
     // Disjoint distances do not: distance counts grid hops, and a
     // stay-heavy LPD or LPA model walks a few trajectories only 7–10 hops
-    // in 60 steps, into the real distances' top bins (LPD seeds 3, 8, 10
-    // and LPA seed 13 read 0.657–0.692). So ln 2 (within 1e-6) is asserted
-    // on at least 12 of 16 seeds per baseline.
+    // in 60 steps, into the real distances' top bins. Those runs are listed
+    // in `OFF_LN2` (they read 0.657–0.692); every other run must read ln 2
+    // within 1e-6, so a new divergence fails the test.
     const SEEDS: u64 = 16;
+    const OFF_LN2: [(BaselineKind, u64); 4] = [
+        (BaselineKind::Lpd, 3),
+        (BaselineKind::Lpd, 8),
+        (BaselineKind::Lpd, 10),
+        (BaselineKind::Lpa, 13),
+    ];
     let ds = small_network();
     let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
     for kind in BaselineKind::ALL {
-        let mut at_ln2 = 0;
         for seed in 0..SEEDS {
             let mut engine = LdpIds::new(kind, LdpIdsConfig::new(1.0, 10), grid.clone(), seed);
             let syn = engine.run_gridded(&orig);
@@ -109,10 +114,16 @@ fn baselines_length_error_is_ln2() {
                     "{kind:?} seed {seed}"
                 );
             }
+            if OFF_LN2.contains(&(kind, seed)) {
+                continue;
+            }
             let err = retrasyn::metrics::length::length_error(&orig, &syn, 20);
-            at_ln2 += u32::from((err - std::f64::consts::LN_2).abs() < 1e-6);
+            assert!(
+                (err - std::f64::consts::LN_2).abs() < 1e-6,
+                "{} seed {seed}: length error {err}",
+                kind.name()
+            );
         }
-        assert!(at_ln2 >= 12, "{}: length error ln 2 in {at_ln2}/{SEEDS} seeds", kind.name());
     }
 }
 
@@ -152,12 +163,12 @@ fn retrasyn_dominates_baselines_on_trajectory_metrics() {
 fn noeq_ablation_degrades_trajectory_metrics_only() {
     // Table IV: NoEQ keeps global metrics close but collapses the length
     // distribution (ln 2), on every engine seed; full RetraSyn keeps it
-    // under 0.5 on every seed.
-    const SEEDS: u64 = 16;
+    // under 0.5 on every seed. Seeds 0..16 plus 21, the seed this test
+    // first pinned.
     let ds = small_taxi();
     let grid = UniformGrid::unit(5);
     let orig = ds.discretize(&grid);
-    for seed in 0..SEEDS {
+    for seed in (0..16).chain([21]) {
         let full_config = RetraSynConfig::new(1.5, 10).with_lambda(orig.avg_length());
         let mut full = RetraSyn::population_division(full_config, grid.clone(), seed);
         let full_syn = full.run_gridded(&orig);
