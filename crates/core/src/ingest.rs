@@ -8,10 +8,12 @@
 //! — offers no such guarantee. [`ValidatedSource`] sits between any
 //! [`EventSource`] and the engine and screens each batch:
 //!
-//! - **Domain**: every cell index must lie inside the compiled
-//!   [`Topology`] ([`EventFault::OutOfDomain`]).
-//! - **Adjacency**: a `Move` must connect adjacent cells
-//!   ([`EventFault::NonAdjacentMove`]).
+//! - **Domain and adjacency**: the event's state must lie in the
+//!   transition domain of the compiled [`Topology`] — the rule the
+//!   engines' `try_step` and WAL replay apply too
+//!   ([`TransitionTable::index_of`]). A cell outside the topology is
+//!   [`EventFault::OutOfDomain`], a `Move` between non-adjacent cells
+//!   [`EventFault::NonAdjacentMove`].
 //! - **Uniqueness**: one report per user per timestamp
 //!   ([`EventFault::DuplicateReporter`]).
 //! - **Lifecycle**: `Move`/`Quit` only from users that entered and have
@@ -29,9 +31,10 @@
 //! | [`RejectBatch`](IngestPolicy::RejectBatch) | an empty heartbeat | a bad event discredits its whole batch |
 //! | [`Strict`](IngestPolicy::Strict) | end of stream + latched error | malformed input is a bug upstream |
 //!
-//! The screened stream always satisfies the engines' input contract, so
-//! driving an engine through a `ValidatedSource` can never hit an
-//! [`InvalidEvent`](crate::session::SessionError::InvalidEvent) error —
+//! The screen and the engines decide domain and adjacency with the same
+//! function, so the screened stream always satisfies the engines' input
+//! contract: driving an engine through a `ValidatedSource` can never hit
+//! an [`InvalidEvent`](crate::session::SessionError::InvalidEvent) error —
 //! and, transitively, never a validation panic.
 //!
 //! Determinism: screening is pure bookkeeping — it consumes no RNG and
@@ -48,10 +51,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use retrasyn_geo::{Topology, TransitionState, UserEvent};
+use retrasyn_geo::{Topology, TransitionState, TransitionTable, UserEvent};
 
 use crate::ids::{IdIndex, UNRESOLVED};
-use crate::session::{EventFault, EventSource, SessionError};
+use crate::session::{domain_index, EventFault, EventSource, SessionError};
 
 /// What [`ValidatedSource`] does with a batch containing invalid events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,7 +139,7 @@ const DEFAULT_QUARANTINE_CAP: usize = 1024;
 #[derive(Debug)]
 pub struct ValidatedSource<S> {
     inner: S,
-    topo: Arc<Topology>,
+    table: TransitionTable,
     policy: IngestPolicy,
     /// Slots of the users that passed screening at least once.
     ids: IdIndex,
@@ -168,7 +171,7 @@ impl<S: EventSource> ValidatedSource<S> {
     pub fn new(inner: S, topo: Arc<Topology>, policy: IngestPolicy) -> Self {
         ValidatedSource {
             inner,
-            topo,
+            table: TransitionTable::new(&topo),
             policy,
             ids: IdIndex::default(),
             stamp: Vec::new(),
@@ -275,14 +278,16 @@ impl<S: EventSource> EventSource for ValidatedSource<S> {
             // unresolved (new, displaced, or interned earlier in this
             // batch) is looked up again in order.
             self.ids.get_batch(batch.iter().map(|e| e.user), &mut self.found);
-            for (&event, &found) in batch.iter().zip(&self.found) {
+            // Events are read in place: the rule's loads of a copy made
+            // here would miss store forwarding, a stall on every event.
+            for (event, &found) in batch.iter().zip(&self.found) {
                 let slot = if found != UNRESOLVED { Some(found) } else { self.ids.get(event.user) };
                 let (seen, entered) = match slot {
                     Some(s) => (self.stamp[s as usize] == batch_no, self.entered[s as usize]),
                     None => (false, false),
                 };
-                match classify(&self.topo, seen, entered, &event) {
-                    Some(fault) => faults.push((event, fault)),
+                match classify(&self.table, seen, entered, event) {
+                    Some(fault) => faults.push((*event, fault)),
                     None => {
                         let s = match slot {
                             Some(s) => s,
@@ -293,7 +298,7 @@ impl<S: EventSource> EventSource for ValidatedSource<S> {
                             }
                         };
                         self.stamp[s as usize] = batch_no;
-                        self.out.push(event);
+                        self.out.push(*event);
                         self.out_slots.push(s);
                     }
                 }
@@ -333,25 +338,17 @@ impl<S: EventSource> EventSource for ValidatedSource<S> {
     }
 }
 
-/// Classify `event` against domain, adjacency, per-batch uniqueness and
-/// lifecycle, in that order, given whether its user was already `seen` in
-/// this batch and is currently `entered`.
-fn classify(topo: &Topology, seen: bool, entered: bool, event: &UserEvent) -> Option<EventFault> {
-    let cells = topo.num_cells();
-    match event.state {
-        TransitionState::Move { from, to } => {
-            if from.index() >= cells || to.index() >= cells {
-                return Some(EventFault::OutOfDomain);
-            }
-            if !topo.are_adjacent(from, to) {
-                return Some(EventFault::NonAdjacentMove);
-            }
-        }
-        TransitionState::Enter(c) | TransitionState::Quit(c) => {
-            if c.index() >= cells {
-                return Some(EventFault::OutOfDomain);
-            }
-        }
+/// Classify `event` against the domain rule ([`domain_index`]), then
+/// per-batch uniqueness and lifecycle, in that order, given whether its
+/// user was already `seen` in this batch and is currently `entered`.
+fn classify(
+    table: &TransitionTable,
+    seen: bool,
+    entered: bool,
+    event: &UserEvent,
+) -> Option<EventFault> {
+    if let Err(fault) = domain_index(table, event.state) {
+        return Some(fault);
     }
     if seen {
         return Some(EventFault::DuplicateReporter);

@@ -88,7 +88,7 @@
 //! |---|---|---|---|---|---|
 //! | F1 | WAL header, the WAL's first 28 bytes | `RSWAL002` | seed u64, fingerprint u64; a short, misspelled or damaged header is a hard error | magic, seed and fingerprint | `wal::tests::bit_flips_detected_everywhere`, `wal::tests::truncation_keeps_valid_prefix`, `tests/on_disk_format.rs` |
 //! | F2 | WAL record, one per timestamp after F1 | — (F1's) | `len` u32, then a `len`-byte payload: `t` u64 (the next timestamp), `count` u32, `count` × F3; `len = 12 + 17·count`. Reading stops at the first torn or failing record and keeps the prefix | the length prefix and the payload | `wal::tests::record_decoder_keeps_intact_prefix_of_arbitrary_framed_payloads`, `wal::tests::bit_flips_detected_everywhere`, `tests/on_disk_format.rs` |
-//! | F3 | Event, 17 bytes inside F2 | — | user u64, tag u8 (0 = Move, 1 = Enter, 2 = Quit), cell `a` u32, cell `b` u32 (0 unless Move); recovery rejects a cell outside the grid or a non-adjacent move before stepping | (by F2) | `wal::tests::roundtrip_write_read`, `tests/tail_recovery.rs` (`crc_valid_but_semantically_invalid_batch_is_an_error`) |
+//! | F3 | Event, 17 bytes inside F2 | — | user u64, tag u8 (0 = Move, 1 = Enter, 2 = Quit), cell `a` u32, cell `b` u32 (0 unless Move); recovery rejects an event outside the transition domain (`TransitionTable::index_of`: a cell outside the grid or a non-adjacent move) before stepping, naming its `EventFault` | (by F2) | `wal::tests::roundtrip_write_read`, `tests/tail_recovery.rs` (`crc_valid_but_semantically_invalid_batch_is_an_error`) |
 //! | F4 | Sidecar `<wal>.ckpt` | `RSCKPT02` | fingerprint u64, `t` u64, `len` u64 (the file is `len + 36` bytes), then the payload: blocks u64, frozen_len u64, frozen_crc u32, engine state ([`StreamingEngine::checkpoint_by_ref`]). A sidecar of another magic, session or length is ignored (full replay) | every byte before the trailer | `wal::tests::checkpoint_sidecar_roundtrip_and_corruption`, `wal::tests::decoders_reject_arbitrary_payloads_in_valid_framing`, `tests/frozen_epochs.rs` (`format_01_sidecar_is_ignored`), `tests/on_disk_format.rs` |
 //! | F5 | `<wal>.ckpt.tmp` | `RSCKPT02` | F4's bytes, written and synced, then renamed over F4; never read; deleted by [`WalWriter::create`] | as F4 | `wal::tests::public_save_returns_after_the_rename`, `tests/fault_injection.rs` (`crash_mid_checkpoint_leaves_recovery_intact`) |
 //! | F6 | Frozen header, the first 16 bytes of `<wal>.frozen` | `RSFRZ001` | fingerprint u64; a file naming another session holds no block | none of its own: F4's frozen_crc is the CRC32 of the first frozen_len bytes with every F7 trailer left out | `tests/frozen_epochs.rs` (`well_formed_substitute_block_is_rejected`), the CI kill drill's flipped byte, `tests/on_disk_format.rs` |

@@ -60,9 +60,12 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SendError, SyncSender, TrySend
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Why a single [`UserEvent`] was rejected — the shared vocabulary of the
-/// engines' hard validation ([`StreamingEngine::try_step`]) and the
-/// [`ValidatedSource`](crate::ingest::ValidatedSource) screening layer.
+/// Why a single [`UserEvent`] was rejected — the one vocabulary of the
+/// engines' hard validation ([`StreamingEngine::try_step`]), the
+/// [`ValidatedSource`](crate::ingest::ValidatedSource) screening layer and
+/// WAL replay. The first two faults are the domain rule every path shares
+/// ([`TransitionTable::index_of`]); the last three are the screen's
+/// uniqueness and lifecycle checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventFault {
     /// A cell index outside the engine's compiled discretization.
@@ -225,11 +228,37 @@ impl From<WalError> for SessionError {
     }
 }
 
+/// The one event rule: `state`'s dense index in `table`'s domain
+/// ([`TransitionTable::index_of`]), or the fault that keeps it out — a
+/// cell outside the compiled topology ([`EventFault::OutOfDomain`]) or a
+/// `Move` between non-adjacent cells ([`EventFault::NonAdjacentMove`]).
+///
+/// Every check of an event's state goes through here: the engines'
+/// [`resolve_events`], the [`ValidatedSource`](crate::ingest::ValidatedSource)
+/// screen and WAL replay.
+// Inlined so that the screen, which drops the index, does not compute it.
+#[inline]
+pub(crate) fn domain_index(
+    table: &TransitionTable,
+    state: TransitionState,
+) -> Result<usize, EventFault> {
+    table.index_of(state).ok_or_else(|| {
+        // Only a rejected state tells the two faults apart.
+        let cells = table.num_cells();
+        match state {
+            TransitionState::Move { from, to } if from.index().max(to.index()) < cells => {
+                EventFault::NonAdjacentMove
+            }
+            _ => EventFault::OutOfDomain,
+        }
+    })
+}
+
 /// Hard per-event validation shared by every engine's
-/// [`try_step`](StreamingEngine::try_step), fused with resolving each
-/// event's state to its dense index in `table`: cell indices must lie
-/// inside the compiled topology and `Move`s must connect adjacent cells.
-/// On `Ok`, `resolved[i]` is the domain index of `events[i]`.
+/// [`try_step`](StreamingEngine::try_step): [`domain_index`] over the
+/// batch, into `resolved`. On `Ok`, `resolved[i]` is the domain index of
+/// `events[i]`; on `Err`, the first fault, as
+/// [`SessionError::InvalidEvent`].
 ///
 /// Runs as a pure pre-pass — before any engine state (timestamps,
 /// registries, RNG streams) mutates — so a failed batch leaves the
@@ -249,18 +278,10 @@ pub(crate) fn resolve_events(
     resolved.clear();
     resolved.reserve(events.len());
     for e in events {
-        let Some(index) = table.index_of(e.state) else {
-            // Only a rejected event tells the two faults apart.
-            let cells = table.num_cells();
-            let fault = match e.state {
-                TransitionState::Move { from, to } if from.index() < cells && to.index() < cells => {
-                    EventFault::NonAdjacentMove
-                }
-                _ => EventFault::OutOfDomain,
-            };
-            return Err(SessionError::InvalidEvent { t, user: e.user, fault });
-        };
-        resolved.push(index);
+        match domain_index(table, e.state) {
+            Ok(index) => resolved.push(index),
+            Err(fault) => return Err(SessionError::InvalidEvent { t, user: e.user, fault }),
+        }
     }
     Ok(())
 }

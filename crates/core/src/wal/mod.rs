@@ -29,9 +29,12 @@
 //! yields the session as of the last fully persisted timestamp instead of
 //! failing outright ([`Recovery::truncated`], [`WalContents::truncated`]).
 //! Only a corrupt *header* is a hard error — nothing after it can be
-//! trusted. A batch that passes its CRC but names a cell outside the grid
-//! or a move between non-adjacent cells is a hard error too, raised before
-//! the batch is stepped; the engine is left reset.
+//! trusted. A batch that passes its CRC but holds an event outside the
+//! transition domain — the engines' and the ingest screen's one rule,
+//! [`TransitionTable::index_of`](retrasyn_geo::TransitionTable::index_of)
+//! — is a hard error too, raised before the batch is stepped: a
+//! [`WalError::Corrupt`] naming the [`EventFault`](crate::EventFault). The
+//! engine is left reset.
 //!
 //! # Fsync policy
 //!

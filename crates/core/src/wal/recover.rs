@@ -6,8 +6,8 @@ use std::path::{Path, PathBuf};
 
 use super::checkpoint::{load_checkpoint, restore_sidecar};
 use super::{Checkpointer, Records, WalError, WalFile};
-use crate::session::StreamingEngine;
-use retrasyn_geo::{Topology, TransitionState, UserEvent};
+use crate::session::{domain_index, StreamingEngine};
+use retrasyn_geo::{TransitionTable, UserEvent};
 
 /// How a recovery used the checkpoint sidecar.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,78 +54,57 @@ impl Recovery {
     }
 }
 
-/// Validate that a batch only contains events the engine can ingest
-/// without panicking: cells inside the discretization and movements
-/// between adjacent cells. CRC framing makes reaching this check with bad
-/// data astronomically unlikely; it converts the residual risk into a
-/// descriptive error instead of a replay panic. `offset` is where the
-/// batch's record starts.
-fn validate_batch(
-    topo: &Topology,
-    t: u64,
-    offset: u64,
-    events: &[UserEvent],
-) -> Result<(), WalError> {
-    let cells = topo.num_cells();
-    let bad = |detail: String| WalError::Corrupt {
-        offset,
-        detail: format!("batch t={t} passed its checksum but is semantically invalid: {detail}"),
-    };
-    for e in events {
-        match e.state {
-            TransitionState::Move { from, to } => {
-                if from.index() >= cells || to.index() >= cells {
-                    return Err(bad(format!("move {from:?}->{to:?} outside the grid")));
-                }
-                if !topo.are_adjacent(from, to) {
-                    return Err(bad(format!("move {from:?}->{to:?} between non-adjacent cells")));
-                }
-            }
-            TransitionState::Enter(c) | TransitionState::Quit(c) => {
-                if c.index() >= cells {
-                    return Err(bad(format!("cell {c:?} outside the grid")));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 impl<R: Read> Records<R> {
-    /// [`next_batch`](Self::next_batch), with the batch's timestamp, after
-    /// [`validate_batch`] accepted it for `topo`.
-    fn next_valid(&mut self, topo: &Topology) -> Result<Option<(u64, &[UserEvent])>, WalError> {
+    /// [`next_batch`](Self::next_batch), with the batch's timestamp, once
+    /// every event lies in `table`'s domain ([`domain_index`]), so that
+    /// stepping it cannot panic. CRC framing makes reaching a fault here
+    /// astronomically unlikely; it turns the residual risk into a
+    /// descriptive error instead of a replay panic.
+    fn next_valid(
+        &mut self,
+        table: &TransitionTable,
+    ) -> Result<Option<(u64, &[UserEvent])>, WalError> {
         let (t, offset) = (self.next_t, self.valid_len);
-        match self.next_batch()? {
-            Some(batch) => {
-                validate_batch(topo, t, offset, batch)?;
-                Ok(Some((t, batch)))
+        let Some(batch) = self.next_batch()? else {
+            return Ok(None);
+        };
+        for e in batch {
+            if let Err(fault) = domain_index(table, e.state) {
+                let user = e.user;
+                return Err(WalError::Corrupt {
+                    offset,
+                    detail: format!(
+                        "batch t={t} passed its checksum but is semantically invalid: \
+                         user {user}: {fault}"
+                    ),
+                });
             }
-            None => Ok(None),
         }
+        Ok(Some((t, batch)))
     }
 }
 
-/// Step every batch `records` yields into `engine`, each validated before
-/// it is stepped, and return how many were stepped.
+/// Step every batch `records` yields into `engine`, each validated against
+/// `table` before it is stepped, and return how many were stepped.
 fn replay<E: StreamingEngine + ?Sized, R: Read>(
     engine: &mut E,
     records: &mut Records<R>,
+    table: &TransitionTable,
 ) -> Result<u64, WalError> {
     let mut replayed = 0;
-    while let Some((t, batch)) = records.next_valid(engine.topology())? {
+    while let Some((t, batch)) = records.next_valid(table)? {
         engine.step(t, batch);
         replayed += 1;
     }
     Ok(replayed)
 }
 
-/// Whether records `0..t` of `wal` are all intact (and valid for `topo`),
-/// read from the header.
-fn reaches(wal: &mut WalFile, t: u64, topo: &Topology) -> Result<bool, WalError> {
+/// Whether records `0..t` of `wal` are all intact (and valid for
+/// `table`), read from the header.
+fn reaches(wal: &mut WalFile, t: u64, table: &TransitionTable) -> Result<bool, WalError> {
     let mut records = wal.records()?;
     while records.next_t < t {
-        if records.next_valid(topo)?.is_none() {
+        if records.next_valid(table)?.is_none() {
             return Ok(false);
         }
     }
@@ -178,6 +157,7 @@ fn restore_and_replay<E: StreamingEngine + ?Sized>(
     wal: &mut WalFile,
     (sidecar, frozen): &(PathBuf, PathBuf),
 ) -> Result<(Recovery, u64), WalError> {
+    let table = TransitionTable::new(engine.topology());
     let mut checkpoint = CheckpointUse::None;
     // Set when the WAL could not be followed to the checkpoint's
     // timestamp; the reason names the valid length once replay knows it.
@@ -202,12 +182,12 @@ fn restore_and_replay<E: StreamingEngine + ?Sized>(
                     debug_assert_eq!(engine.next_timestamp(), t);
                     drop(saved);
                     let mut tail = Records::new(&mut wal.src, at, wal.len, t);
-                    let replayed = replay(engine, &mut tail)?;
+                    let replayed = replay(engine, &mut tail, &table)?;
                     let (truncated, valid_len) = (tail.truncated, tail.valid_len);
                     // Nothing replayed and a bad record at the landing:
                     // either record `t` is torn, or a damaged length
                     // prefix sent the hop astray. Only the prefix tells.
-                    if replayed > 0 || !truncated || reaches(wal, t, engine.topology())? {
+                    if replayed > 0 || !truncated || reaches(wal, t, &table)? {
                         let recovery = Recovery {
                             resumed_from: t,
                             replayed,
@@ -224,7 +204,7 @@ fn restore_and_replay<E: StreamingEngine + ?Sized>(
     }
 
     let mut records = wal.records()?;
-    let replayed = replay(engine, &mut records)?;
+    let replayed = replay(engine, &mut records, &table)?;
     if let Some(t) = unreached {
         checkpoint = CheckpointUse::Ignored {
             reason: format!(

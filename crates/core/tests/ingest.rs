@@ -12,7 +12,9 @@ use retrasyn_core::{
     ChannelSource, EventSource, IngestPolicy, RetraSyn, RetraSynConfig, SessionError, StallPolicy,
     StreamingEngine, ValidatedSource,
 };
-use retrasyn_geo::{CellId, Space, Topology, TransitionState, UniformGrid, UserEvent};
+use retrasyn_geo::{
+    BoundingBox, CellId, Point, QuadGrid, Space, Topology, TransitionState, UniformGrid, UserEvent,
+};
 
 fn enter(user: u64, cell: u32) -> UserEvent {
     UserEvent { user, state: TransitionState::Enter(CellId(cell)) }
@@ -80,8 +82,8 @@ fn sender_dropped_mid_stream_ends_cleanly() {
 // Screening guarantee under adversarial input.
 
 /// Decode one fuzzed tuple into a (possibly invalid) event: cells range
-/// over 0..40 against a 16-cell grid, so out-of-domain, non-adjacent,
-/// duplicate and lifecycle faults all occur.
+/// over 0..40 against a 16-cell grid (and a 28-cell quad tree), so
+/// out-of-domain, non-adjacent, duplicate and lifecycle faults all occur.
 fn decode(((user, tag), (a, b)): ((u64, u8), (u32, u32))) -> UserEvent {
     let state = match tag {
         0 => TransitionState::Move { from: CellId(a), to: CellId(b) },
@@ -91,8 +93,23 @@ fn decode(((user, tag), (a, b)): ((u64, u8), (u32, u32))) -> UserEvent {
     UserEvent { user, state }
 }
 
-fn small_engine(seed: u64) -> RetraSyn {
-    RetraSyn::population_division(RetraSynConfig::new(1.0, 4), UniformGrid::unit(4), seed)
+/// A quad tree whose leaves differ in size, so adjacency rows differ in
+/// length and the domain rule runs its adjacency-row search.
+fn quad() -> Arc<Topology> {
+    let pts: Vec<Point> =
+        (0..200).map(|i| Point::new((i as f64 * 0.013) % 0.5, (i as f64 * 0.031) % 0.6)).collect();
+    let topo = QuadGrid::fit(BoundingBox::unit(), &pts, 20, 4).compile_shared();
+    assert_eq!(topo.num_cells(), 28);
+    topo
+}
+
+/// The screened topologies: the paper's uniform grid and a quad tree.
+fn topologies() -> [Arc<Topology>; 2] {
+    [topo(), quad()]
+}
+
+fn small_engine(topo: &Arc<Topology>, seed: u64) -> RetraSyn {
+    RetraSyn::population_division(RetraSynConfig::new(1.0, 4), Arc::clone(topo), seed)
 }
 
 proptest! {
@@ -112,37 +129,39 @@ proptest! {
             raw.iter().map(|b| b.iter().map(|&e| decode(e)).collect()).collect();
         let total_events: u64 = batches.iter().map(|b| b.len() as u64).sum();
 
-        // Screened path: every delivered batch satisfies the engine input
-        // contract, so stepping can never fail or panic.
-        let mut screened = ValidatedSource::new(
-            retrasyn_core::IterSource::new(batches.clone().into_iter()),
-            topo(),
-            IngestPolicy::DropEvents,
-        );
-        let mut engine = small_engine(seed);
-        while let Some(batch) = screened.next_batch() {
-            let t = engine.next_timestamp();
-            prop_assert!(engine.try_step(t, batch).is_ok());
-        }
-        let stats = *screened.stats();
-        prop_assert_eq!(stats.events, total_events);
-        prop_assert_eq!(stats.passed + stats.diverted(), total_events);
-        prop_assert_eq!(stats.diverted(), screened.quarantine().count() as u64
-            + stats.quarantine_dropped);
+        for topo in topologies() {
+            // Screened path: every delivered batch satisfies the engine
+            // input contract, so stepping can never fail or panic.
+            let mut screened = ValidatedSource::new(
+                retrasyn_core::IterSource::new(batches.clone().into_iter()),
+                Arc::clone(&topo),
+                IngestPolicy::DropEvents,
+            );
+            let mut engine = small_engine(&topo, seed);
+            while let Some(batch) = screened.next_batch() {
+                let t = engine.next_timestamp();
+                prop_assert!(engine.try_step(t, batch).is_ok());
+            }
+            let stats = *screened.stats();
+            prop_assert_eq!(stats.events, total_events);
+            prop_assert_eq!(stats.passed + stats.diverted(), total_events);
+            prop_assert_eq!(stats.diverted(), screened.quarantine().count() as u64
+                + stats.quarantine_dropped);
 
-        // Raw path: invalid batches surface as typed errors; the engine
-        // is untouched by a pre-state error and keeps stepping.
-        let mut engine = small_engine(seed + 1000);
-        for batch in &batches {
-            let t = engine.next_timestamp();
-            match engine.try_step(t, batch) {
-                Ok(_) => {}
-                Err(SessionError::InvalidEvent { t: et, .. }) => {
-                    prop_assert_eq!(et, t);
-                    // Still steppable at the same timestamp.
-                    prop_assert!(engine.try_step(t, &[]).is_ok());
+            // Raw path: invalid batches surface as typed errors; the
+            // engine is untouched by a pre-state error and keeps stepping.
+            let mut engine = small_engine(&topo, seed + 1000);
+            for batch in &batches {
+                let t = engine.next_timestamp();
+                match engine.try_step(t, batch) {
+                    Ok(_) => {}
+                    Err(SessionError::InvalidEvent { t: et, .. }) => {
+                        prop_assert_eq!(et, t);
+                        // Still steppable at the same timestamp.
+                        prop_assert!(engine.try_step(t, &[]).is_ok());
+                    }
+                    Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
                 }
-                Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
             }
         }
     }
@@ -159,29 +178,31 @@ proptest! {
         let batches: Vec<Vec<UserEvent>> =
             raw.iter().map(|b| b.iter().map(|&e| decode(e)).collect()).collect();
 
-        let mut reject = ValidatedSource::new(
-            retrasyn_core::IterSource::new(batches.clone().into_iter()),
-            topo(),
-            IngestPolicy::RejectBatch,
-        );
-        let mut delivered = 0u64;
-        while let Some(batch) = reject.next_batch() {
-            delivered += batch.len() as u64;
-        }
-        let stats = *reject.stats();
-        prop_assert_eq!(delivered, stats.passed);
-        prop_assert_eq!(stats.events, stats.passed + stats.diverted() + stats.rejected_events);
+        for topo in topologies() {
+            let mut reject = ValidatedSource::new(
+                retrasyn_core::IterSource::new(batches.clone().into_iter()),
+                Arc::clone(&topo),
+                IngestPolicy::RejectBatch,
+            );
+            let mut delivered = 0u64;
+            while let Some(batch) = reject.next_batch() {
+                delivered += batch.len() as u64;
+            }
+            let stats = *reject.stats();
+            prop_assert_eq!(delivered, stats.passed);
+            prop_assert_eq!(stats.events, stats.passed + stats.diverted() + stats.rejected_events);
 
-        let mut strict = ValidatedSource::new(
-            retrasyn_core::IterSource::new(batches.into_iter()),
-            topo(),
-            IngestPolicy::Strict,
-        );
-        while strict.next_batch().is_some() {}
-        if stats.diverted() > 0 {
-            prop_assert!(matches!(strict.error(), Some(SessionError::InvalidEvent { .. })));
-        } else {
-            prop_assert!(strict.error().is_none());
+            let mut strict = ValidatedSource::new(
+                retrasyn_core::IterSource::new(batches.clone().into_iter()),
+                topo,
+                IngestPolicy::Strict,
+            );
+            while strict.next_batch().is_some() {}
+            if stats.diverted() > 0 {
+                prop_assert!(matches!(strict.error(), Some(SessionError::InvalidEvent { .. })));
+            } else {
+                prop_assert!(strict.error().is_none());
+            }
         }
     }
 }

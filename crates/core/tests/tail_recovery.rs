@@ -10,8 +10,8 @@ use retrasyn_core::wal::{
     CheckpointUse, Checkpointer, FsyncPolicy, WalContents, WalError, WalSource, WalWriter,
 };
 use retrasyn_core::{
-    Division, EventSource, RetraSyn, RetraSynConfig, StepVerdict, StreamingEngine, Supervisor,
-    TimelineSource,
+    Division, EventFault, EventSource, RetraSyn, RetraSynConfig, StepVerdict, StreamingEngine,
+    Supervisor, TimelineSource,
 };
 use retrasyn_datagen::RandomWalkConfig;
 use retrasyn_geo::{CellId, GriddedDataset, TransitionState, UniformGrid, UserEvent};
@@ -264,13 +264,19 @@ fn tail_recovery_is_bit_identical_across_cadences() {
 fn crc_valid_but_semantically_invalid_batch_is_an_error() {
     let gridded = dataset(8, 12);
     let bad_batches = [
-        vec![UserEvent { user: 1, state: TransitionState::Enter(CellId(999)) }],
-        vec![UserEvent {
-            user: 1,
-            state: TransitionState::Move { from: CellId(0), to: CellId(24) },
-        }],
+        (
+            vec![UserEvent { user: 1, state: TransitionState::Enter(CellId(999)) }],
+            EventFault::OutOfDomain,
+        ),
+        (
+            vec![UserEvent {
+                user: 1,
+                state: TransitionState::Move { from: CellId(0), to: CellId(24) },
+            }],
+            EventFault::NonAdjacentMove,
+        ),
     ];
-    for bad in &bad_batches {
+    for (bad, fault) in &bad_batches {
         for checkpointed in [true, false] {
             // Timestamps 0..10 are real and checkpointed at 8; 10 is bad.
             let path = temp_path("semantic");
@@ -290,6 +296,7 @@ fn crc_valid_but_semantically_invalid_batch_is_an_error() {
                 Err(WalError::Corrupt { detail, .. }) => {
                     assert!(detail.contains("t=10"), "{detail}");
                     assert!(detail.contains("semantically invalid"), "{detail}");
+                    assert!(detail.contains(&fault.to_string()), "{detail}");
                 }
                 other => panic!("checkpointed={checkpointed}: want Corrupt, got {other:?}"),
             }

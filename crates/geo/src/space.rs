@@ -324,7 +324,7 @@ impl Topology {
 
 /// Chebyshev distance between two cells of a row-major K×K grid.
 #[inline]
-fn chebyshev(k: u32, a: CellId, b: CellId) -> u32 {
+pub(crate) fn chebyshev(k: u32, a: CellId, b: CellId) -> u32 {
     (a.0 % k).abs_diff(b.0 % k).max((a.0 / k).abs_diff(b.0 / k))
 }
 

@@ -17,10 +17,12 @@
 //!
 //! The move blocks are exactly the CSR adjacency rows of the compiled
 //! [`Topology`], so the table borrows the topology's tables instead of
-//! rebuilding them.
+//! rebuilding them. [`TransitionTable::index_of`] is the domain's one
+//! membership test: on a uniform grid it places a move from cell
+//! coordinates, elsewhere it binary-searches the adjacency row.
 
 use crate::grid::CellId;
-use crate::space::{Space, Topology};
+use crate::space::{chebyshev, Space, Topology};
 use std::sync::Arc;
 
 /// A user's mobility status at one timestamp.
@@ -44,6 +46,8 @@ pub enum TransitionState {
 #[derive(Debug, Clone)]
 pub struct TransitionTable {
     topology: Arc<Topology>,
+    /// The grid granularity K when the topology is a uniform grid.
+    uniform_k: Option<u32>,
 }
 
 impl TransitionTable {
@@ -51,7 +55,8 @@ impl TransitionTable {
     /// [`UniformGrid`](crate::UniformGrid), a quad tree, a compiled
     /// [`Topology`], …).
     pub fn new(space: &impl Space) -> Self {
-        TransitionTable { topology: space.compile_shared() }
+        let topology = space.compile_shared();
+        TransitionTable { uniform_k: topology.uniform_k(), topology }
     }
 
     /// The compiled topology this table indexes.
@@ -141,17 +146,31 @@ impl TransitionTable {
     /// Dense index of an arbitrary state. Returns `None` for a state that
     /// is not in the domain: a cell outside the topology, or a movement
     /// between non-adjacent cells (unreachable).
+    // Inlinable across crates: a caller that only tests membership drops
+    // the index arithmetic.
+    #[inline]
     pub fn index_of(&self, state: TransitionState) -> Option<usize> {
         let cells = self.num_cells();
         match state {
-            TransitionState::Move { from, .. } if from.index() >= cells => None,
-            TransitionState::Move { from, to } => {
-                // Each block's targets ascend, so a hit's position in the
-                // block is the move's offset from the block start.
-                let block = self.move_block(from);
-                let pos = self.move_targets(from).binary_search(&to).ok()?;
-                Some(block.start + pos)
+            TransitionState::Move { from, to } if from.index() < cells && to.index() < cells => {
+                let start = self.move_offsets()[from.index()] as usize;
+                let Some(k) = self.uniform_k else {
+                    // Each block's targets ascend, so a hit's position in
+                    // the block is the move's offset from the block start.
+                    return Some(start + self.move_targets(from).binary_search(&to).ok()?);
+                };
+                if chebyshev(k, from, to) > 1 {
+                    return None;
+                }
+                // The block is `from`'s 3×3 window clipped to the grid,
+                // y-major: `w` cells per row from column `x0`, rows from
+                // `y0`. Adjacency puts `to` inside it, so nothing wraps.
+                let (fx, fy, tx, ty) = (from.0 % k, from.0 / k, to.0 % k, to.0 / k);
+                let (x0, y0) = (fx.saturating_sub(1), fy.saturating_sub(1));
+                let w = (fx + 1).min(k - 1) - x0 + 1;
+                Some(start + ((ty - y0) * w + (tx - x0)) as usize)
             }
+            TransitionState::Move { .. } => None,
             TransitionState::Enter(c) if c.index() < cells => Some(self.enter_index(c)),
             TransitionState::Quit(c) if c.index() < cells => Some(self.quit_index(c)),
             TransitionState::Enter(_) | TransitionState::Quit(_) => None,

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use retrasyn_geo::{
     BoundingBox, CellId, EventTimeline, GriddedDataset, GriddedStream, Point, QuadGrid, Space,
-    StreamDataset, Trajectory, TransitionState, TransitionTable, UniformGrid,
+    StreamDataset, Topology, Trajectory, TransitionState, TransitionTable, UniformGrid,
 };
 
 proptest! {
@@ -278,9 +278,26 @@ fn discretize_by_csr(dataset: &StreamDataset, space: &UniformGrid) -> Vec<Gridde
     out
 }
 
+/// `TransitionTable::index_of` as it was before uniform grids placed a
+/// move from cell coordinates: a binary search of the CSR adjacency row.
+fn index_of_by_csr(topo: &Topology, state: TransitionState) -> Option<usize> {
+    let (cells, moves) = (topo.num_cells(), topo.csr_targets().len());
+    match state {
+        TransitionState::Move { from, .. } if from.index() >= cells => None,
+        TransitionState::Move { from, to } => {
+            let start = topo.csr_offsets()[from.index()] as usize;
+            topo.neighbors(from).binary_search(&to).ok().map(|pos| start + pos)
+        }
+        TransitionState::Enter(c) if c.index() < cells => Some(moves + c.index()),
+        TransitionState::Quit(c) if c.index() < cells => Some(moves + cells + c.index()),
+        TransitionState::Enter(_) | TransitionState::Quit(_) => None,
+    }
+}
+
 proptest! {
-    /// Uniform adjacency from cell coordinates agrees with the CSR row
-    /// binary search on every cell pair, and discretization splits
+    /// Uniform adjacency and transition indices from cell coordinates
+    /// agree with the CSR row binary search on every cell pair (cells
+    /// past the grid included), and discretization splits
     /// streams exactly where the staged CSR-based discretizer did, for
     /// points inside the box, on cell edges and corners, and outside it.
     #[test]
@@ -300,6 +317,20 @@ proptest! {
             for b in topo.cells() {
                 let csr = topo.neighbors(a).binary_search(&b).is_ok();
                 prop_assert_eq!(topo.are_adjacent(a, b), csr, "k={} {:?} {:?}", k, a, b);
+            }
+        }
+        let table = TransitionTable::new(&topo);
+        let cells: Vec<CellId> =
+            (0..=topo.num_cells() as u32 + 2).chain([u32::MAX]).map(CellId).collect();
+        for &a in &cells {
+            for state in [TransitionState::Enter(a), TransitionState::Quit(a)] {
+                prop_assert_eq!(table.index_of(state), index_of_by_csr(&topo, state), "k={}", k);
+            }
+            for &b in &cells {
+                let state = TransitionState::Move { from: a, to: b };
+                prop_assert_eq!(
+                    table.index_of(state), index_of_by_csr(&topo, state), "k={} {:?}", k, state
+                );
             }
         }
         // A cell edge as the compiled rects place it (outer edges exact).
